@@ -27,6 +27,7 @@ import (
 	"linconstraint/internal/eio"
 	"linconstraint/internal/geom"
 	"linconstraint/internal/hull3d"
+	"linconstraint/internal/idset"
 	"linconstraint/internal/pointloc"
 )
 
@@ -80,14 +81,16 @@ type Index struct {
 	refineTau int
 
 	// low is the KLowest candidate scratch; the slice a query returns
-	// from kLowest aliases it and is valid until the next query.
+	// from kLowest aliases it and is valid until the next query. ans is
+	// the Below answer set, drained in id order at the end of each query.
 	low []Lowest
+	ans idset.Set
 }
 
 // New builds the structure over planes on dev.
 func New(dev *eio.Device, planes []geom.Plane3, opt Options) *Index {
 	n := len(planes)
-	idx := &Index{dev: dev, planes: planes, win: opt.Window, refineTau: opt.RefineTau}
+	idx := &Index{dev: dev, planes: planes, win: opt.Window, refineTau: opt.RefineTau, ans: idset.New(n)}
 	if idx.win == (hull3d.Window{}) {
 		idx.win = hull3d.Window{XMin: -100, XMax: 100, YMin: -100, YMax: 100}
 	}
@@ -217,12 +220,15 @@ func (x *Index) tryLowestPlanes(h *hierarchy, k int, qx, qy float64, j int) ([]L
 	}
 	zq := l.tris.Get(ti).Pl.Eval(qx, qy)
 	below := x.low[:0]
-	l.conflicts[ti].All(func(_ int, r planeRec) bool {
-		if z := r.Pl.Eval(qx, qy); z < zq {
-			below = append(below, Lowest{ID: r.ID, Z: z})
+	list := l.conflicts[ti]
+	for k, nb := 0, list.Blocks(); k < nb; k++ {
+		blk := list.Block(k)
+		for i := range blk {
+			if z := blk[i].Pl.Eval(qx, qy); z < zq {
+				below = append(below, Lowest{ID: blk[i].ID, Z: z})
+			}
 		}
-		return true
-	})
+	}
 	x.low = below[:0]
 	if len(below) < k {
 		return nil, false // the k lowest are not all captured by K(Δ)
@@ -273,10 +279,12 @@ func (x *Index) kLowest(k int, qx, qy float64) []Lowest {
 // the index scratch.
 func (x *Index) scanLowest(k int, qx, qy float64) []Lowest {
 	all := x.low[:0]
-	x.all.All(func(_ int, r planeRec) bool {
-		all = append(all, Lowest{ID: r.ID, Z: r.Pl.Eval(qx, qy)})
-		return true
-	})
+	for k, nb := 0, x.all.Blocks(); k < nb; k++ {
+		blk := x.all.Block(k)
+		for i := range blk {
+			all = append(all, Lowest{ID: blk[i].ID, Z: blk[i].Pl.Eval(qx, qy)})
+		}
+	}
 	x.low = all[:0]
 	sortLowest(all)
 	if k < len(all) {
@@ -319,8 +327,11 @@ func sortLowest(ls []Lowest) {
 func (x *Index) Below(q geom.Point3) []int { return x.BelowAppend(q, nil) }
 
 // BelowAppend appends the ids of every plane passing on or below q to
-// out and returns the extended slice. A steady-state call on a warmed
-// buffer performs zero heap allocations.
+// out, ascending, and returns the extended slice. The one list the
+// query settles on is scanned a block at a time into the answer set,
+// which is drained in id order: O(records scanned + t) CPU, no
+// comparison sort. A steady-state call on a warmed buffer performs zero
+// heap allocations.
 func (x *Index) BelowAppend(q geom.Point3, out []int) []int {
 	if len(x.planes) == 0 {
 		return out
@@ -347,7 +358,7 @@ func (x *Index) BelowAppend(q geom.Point3, out []int) []int {
 		ti, above := envAbove(mid)
 		if ti < 0 {
 			// Query outside the window: deterministic fallback.
-			return x.belowByScan(q, out)
+			return x.reportBelow(x.all, q, out)
 		}
 		if above {
 			best, bestTri = mid, ti
@@ -359,7 +370,7 @@ func (x *Index) BelowAppend(q geom.Point3, out []int) []int {
 	if best < 0 {
 		// Even the coarsest sample dips below q; the output is likely a
 		// constant fraction of the input, so a scan is output-justified.
-		return x.belowByScan(q, out)
+		return x.reportBelow(x.all, q, out)
 	}
 	// Tail control via the independent copies (the role they play in
 	// §4.1): if copy 0's boundary layer produced an unusually long
@@ -387,24 +398,21 @@ func (x *Index) BelowAppend(q geom.Point3, out []int) []int {
 			}
 		}
 	}
-	x.copies[bestCopy].layers[best].conflicts[bestTri].All(func(_ int, r planeRec) bool {
-		if geom.SideOfPlane3(r.Pl, q) >= 0 { // q on or above the plane
-			out = append(out, int(r.ID))
-		}
-		return true
-	})
-	return out
+	return x.reportBelow(x.copies[bestCopy].layers[best].conflicts[bestTri], q, out)
 }
 
-// belowByScan appends planes below q found by a full scan.
-func (x *Index) belowByScan(q geom.Point3, out []int) []int {
-	x.all.All(func(_ int, r planeRec) bool {
-		if geom.SideOfPlane3(r.Pl, q) >= 0 {
-			out = append(out, int(r.ID))
+// reportBelow scans list and appends the ids of its planes passing on
+// or below q to out, ascending.
+func (x *Index) reportBelow(list *eio.Array[planeRec], q geom.Point3, out []int) []int {
+	for k, nb := 0, list.Blocks(); k < nb; k++ {
+		blk := list.Block(k)
+		for i := range blk {
+			if geom.SideOfPlane3(blk[i].Pl, q) >= 0 { // q on or above the plane
+				x.ans.Add(blk[i].ID)
+			}
 		}
-		return true
-	})
-	return out
+	}
+	return x.ans.AppendSortedAndClear(out)
 }
 
 // Planes returns the stored plane set.

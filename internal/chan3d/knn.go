@@ -122,13 +122,10 @@ func (pi *PointIndex3) Halfspace(a, b, c float64) []int {
 	return pi.HalfspaceAppend(a, b, c, nil)
 }
 
-// HalfspaceAppend appends the sorted indices of all points on or below
-// z = a·x+b·y+c to out and returns the extended slice.
+// HalfspaceAppend appends the indices of all points on or below
+// z = a·x+b·y+c to out, ascending, and returns the extended slice.
 func (pi *PointIndex3) HalfspaceAppend(a, b, c float64, out []int) []int {
-	start := len(out)
-	out = pi.idx.BelowAppend(geom.Point3{X: a, Y: b, Z: c}, out)
-	slices.Sort(out[start:])
-	return out
+	return pi.idx.BelowAppend(geom.Point3{X: a, Y: b, Z: c}, out)
 }
 
 // Points returns the indexed point set.

@@ -33,25 +33,31 @@ func (a *Array[T]) Get(i int) T {
 	return a.data[i]
 }
 
+// Block reads block k of the array (one I/O) and returns its records,
+// a zero-copy read-only view: records [k·B, min((k+1)·B, Len)). Report
+// loops iterate k over [0, Blocks()) and range over each view, which
+// charges exactly the reads of a full Scan without a call per record.
+func (a *Array[T]) Block(k int) []T {
+	a.dev.Read(a.base + BlockID(k))
+	lo := k * a.dev.b
+	hi := min(lo+a.dev.b, len(a.data))
+	return a.data[lo:hi:hi]
+}
+
 // Scan calls fn on records [from, to), charging one read per block
 // touched. It stops early if fn returns false.
 func (a *Array[T]) Scan(from, to int, fn func(i int, v T) bool) {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(a.data) {
-		to = len(a.data)
-	}
-	last := BlockID(-1)
-	for i := from; i < to; i++ {
-		blk := a.base + BlockID(i/a.dev.b)
-		if blk != last {
-			a.dev.Read(blk)
-			last = blk
+	from, to = max(from, 0), min(to, len(a.data))
+	for from < to {
+		k := from / a.dev.b
+		a.dev.Read(a.base + BlockID(k))
+		end := min((k+1)*a.dev.b, to)
+		for i := from; i < end; i++ {
+			if !fn(i, a.data[i]) {
+				return
+			}
 		}
-		if !fn(i, a.data[i]) {
-			return
-		}
+		from = end
 	}
 }
 
@@ -65,12 +71,12 @@ func (a *Array[T]) All(fn func(i int, v T) bool) { a.Scan(0, len(a.data), fn) }
 type Reader[T any] struct {
 	arr  *Array[T]
 	next int
-	blk  BlockID
+	end  int // one past the last record of the buffered block
 }
 
 // NewReader returns a cursor at the start of the array.
 func NewReader[T any](arr *Array[T]) *Reader[T] {
-	return &Reader[T]{arr: arr, blk: -1}
+	return &Reader[T]{arr: arr}
 }
 
 // Next returns the next record, charging an I/O only on block
@@ -87,12 +93,12 @@ func (r *Reader[T]) Next() (T, bool) {
 	if r.next >= len(r.arr.data) {
 		return zero, false
 	}
-	blk := r.arr.base + BlockID(r.next/r.arr.dev.b)
-	if blk != r.blk {
-		r.arr.dev.Read(blk)
-		r.blk = blk
-		if next := blk + 1; int(next-r.arr.base) < r.arr.Blocks() {
-			r.arr.dev.Prefetch(next)
+	if r.next == r.end { // block boundary: one division per block, not per record
+		k := r.next / r.arr.dev.b
+		r.arr.dev.Read(r.arr.base + BlockID(k))
+		r.end = min((k+1)*r.arr.dev.b, len(r.arr.data))
+		if r.end < len(r.arr.data) {
+			r.arr.dev.Prefetch(r.arr.base + BlockID(k+1))
 		}
 	}
 	v := r.arr.data[r.next]

@@ -1,6 +1,7 @@
 package eio
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -124,6 +125,56 @@ func TestArrayScanClamps(t *testing.T) {
 	a.Scan(-5, 99, func(i, v int) bool { got += v; return true })
 	if got != 6 {
 		t.Fatalf("clamped scan sum = %d, want 6", got)
+	}
+}
+
+// TestArrayBlockViews checks the block view against the record-at-a-time
+// scan it stands in for: iterating Block(k) for k < Blocks() yields the
+// same records in the same order for the same reads, every view is at
+// most B records, and appending to a view cannot reach the next block.
+func TestArrayBlockViews(t *testing.T) {
+	check := func(k uint8, b8 uint8) bool {
+		b := int(b8%16) + 1
+		data := make([]int, int(k))
+		for i := range data {
+			data[i] = i * 7
+		}
+		d := NewDevice(b, 0)
+		a := NewArray(d, data)
+		d.ResetCounters()
+		var viaScan []int
+		a.All(func(_ int, v int) bool { viaScan = append(viaScan, v); return true })
+		scanReads := d.Stats().Reads
+		d.ResetCounters()
+		var viaBlocks []int
+		for kk := 0; kk < a.Blocks(); kk++ {
+			blk := a.Block(kk)
+			if len(blk) == 0 || len(blk) > b || cap(blk) != len(blk) {
+				return false
+			}
+			viaBlocks = append(viaBlocks, blk...)
+		}
+		return slices.Equal(viaBlocks, viaScan) && slices.Equal(viaBlocks, data) && d.Stats().Reads == scanReads
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestArrayScanMidRange pins the block-by-block walk on a range that
+// starts and ends inside blocks: records [3, 8) of a B = 2 array touch
+// blocks 1, 2 and 3.
+func TestArrayScanMidRange(t *testing.T) {
+	d := NewDevice(2, 0)
+	a := NewArray(d, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	d.ResetCounters()
+	var got []int
+	a.Scan(3, 8, func(i, v int) bool { got = append(got, i*10+v); return true })
+	if want := []int{33, 44, 55, 66, 77}; !slices.Equal(got, want) {
+		t.Fatalf("Scan(3, 8) visited %v, want %v", got, want)
+	}
+	if d.Stats().Reads != 3 {
+		t.Fatalf("Scan(3, 8) cost %d reads, want 3", d.Stats().Reads)
 	}
 }
 

@@ -281,11 +281,19 @@ func TestWatchdogHealthAndShutdown(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		res = e.BatchInto(qs, res[:0])
 	}
+	// Poll until the kinds asserted below are all present: ticks before
+	// the runs already emit skew events, so an event count says nothing
+	// about whether a tick has seen the runs' SLO burn yet.
 	deadline := time.Now().Add(2 * time.Second)
 	var evs []HealthEvent
 	for {
 		evs = e.Health(evs[:0])
-		if len(evs) >= 3 || time.Now().After(deadline) {
+		skew, burn := false, false
+		for _, ev := range evs {
+			skew = skew || ev.Kind == HealthSkew
+			burn = burn || ev.Kind == HealthLatencyBurn || ev.Kind == HealthVisitedBurn
+		}
+		if skew && burn || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

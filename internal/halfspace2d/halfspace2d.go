@@ -27,13 +27,13 @@ package halfspace2d
 
 import (
 	"math/rand"
-	"slices"
 
 	"linconstraint/internal/arrangement"
 	"linconstraint/internal/btree"
 	"linconstraint/internal/cluster"
 	"linconstraint/internal/eio"
 	"linconstraint/internal/geom"
+	"linconstraint/internal/idset"
 )
 
 // Options configure construction.
@@ -60,14 +60,16 @@ type Index struct {
 	beta   int
 	phases []phase
 
-	// Query scratch: epoch-stamped id sets replacing the per-query maps,
-	// so a steady-state query performs zero heap allocations. seen[id]
-	// == epoch marks a line already reported this query; above[id] ==
-	// aboveEpoch marks a line counted above q in the current expansion
-	// direction (the Lemma 3.4 stopping rule resets per direction, so it
-	// gets its own epoch counter, bumped per direction).
-	seen, above       []uint32
-	epoch, aboveEpoch uint32
+	// Query scratch, so a steady-state query performs zero heap
+	// allocations. ans collects the lines found below q: the clusters
+	// of a layer share lines, so it deduplicates, and draining it yields
+	// the answer ascending. above[id] == aboveEpoch marks a line
+	// counted above q in the current expansion direction; the Lemma 3.4
+	// stopping rule restarts per direction, so the stamp is bumped per
+	// direction and the set resets in O(1).
+	ans        idset.Set
+	above      []uint32
+	aboveEpoch uint32
 }
 
 // rec is one cluster record: a line id with its coefficients inline, so
@@ -91,7 +93,7 @@ type phase struct {
 // for how construction cost is accounted.
 func New(dev *eio.Device, lines []geom.Line2, opt Options) *Index {
 	idx := &Index{dev: dev, lines: lines}
-	idx.seen = make([]uint32, len(lines))
+	idx.ans = idset.New(len(lines))
 	idx.above = make([]uint32, len(lines))
 	b := dev.B()
 	n := dev.Blocks(len(lines))
@@ -154,101 +156,101 @@ func (x *Index) Phases() int { return len(x.phases) }
 func (x *Index) SpaceBlocks() int64 { return x.dev.SpaceBlocks() }
 
 // Below reports the indices of every line lying on or below the point q,
-// in O(log_B n + t) I/Os (Theorem 3.5). The result order is unspecified.
+// ascending, in O(log_B n + t) I/Os (Theorem 3.5).
 func (x *Index) Below(q geom.Point2) []int { return x.BelowAppend(q, nil) }
 
 // BelowAppend appends the indices of every line lying on or below q to
-// out and returns the extended slice (appended order unspecified). A
-// steady-state call on a warmed buffer performs zero heap allocations:
-// the reported/above sets of the §3.3 query walk live in epoch-stamped
-// per-index scratch instead of per-query maps.
+// out, ascending and without duplicates, and returns the extended
+// slice. The §3.3 walk adds what it finds to the answer set as it scans
+// clusters a block at a time, and the set is drained once at the end,
+// so the CPU cost is O(records scanned + t) with no comparison sort. A
+// steady-state call on a warmed buffer performs zero heap allocations.
 func (x *Index) BelowAppend(q geom.Point2, out []int) []int {
-	x.epoch++
-	if x.epoch == 0 { // wrapped: stale stamps could collide; clear
-		clear(x.seen)
-		x.epoch = 1
-	}
-	report := func(id int32) {
-		if x.seen[id] != x.epoch {
-			x.seen[id] = x.epoch
-			out = append(out, int(id))
-		}
-	}
-
-	for _, p := range x.phases {
+	for i := range x.phases {
+		p := &x.phases[i]
 		if p.single {
-			p.clusters[0].All(func(_ int, r rec) bool {
-				if belowOrOn(r, q) {
-					report(r.ID)
-				}
-				return true
-			})
-			return out
+			x.markBelow(p.clusters[0], q)
+			break
 		}
 		// Locate the relevant cluster via the boundary B-tree.
 		j := 0
 		if pr, ok := p.bounds.Predecessor(q.X); ok {
 			j = int(pr.Value)
 		}
-		// Scan it, counting lines below q.
-		below := 0
-		p.clusters[j].All(func(_ int, r rec) bool {
-			if belowOrOn(r, q) {
-				below++
-			}
-			return true
-		})
+		// Scan it, counting lines below q, then report them.
+		below := countBelow(p.clusters[j], q)
+		x.markBelow(p.clusters[j], q)
 		if below < p.lambda {
 			// Lemma 3.1: the relevant cluster contains every line of H_i
-			// below q; report and stop.
-			p.clusters[j].All(func(_ int, r rec) bool {
-				if belowOrOn(r, q) {
-					report(r.ID)
-				}
-				return true
-			})
-			return out
+			// below q; stop.
+			break
 		}
 		// Expansion (Lemma 3.4): visit clusters rightward until more than
 		// λ_i distinct lines of C_{j+1..r} lie above q, then leftward
 		// symmetrically, reporting below-lines of every visited cluster.
-		p.clusters[j].All(func(_ int, r rec) bool {
-			if belowOrOn(r, q) {
-				report(r.ID)
-			}
-			return true
-		})
-		for dir := 0; dir < 2; dir++ {
+		for _, step := range [2]int{+1, -1} {
 			x.aboveEpoch++
-			if x.aboveEpoch == 0 {
+			if x.aboveEpoch == 0 { // wrapped: stale stamps could collide; clear
 				clear(x.above)
 				x.aboveEpoch = 1
 			}
-			aboveCnt := 0
-			scan := func(_ int, r rec) bool {
-				if belowOrOn(r, q) {
-					report(r.ID)
-				} else if x.above[r.ID] != x.aboveEpoch {
-					x.above[r.ID] = x.aboveEpoch
-					aboveCnt++
-				}
-				return true
-			}
-			if dir == 0 {
-				for r := j + 1; r < len(p.clusters) && aboveCnt <= p.lambda; r++ {
-					p.clusters[r].All(scan)
-				}
-			} else {
-				for l := j - 1; l >= 0 && aboveCnt <= p.lambda; l-- {
-					p.clusters[l].All(scan)
-				}
+			for c, above := j+step, 0; c >= 0 && c < len(p.clusters) && above <= p.lambda; c += step {
+				above += x.expand(p.clusters[c], q)
 			}
 		}
 	}
-	return out
+	return x.ans.AppendSortedAndClear(out)
 }
 
-func belowOrOn(r rec, q geom.Point2) bool {
+// countBelow scans cluster c and returns how many of its lines lie on
+// or below q.
+func countBelow(c *eio.Array[rec], q geom.Point2) int {
+	n := 0
+	for k, nb := 0, c.Blocks(); k < nb; k++ {
+		blk := c.Block(k)
+		for i := range blk {
+			if belowOrOn(&blk[i], q) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// markBelow scans cluster c, adding its lines on or below q to the
+// answer set.
+func (x *Index) markBelow(c *eio.Array[rec], q geom.Point2) {
+	for k, nb := 0, c.Blocks(); k < nb; k++ {
+		blk := c.Block(k)
+		for i := range blk {
+			if belowOrOn(&blk[i], q) {
+				x.ans.Add(blk[i].ID)
+			}
+		}
+	}
+}
+
+// expand scans cluster c during a Lemma 3.4 expansion: lines on or
+// below q join the answer set, and the return value is how many lines
+// above q were met for the first time in this direction.
+func (x *Index) expand(c *eio.Array[rec], q geom.Point2) int {
+	fresh := 0
+	for k, nb := 0, c.Blocks(); k < nb; k++ {
+		blk := c.Block(k)
+		for i := range blk {
+			r := &blk[i]
+			if belowOrOn(r, q) {
+				x.ans.Add(r.ID)
+			} else if x.above[r.ID] != x.aboveEpoch {
+				x.above[r.ID] = x.aboveEpoch
+				fresh++
+			}
+		}
+	}
+	return fresh
+}
+
+func belowOrOn(r *rec, q geom.Point2) bool {
 	return geom.SideOfLine2(r.Line, q) >= 0 // q above or on the line
 }
 
@@ -304,16 +306,13 @@ func (pi *PointIndex) Halfplane(a, b float64) []int {
 	return pi.HalfplaneAppend(a, b, nil)
 }
 
-// HalfplaneAppend appends the sorted indices of all points on or below
-// y = a·x + b to out and returns the extended slice. On a warmed buffer
-// a steady-state query allocates nothing.
+// HalfplaneAppend appends the indices of all points on or below
+// y = a·x + b to out, ascending, and returns the extended slice. On a
+// warmed buffer a steady-state query allocates nothing.
 func (pi *PointIndex) HalfplaneAppend(a, b float64, out []int) []int {
 	// A point p is on/below h iff the dual line p* passes on/below the
 	// dual point h* = (a, b) (Lemma 2.1).
-	start := len(out)
-	out = pi.BelowAppend(geom.Point2{X: a, Y: b}, out)
-	slices.Sort(out[start:])
-	return out
+	return pi.BelowAppend(geom.Point2{X: a, Y: b}, out)
 }
 
 // Points returns the stored point set.

@@ -15,10 +15,9 @@
 package partition
 
 import (
-	"slices"
-
 	"linconstraint/internal/eio"
 	"linconstraint/internal/geom"
+	"linconstraint/internal/idset"
 )
 
 // Options configure construction.
@@ -56,15 +55,19 @@ type Tree struct {
 	root    *node
 	points  []geom.PointD
 	relabel []int32 // optional id remapping (used by secondary structures)
+
+	// Query scratch (a Tree is single-owner, like its Device): ans is
+	// the answer set over stored ids, drained in id order at the end of
+	// each query; halfPlane backs the one-constraint simplex
+	// HalfspaceAppend queries with, so a halfspace query allocates
+	// nothing.
+	ans       idset.Set
+	halfPlane [1]geom.HyperplaneD
 }
 
-// emit maps a stored id to the id reported to callers.
-func (t *Tree) emit(id int32) int {
-	if t.relabel != nil {
-		return int(t.relabel[id])
-	}
-	return int(id)
-}
+// belowOnly is the side vector of a one-constraint lower halfspace
+// (read-only).
+var belowOnly = []bool{true}
 
 // New builds a partition tree over points (all of dimension d) on dev.
 func New(dev *eio.Device, points []geom.PointD, opt Options) *Tree {
@@ -74,7 +77,7 @@ func New(dev *eio.Device, points []geom.PointD, opt Options) *Tree {
 	if opt.LeafSize <= 0 {
 		opt.LeafSize = dev.B()
 	}
-	t := &Tree{dev: dev, opt: opt, points: points}
+	t := &Tree{dev: dev, opt: opt, points: points, ans: idset.New(len(points))}
 	if len(points) == 0 {
 		return t
 	}
@@ -213,82 +216,94 @@ func (t *Tree) Len() int { return len(t.points) }
 func (t *Tree) Dim() int { return t.d }
 
 // Halfspace reports the ids of all points on or below the hyperplane h
-// (x_d <= h(x)), in O(n^(1-1/d)+ε + t) I/Os (Theorem 5.2).
+// (x_d <= h(x)), ascending, in O(n^(1-1/d)+ε + t) I/Os (Theorem 5.2).
 func (t *Tree) Halfspace(h geom.HyperplaneD) []int {
 	return t.HalfspaceAppend(h, nil)
 }
 
-// HalfspaceAppend appends the sorted ids of all points on or below h to
-// out and returns the extended slice. On a warmed buffer a steady-state
-// query allocates nothing.
+// HalfspaceAppend appends the ids of all points on or below h to out,
+// ascending, and returns the extended slice: a halfspace is the
+// one-constraint case of SimplexAppend. On a warmed buffer a
+// steady-state query allocates nothing (h's coefficient slice is
+// borrowed for the duration of the call).
 func (t *Tree) HalfspaceAppend(h geom.HyperplaneD, out []int) []int {
-	if t.root == nil {
-		return out
-	}
-	start := len(out)
-	t.query(t.root, func(b geom.Box) int { return b.RegionSide(h) },
-		func(p geom.PointD) bool { return geom.SideOfHyperplane(h, p) <= 0 },
-		&out)
-	slices.Sort(out[start:])
+	t.halfPlane[0] = h
+	out = t.SimplexAppend(geom.Simplex{Planes: t.halfPlane[:], Below: belowOnly}, out)
+	t.halfPlane[0] = geom.HyperplaneD{} // drop the borrowed slice
 	return out
 }
 
 // Simplex reports the ids of all points inside the simplex (or general
-// convex polytope) s (§5 Remark i).
+// convex polytope) s, ascending (§5 Remark i).
 func (t *Tree) Simplex(s geom.Simplex) []int {
 	return t.SimplexAppend(s, nil)
 }
 
-// SimplexAppend appends the sorted ids of all points inside s to out
-// and returns the extended slice.
+// SimplexAppend appends the ids of all points inside s to out,
+// ascending, and returns the extended slice. Leaves are scanned a block
+// at a time into the answer set, which is drained in id order — O(points
+// scanned + t) CPU, no comparison sort. A relabelled tree (a secondary
+// structure's) maps the drained ids to its owner's afterwards, so its
+// answer is in stored-id order, not ascending; the owner, which defines
+// that id universe, orders the union it assembles.
 func (t *Tree) SimplexAppend(s geom.Simplex, out []int) []int {
 	if t.root == nil {
 		return out
 	}
 	start := len(out)
-	t.query(t.root, s.RegionSide, s.Contains, &out)
-	slices.Sort(out[start:])
+	t.query(t.root, &s)
+	out = t.ans.AppendSortedAndClear(out)
+	if t.relabel != nil {
+		for i, id := range out[start:] {
+			out[start+i] = int(t.relabel[id])
+		}
+	}
 	return out
 }
 
-// query recursively classifies cells: side(-1) inside → report subtree,
-// side(+1) outside → skip, crossing → recurse / filter at leaves.
-func (t *Tree) query(v *node, side func(geom.Box) int, contains func(geom.PointD) bool, out *[]int) {
+// query recursively classifies cells against s: inside → report subtree,
+// outside → skip, crossing → recurse / filter at leaves.
+func (t *Tree) query(v *node, s *geom.Simplex) {
 	if v.leaf != nil {
-		v.leaf.All(func(_ int, r ptRec) bool {
-			if contains(r.P) {
-				*out = append(*out, t.emit(r.ID))
+		for k, nb := 0, v.leaf.Blocks(); k < nb; k++ {
+			blk := v.leaf.Block(k)
+			for i := range blk {
+				if s.Contains(blk[i].P) {
+					t.ans.Add(blk[i].ID)
+				}
 			}
-			return true
-		})
+		}
 		return
 	}
 	t.readNode(v)
 	for _, c := range v.children {
-		switch side(c.box) {
+		switch s.RegionSide(c.box) {
 		case -1:
-			t.reportSubtree(c, out)
+			t.reportSubtree(c)
 		case 1:
 			// skip
 		default:
-			t.query(c, side, contains, out)
+			t.query(c, s)
 		}
 	}
 }
 
-// reportSubtree emits every point below v; cost O(count/B) I/Os because
-// leaves hold Θ(B) points and internal nodes have degree ≥ 2.
-func (t *Tree) reportSubtree(v *node, out *[]int) {
+// reportSubtree adds every point below v to the answer set; cost
+// O(count/B) I/Os because leaves hold Θ(B) points and internal nodes
+// have degree ≥ 2.
+func (t *Tree) reportSubtree(v *node) {
 	if v.leaf != nil {
-		v.leaf.All(func(_ int, r ptRec) bool {
-			*out = append(*out, t.emit(r.ID))
-			return true
-		})
+		for k, nb := 0, v.leaf.Blocks(); k < nb; k++ {
+			blk := v.leaf.Block(k)
+			for i := range blk {
+				t.ans.Add(blk[i].ID)
+			}
+		}
 		return
 	}
 	t.readNode(v)
 	for _, c := range v.children {
-		t.reportSubtree(c, out)
+		t.reportSubtree(c)
 	}
 }
 
