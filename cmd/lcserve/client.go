@@ -160,7 +160,7 @@ func runClient(ctx context.Context, target, kind string, n, clients, queries, k,
 		return 1
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) time.Duration { return lats[mini(int(p*float64(done)), done-1)] }
+	pct := func(p float64) time.Duration { return lats[min(int(p*float64(done)), done-1)] }
 	fmt.Printf("client: %d requests in %v (%.0f req/sec); latency p50 %v p90 %v p99 %v\n",
 		done, elapsed.Round(time.Millisecond), float64(done)/elapsed.Seconds(),
 		pct(0.50).Round(time.Microsecond), pct(0.90).Round(time.Microsecond), pct(0.99).Round(time.Microsecond))

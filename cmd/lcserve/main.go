@@ -335,7 +335,7 @@ func main() {
 	// feed streams records into a mutable engine as OpInsert batches.
 	feed := func(recs []linconstraint.Record) {
 		for done := 0; done < len(recs); {
-			end := mini(done+*batch, len(recs))
+			end := min(done+*batch, len(recs))
 			qs := make([]linconstraint.Query, 0, end-done)
 			for _, r := range recs[done:end] {
 				qs = append(qs, linconstraint.Query{Op: linconstraint.OpInsert, Rec: r})
@@ -535,11 +535,11 @@ func main() {
 		hits += int64(len(r.IDs) + len(r.Recs) + len(r.Neighbors))
 	}
 	fmt.Printf("\nper-query I/O histogram (%d sequential %s, mean output %d records):\n",
-		*profile, what, hits/int64(maxi(1, *profile)))
+		*profile, what, hits/int64(max(1, *profile)))
 	printHistogram(perQuery, "I/Os")
 	fmt.Printf("\nplan (%s layout): mean shards visited %.2f, pruned %.2f of %d per query\n",
-		*layoutF, float64(visited)/float64(maxi(1, *profile)),
-		float64(pruned)/float64(maxi(1, *profile)), *shards)
+		*layoutF, float64(visited)/float64(max(1, *profile)),
+		float64(pruned)/float64(max(1, *profile)), *shards)
 	fmt.Println("per-query shards-visited histogram:")
 	printHistogram(perVisited, "shards")
 
@@ -601,7 +601,7 @@ func main() {
 	// so a mid-load shift (cache warmup, a rebalance stealing bandwidth)
 	// is visible as it happens, including the interval's own run-latency
 	// p99 from the subtracted histogram buckets.
-	probeAt := maxi(1, len(qs)/4)
+	probeAt := max(1, len(qs)/4)
 	nextProbe := probeAt
 	lastSnap := reg.Snapshot()
 	lastAt := start
@@ -627,7 +627,7 @@ func main() {
 				arSt, arErr = eng.AutoReplicate(linconstraint.AutoReplicateOptions{})
 			}()
 		}
-		end := mini(done+*batch, len(qs))
+		end := min(done+*batch, len(qs))
 		res = eng.BatchInto(qs[done:end], res[:0])
 		for i, r := range res {
 			if r.Err != nil {
@@ -701,7 +701,7 @@ func main() {
 	}
 	fmt.Printf("aggregate I/O: %d total (%d reads, %d writes, %d cache hits), %.1f I/Os/op\n",
 		st.Total.IOs(), st.Total.Reads, st.Total.Writes, st.Total.Hits,
-		float64(st.Total.IOs())/float64(maxi(1, done)))
+		float64(st.Total.IOs())/float64(max(1, done)))
 	if nq > 0 {
 		fmt.Printf("planner: %d shard visits, %d pruned (%.2f visited / %.2f pruned of %d per query)\n",
 			st.ShardsVisited, st.ShardsPruned,
@@ -709,7 +709,7 @@ func main() {
 	}
 	fmt.Printf("worst shard: #%d with %d I/Os (%.1fx the fair share)\n",
 		st.WorstShard, st.MaxShardIOs,
-		float64(st.MaxShardIOs)*float64(st.Shards)/float64(maxi64(1, st.Total.IOs())))
+		float64(st.MaxShardIOs)*float64(st.Shards)/float64(max(1, st.Total.IOs())))
 
 	shardIOs := make([]int64, len(st.PerShard))
 	for i, ps := range st.PerShard {
@@ -780,7 +780,7 @@ func main() {
 		var mx int64
 		for _, per := range st.ReplicaReads {
 			for _, v := range per {
-				mx = maxi64(mx, v)
+				mx = max(mx, v)
 			}
 		}
 		var sb strings.Builder
@@ -862,7 +862,7 @@ func main() {
 	if traces := eng.Traces(nil); len(traces) > 0 {
 		last := traces[len(traces)-1]
 		fmt.Printf("traces: %d sampled (1 in %d); last: %d queries, %d visited / %d pruned shards, %d shared plans, plan %v exec %v merge %v total %v, %d I/Os\n",
-			len(traces), maxi(1, *traceEvery), last.Queries,
+			len(traces), max(1, *traceEvery), last.Queries,
 			last.ShardsVisited, last.ShardsPruned, last.PlansShared,
 			time.Duration(last.PlanNs).Round(time.Microsecond),
 			time.Duration(last.ExecNs).Round(time.Microsecond),
@@ -1009,22 +1009,22 @@ func printHistogram(vals []int64, unit string) {
 			zeros++
 			continue
 		}
-		lo, hi = mini64(lo, v), maxi64(hi, v)
+		lo, hi = min(lo, v), max(hi, v)
 		buckets[log2(v)]++
 	}
 	maxCount := zeros
 	for _, c := range buckets {
-		maxCount = maxi(maxCount, c)
+		maxCount = max(maxCount, c)
 	}
 	if zeros > 0 {
-		fmt.Printf("  %8d–%-8d %s %5d  %s\n", 0, 0, unit, zeros, strings.Repeat("#", zeros*40/maxi(1, maxCount)))
+		fmt.Printf("  %8d–%-8d %s %5d  %s\n", 0, 0, unit, zeros, strings.Repeat("#", zeros*40/max(1, maxCount)))
 	}
 	if hi == 0 {
 		return
 	}
 	for b := log2(lo); b <= log2(hi); b++ {
 		c := buckets[b]
-		bar := strings.Repeat("#", c*40/maxi(1, maxCount))
+		bar := strings.Repeat("#", c*40/max(1, maxCount))
 		fmt.Printf("  %8d–%-8d %s %5d  %s\n", pow2(b), pow2(b+1)-1, unit, c, bar)
 	}
 }
@@ -1039,31 +1039,3 @@ func log2(v int64) int {
 }
 
 func pow2(b int) int64 { return int64(1) << b }
-
-func mini(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func mini64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -67,10 +67,3 @@ func main() {
 	}
 	fmt.Printf("scan cross-check: %d rows (match=%v)\n", want, want == len(risky))
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -50,10 +50,3 @@ func main() {
 	rows = idx.Halfplane(5.5, 0)
 	fmt.Printf("P/E < 5.5 query: %d companies, %d I/Os\n", len(rows), idx.Stats().IOs())
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

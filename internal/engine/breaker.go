@@ -12,15 +12,15 @@ package engine
 //	half-open ──(probe succeeds)──▶ closed
 //	half-open ──(probe faults)──▶ open (cooldown restarts)
 //
-// pickReplica skips open breakers, so a sick copy stops receiving
+// pickRoutable skips open breakers, so a sick copy stops receiving
 // traffic within Threshold sub-batches; the half-open probe is how it
 // earns its way back. A shard is never stranded: when every copy is
 // open mid-cooldown, the pick forces the stalest breaker into half-open
 // and routes it — answering slowly beats not answering (FuzzBreaker
 // pins both properties). Engine.Repair is the actuator: it rebuilds
-// tripped copies from the primary on fresh, healthy devices (the PR-7
-// clone machinery), which is the first automated response path the
-// watchdog's HealthEvents can drive.
+// tripped copies from the primary on fresh, healthy devices (cloneShard,
+// the routine Replicate grows with), which is the first automated
+// response path the watchdog's HealthEvents can drive.
 
 import (
 	"fmt"
@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"linconstraint/internal/eio"
-	"linconstraint/internal/index"
 )
 
 // BreakerConfig arms per-replica circuit breakers (Options.Breaker).
@@ -226,16 +225,18 @@ func (e *Engine) replicaAt(si, ri int) (*replica, error) {
 
 // Repair rebuilds shard si's sick replicas — breaker open or half-open,
 // or device hard-failed — from the primary, and returns how many copies
-// it repaired. A sick non-primary copy is replaced outright: its index
-// is rebuilt onto a fresh device with the primary's geometry (fresh
-// devices carry no fault plan and a clear fail latch — that is what
-// makes this a repair, see eio.NewDeviceLike), attached in a short
-// exclusive section, and the old copy's worker drains. The primary
-// cannot be rebuilt from itself, so a sick primary is healed in place:
-// fail latch cleared, fault plan removed. Every repaired copy's breaker
-// resets to closed. Serialized against Replicate/Drop/Rebalance via
-// rebalMu; answers are byte-identical throughout (a rebuilt replica
-// holds the same multiset, like any PR-7 clone).
+// it repaired. A sick non-primary copy is replaced outright by a fresh
+// copy of the primary (cloneShard — fresh devices carry no fault plan
+// and a clear fail latch, which is what makes this a repair, see
+// eio.NewDeviceLike). The old copy detaches in the same exclusive
+// section the new one attaches in, and its worker drains after — a
+// straggling degraded-run sub-batch finishes harmlessly on the orphan
+// first. The primary cannot be rebuilt from itself, so a sick primary is
+// healed in place: fail latch cleared, fault plan removed. Every
+// repaired copy's breaker resets to closed. Serialized against
+// Replicate/Drop/Rebalance via rebalMu; answers are byte-identical
+// throughout (a rebuilt replica holds the same multiset, like any
+// clone).
 func (e *Engine) Repair(si int) (int, error) {
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
@@ -258,8 +259,16 @@ func (e *Engine) Repair(si int) (int, error) {
 	for _, ri := range sick {
 		if ri == 0 {
 			e.healPrimary(sh.reps[0])
-		} else if err := e.rebuildReplica(si, sh, ri); err != nil {
-			return repaired, err
+		} else {
+			var old *replica
+			err := e.cloneShard(si, 1, func(fresh []*replica) {
+				old, sh.reps[ri] = sh.reps[ri], fresh[0]
+			})
+			if err != nil {
+				return repaired, err
+			}
+			close(old.work)
+			<-old.stopped
 		}
 		repaired++
 	}
@@ -280,60 +289,4 @@ func (e *Engine) healPrimary(rep *replica) {
 	rep.mu.Unlock()
 	rep.brk.fails.Store(0)
 	rep.brk.state.Store(int32(BreakerClosed))
-}
-
-// rebuildReplica replaces replica ri of shard si with a fresh copy
-// built from the primary. Static shards rebuild from the retained build
-// set outside every lock (queries keep flowing, exactly like
-// cloneStaticLocked); mutable shards enumerate and replay the primary
-// under the exclusive migration lock (exactly like cloneMutableLocked —
-// an update slipping between the copy and the attach would diverge the
-// multiset). The old copy detaches in the same exclusive section the
-// new one attaches in, so no run ever sees a half-swapped set, and its
-// worker drains after — a straggling degraded-run sub-batch finishes
-// harmlessly on the orphan first.
-func (e *Engine) rebuildReplica(si int, sh *shard, ri int) error {
-	var rep *replica
-	if !e.mutable {
-		dev := eio.NewDeviceLike(sh.reps[0].dev)
-		rep = newReplica(e.builder(si, dev, e.globals[si]), dev)
-		e.workersWG.Add(1)
-		go e.replicaWorker(si, rep)
-		e.migMu.Lock()
-		old := sh.reps[ri]
-		sh.reps[ri] = rep
-		e.migMu.Unlock()
-		close(old.work)
-		<-old.stopped
-		return nil
-	}
-	e.migMu.Lock()
-	en, ok := sh.reps[0].idx.(index.Enumerable)
-	if !ok {
-		e.migMu.Unlock()
-		return fmt.Errorf("%w: shard %d (repair of a mutable family needs enumeration)", ErrNotEnumerable, si)
-	}
-	recs := en.AppendRecords(nil)
-	dev := eio.NewDeviceLike(sh.reps[0].dev)
-	idx := e.mkIdx(si, dev)
-	mut, ok := idx.(index.Mutable)
-	if !ok {
-		e.migMu.Unlock()
-		return fmt.Errorf("engine: shard %d: rebuilt index is not mutable", si)
-	}
-	for _, r := range recs {
-		if err := mut.Insert(r); err != nil {
-			e.migMu.Unlock()
-			return fmt.Errorf("engine: shard %d: replaying record into rebuilt replica: %w", si, err)
-		}
-	}
-	rep = newReplica(idx, dev)
-	e.workersWG.Add(1)
-	go e.replicaWorker(si, rep)
-	old := sh.reps[ri]
-	sh.reps[ri] = rep
-	e.migMu.Unlock()
-	close(old.work)
-	<-old.stopped
-	return nil
 }

@@ -28,10 +28,13 @@
 // queued at one disk. Each shard has one persistent worker goroutine,
 // started at construction and fed whole sub-batches through a channel:
 // a batch wakes each participating shard once, the worker answers every
-// query of its sub-batch under one lock acquisition, and the caller
-// merges. Options.Workers caps how many shard workers execute
-// simultaneously (a semaphore); at the default (= shards) the cap is
-// inactive. Updates route through the same locks, from the caller's
+// query of its sub-batch under one lock acquisition, decides the shard's
+// finish line and — when it decided the run's last shard — wakes the
+// caller, who merges. Every run takes this one path (plan → dispatch →
+// await → merge → record, query.go); deadlines and hedges are timers the
+// await arms only when configured. Options.Workers caps how many shard
+// workers execute simultaneously (a semaphore); at the default
+// (= shards) the cap is inactive. Updates route through the same locks, from the caller's
 // goroutine: an insert goes to the shard the layout's Place picks (or
 // the currently-smallest shard when the layout delegates), a delete
 // probes the shards in order until one holds the record. See DESIGN.md
@@ -156,14 +159,16 @@ type Options struct {
 	WindowSlots    int
 	WindowInterval time.Duration
 
-	// Deadline, when positive, bounds each query run's wall clock. With
-	// Strict false (the default) a run past its deadline abandons its
+	// Deadline, when positive, arms a per-run timer in the run's await:
+	// with Strict false (the default) a run past its deadline abandons its
 	// unanswered shard dispatches and returns partial results flagged
 	// Result.Degraded (with the missing shards listed); with Strict true
 	// the run blocks to completion and only the deadline-miss counter
-	// records the overrun. The bound covers the fan-out dispatches; the
+	// records the overrun. Zero arms nothing — the await then only waits
+	// for the last shard. The bound covers the fan-out dispatches; the
 	// incremental k-NN path runs on the caller's goroutine and is never
-	// abandoned. Abandoned sub-batches drain in the background — callers
+	// abandoned. Abandoned sub-batches drain in the background, holding a
+	// reference on the run's scratch arena until they finish — callers
 	// that mutate a Query's operand slices (Coef, Constraints) in place
 	// between batches should not do so while degraded runs' stragglers
 	// finish (the engine copies the Query values themselves).
@@ -171,14 +176,16 @@ type Options struct {
 	// Strict selects blocking (true) over degradation (false) for runs
 	// that exceed Deadline.
 	Strict bool
-	// HedgeAfter arms hedged replica reads: a shard dispatch unanswered
-	// after this delay is re-dispatched to another replica of the same
-	// shard (least in-flight, breaker permitting) and the first answer
-	// wins — byte-identical either way, since replicas are identical
-	// multisets. Positive values fix the delay; HedgeAuto derives it
-	// from the windowed p99 run latency (requires Metrics or another
-	// instrumented mode); zero disables hedging. Shards with one replica
-	// never hedge.
+	// HedgeAfter arms hedged replica reads: the run's await starts a
+	// timer at dispatch, and a shard dispatch unanswered when it fires is
+	// re-dispatched to another replica of the same shard (least
+	// in-flight, breaker permitting); the first answer wins —
+	// byte-identical either way, since replicas are identical multisets.
+	// Positive values fix the delay; HedgeAuto derives it from the
+	// windowed p99 run latency (requires Metrics or another instrumented
+	// mode); zero arms no timer. Shards with one replica never hedge, and
+	// the hedge's shadow answer slots are allocated only when a hedge is
+	// actually sent.
 	HedgeAfter time.Duration
 	// Breaker, when non-nil, arms a circuit breaker on every replica
 	// (breaker.go): consecutive faulted sub-batches open it, routing
@@ -417,35 +424,27 @@ type Engine struct {
 	// Options.Watchdog was set. Stopped by Close before the workers.
 	wd *watchdog
 
-	// Robustness plumbing (breaker.go, query.go §hedging). brkCfg is the
-	// normalized breaker config (nil = breakers unarmed; pickReplica then
-	// never loads a breaker state). guarded is the master switch for the
-	// deadline/hedge wait path: when set, runs pre-count their dispatches,
-	// wait on a completion channel instead of the bare WaitGroup, and may
-	// retire their arena to the reaper instead of reusing it.
+	// Robustness plumbing (breaker.go, query.go await). brkCfg is the
+	// normalized breaker config (nil = breakers unarmed: nothing ever
+	// feeds them evidence, so every copy stays closed). deadlineNs and
+	// hedging decide which timers a run's await arms; both zero means it
+	// only waits for the last shard.
 	brkCfg        *BreakerConfig
 	brkCooldownNs int64
 	deadlineNs    int64 // Options.Deadline (0 = unbounded)
 	strict        bool
 	hedgeFixedNs  int64 // Options.HedgeAfter when positive
-	hedgeAuto     bool  // Options.HedgeAfter == HedgeAuto
 	hedging       bool
-	guarded       bool
 	// hedgeNs caches the auto-derived hedge delay; hedgeRefreshAt is the
 	// CAS-guarded next refresh time, so the windowed-quantile read (which
 	// locks the histogram) happens at most once per ~100ms, not per run.
 	hedgeNs        atomic.Int64
 	hedgeRefreshAt atomic.Int64
-	// retire feeds degraded runs' still-busy arenas to the reaper
-	// goroutine, which waits out their stragglers and returns them to the
-	// free list; nil unless guarded. Closed by Close after the workers
-	// drain, then reaperDone closes.
-	retire     chan *batchArena
-	reaperDone chan struct{}
 }
 
 // getArena pops a scratch arena off the free list (or makes a fresh
-// one); batchArena.release returns it.
+// one) and takes the caller's reference on it; the batchArena.unref
+// that drops the last reference returns it.
 func (e *Engine) getArena() *batchArena {
 	e.arenaMu.Lock()
 	defer e.arenaMu.Unlock()
@@ -455,12 +454,15 @@ func (e *Engine) getArena() *batchArena {
 		if m := e.met; m != nil {
 			m.arenaReuse.Inc()
 		}
+		a.refs.Store(1)
 		return a
 	}
 	if m := e.met; m != nil {
 		m.arenaFresh.Inc()
 	}
-	return &batchArena{}
+	a := &batchArena{}
+	a.refs.Store(1)
+	return a
 }
 
 // groupIDs groups the build-set indices by assigned shard, keeping
@@ -508,12 +510,14 @@ func newStatic(opt Options, pd []geom.PointD, builder func(si int, dev *eio.Devi
 	})
 	e.globals, e.sums = globals, sums
 	e.pd, e.builder = pd, builder
-	return e
+	return e.start()
 }
 
 // newEngine builds the scaffold and runs build(si, dev) once per shard,
 // in parallel: each builder goroutine is the sole owner of its shard's
-// device during construction, so the eio guard stays quiet.
+// device during construction, so the eio guard stays quiet. Nothing
+// concurrent outlives the call — the constructors finish assigning the
+// engine and then start it.
 func newEngine(opt Options, build func(si int, dev *eio.Device) index.Index) *Engine {
 	opt = opt.normalized()
 	// The sample was consumed by pretrain() before construction; the
@@ -589,32 +593,34 @@ func newEngine(opt Options, build func(si int, dev *eio.Device) index.Index) *En
 		// Auto-hedging needs the windowed latency view; without any
 		// instrumentation there is no p99 to derive the delay from, and
 		// currentHedgeNs stays 0 (no hedges fire) until one exists.
-		e.hedgeAuto = true
 		e.hedging = e.met != nil
 	}
-	e.guarded = e.deadlineNs > 0 || e.hedging
-	if e.guarded {
-		e.retire = make(chan *batchArena, 16)
-		e.reaperDone = make(chan struct{})
-		go e.arenaReaper()
-	}
+	return e
+}
+
+// start launches the replica workers and the watchdog. It is every
+// constructor's last step, after the engine is fully assigned: the
+// watchdog's first tick reads the summaries and the workers translate
+// through globals, so neither may exist while a constructor still writes.
+func (e *Engine) start() *Engine {
 	for si, sh := range e.shards {
 		for _, rep := range sh.reps {
 			e.workersWG.Add(1)
 			go e.replicaWorker(si, rep)
 		}
 	}
-	if opt.Watchdog != nil {
-		e.wd = startWatchdog(e, *opt.Watchdog)
+	if e.opt.Watchdog != nil {
+		e.wd = startWatchdog(e, *e.opt.Watchdog)
 	}
 	return e
 }
 
 // replicaWorker is one replica's persistent worker loop: it executes
 // its shard's sub-batch of each arriving arena against its own copy,
-// honoring the concurrency cap, and signals the batch's WaitGroup.
-// Started at construction (and by Replicate for clones); exits when
-// Close — or Drop, for a demoted replica — closes the channel.
+// honoring the concurrency cap, and drops the dispatch's arena
+// reference. Started at construction (and for every later copy of a
+// shard); exits when Close — or Drop/Repair, for a detached replica —
+// closes the channel.
 func (e *Engine) replicaWorker(si int, rep *replica) {
 	defer e.workersWG.Done()
 	defer close(rep.stopped)
@@ -628,67 +634,44 @@ func (e *Engine) replicaWorker(si int, rep *replica) {
 				e.sem <- struct{}{}
 			}
 		}
-		e.execReplica(w.a, si, rep, w.hedge)
+		won := e.execReplica(w.a, si, rep, w.hedge)
 		if e.sem != nil {
 			<-e.sem
 		}
-		// Decrement order is load-bearing: inflight (routing balance)
-		// first, then the arena's dispatch count, then the WaitGroup —
-		// so any wg.Wait that returns has also seen dispatches reach 0,
-		// which is what lets BatchInto reuse a quiescent arena directly
-		// instead of retiring it to the reaper.
+		// Dropping the reference is the worker's last use of the arena's
+		// scratch — once it drops, the arena may already be serving
+		// another run — and a worker that won its shard drops it before
+		// it reports the shard decided, not after: a waiter woken first
+		// could finish its batch and start the next before the worker
+		// let go, find the free list empty and mint a second arena. The
+		// report itself (left, and the token when it closes the run) is
+		// safe after the unref because the run's waiter holds its own
+		// reference until every winner has reported and the token is
+		// taken (the channel is empty by then, so the send never blocks).
 		rep.inflight.Add(-1)
-		if e.guarded {
-			w.a.dispatches.Add(-1)
+		w.a.unref(e)
+		if won && w.a.left.Add(-1) == 0 {
+			w.a.allDone <- struct{}{}
 		}
-		w.a.wg.Done()
 	}
 }
 
-// arenaReaper retires arenas whose degraded runs returned before every
-// dispatched sub-batch finished: it waits out each arena's stragglers,
-// swallows the stale completion signal they may have left, and returns
-// the arena to the free list. One goroutine per guarded engine; Close
-// drains it after the workers stop.
-func (e *Engine) arenaReaper() {
-	defer close(e.reaperDone)
-	for a := range e.retire {
-		a.wg.Wait()
-		select {
-		case <-a.allDone:
-		default:
-		}
-		a.release(e)
-	}
-}
-
-// pickReplica returns shard si's least-loaded replica by in-flight
-// dispatch count, and its index in the replica set (ties to the lowest
-// index, so an unreplicated shard costs one atomic load; the index is
-// what the flight recorder records as the routing decision). Callers
-// hold migMu shared, so the replica set is stable; the counts are racy
-// by design — a stale read only skews balance, never correctness,
-// because every replica holds the same records.
+// pickReplica returns shard si's least-loaded routable replica and its
+// index in the replica set (what the flight recorder records as the
+// routing decision). Callers hold migMu shared, so the replica set is
+// stable.
 func (e *Engine) pickReplica(si int) (*replica, int) {
-	reps := e.shards[si].reps
-	if e.brkCfg == nil {
-		best, bi := reps[0], 0
-		if len(reps) > 1 {
-			min := best.inflight.Load()
-			for ri, rep := range reps[1:] {
-				if n := rep.inflight.Load(); n < min {
-					best, bi, min = rep, ri+1, n
-				}
-			}
-		}
-		return best, bi
-	}
-	return e.pickRoutable(reps, -1)
+	return e.pickRoutable(e.shards[si].reps, -1)
 }
 
-// pickRoutable is the breaker-aware replica pick: least in-flight among
-// the copies whose breaker is not open, skipping index exclude (a hedge
-// never re-picks the primary dispatch's copy; -1 excludes nothing).
+// pickRoutable is the engine's one replica pick: least in-flight among
+// the copies whose breaker is not open (ties to the lowest index),
+// skipping index exclude (a hedge never re-picks the primary dispatch's
+// copy; -1 excludes nothing). An unarmed breaker's zero value is closed,
+// so without Options.Breaker this is the plain least-loaded loop plus
+// one state load per copy. The in-flight counts are racy by design — a
+// stale read only skews balance, never correctness, because every
+// replica holds the same records.
 //
 // The healthy pass reads no clock. Only when every candidate is open —
 // the whole shard is sick mid-cooldown — does a second pass take one
@@ -746,21 +729,7 @@ func (e *Engine) pickReplicaNot(si, exclude int) (*replica, int) {
 	if len(reps) < 2 {
 		return nil, -1
 	}
-	if e.brkCfg != nil {
-		return e.pickRoutable(reps, exclude)
-	}
-	var best *replica
-	bi := -1
-	var min int64
-	for ri, rep := range reps {
-		if ri == exclude {
-			continue
-		}
-		if n := rep.inflight.Load(); best == nil || n < min {
-			best, bi, min = rep, ri, n
-		}
-	}
-	return best, bi
+	return e.pickRoutable(reps, exclude)
 }
 
 // NewPlanar builds a sharded engine over the §3 planar structure.
@@ -836,7 +805,7 @@ func NewDynamicPlanar(opt Options) *Engine {
 	pretrain(opt)
 	return newEngine(opt, func(si int, dev *eio.Device) index.Index {
 		return index.NewDynamicPlanar(dev, opt.Seed+int64(si))
-	})
+	}).start()
 }
 
 // NewDynamicPartition builds an empty mutable engine over the
@@ -846,7 +815,7 @@ func NewDynamicPartition(opt Options) *Engine {
 	pretrain(opt)
 	return newEngine(opt, func(si int, dev *eio.Device) index.Index {
 		return index.NewDynamicPartition(dev)
-	})
+	}).start()
 }
 
 // Mutable reports whether the engine's index family supports
@@ -995,8 +964,10 @@ func (e *Engine) NumWorkers() int { return e.workers }
 // Close stops the watchdog (synchronously — its final tick completes
 // before teardown proceeds) and every replica worker. Queries issued
 // after Close panic. Close is idempotent and waits for in-flight
-// sub-batches to finish. It must not race Replicate/Drop (both mutate
-// the replica sets); engines are closed after their traffic stops.
+// sub-batches — abandoned stragglers included — to finish; the workers
+// are the engine's only goroutines besides the watchdog. It must not
+// race Replicate/Drop (both mutate the replica sets); engines are closed
+// after their traffic stops.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		if e.wd != nil {
@@ -1009,11 +980,5 @@ func (e *Engine) Close() {
 			}
 		}
 		e.workersWG.Wait()
-		if e.retire != nil {
-			// Workers are gone, so every retired arena is quiescent;
-			// the reaper drains the backlog and exits.
-			close(e.retire)
-			<-e.reaperDone
-		}
 	})
 }

@@ -74,8 +74,8 @@ func (e *Engine) ExplainInto(q Query, ex *Explain) {
 }
 
 // explainPlan flushes one planned query's verdicts into the explain
-// counters and, when the flight recorder is armed, the arena's
-// per-shard verdict captures. k-NN "visited" verdicts are withheld
+// counters and, when the run is captured (sampled, or the flight
+// recorder is armed), the arena's per-shard verdict captures. k-NN "visited" verdicts are withheld
 // here: the plan's visit list is provisional for k-NN (the runtime
 // kth-distance cutoff decides), so runKNNPlanned attributes those.
 func (e *Engine) explainPlan(a *batchArena, op Op, pl *planner.Plan) {
@@ -86,7 +86,7 @@ func (e *Engine) explainPlan(a *batchArena, op Op, pl *planner.Plan) {
 			continue
 		}
 		cnt[v]++
-		if a.flight {
+		if a.capture {
 			a.caps[si].verdicts[v].Add(1)
 		}
 	}

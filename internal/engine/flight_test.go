@@ -18,9 +18,9 @@ import (
 // windowed views, and a fast-ticking watchdog whose thresholds are set
 // to trip constantly — the harshest instrumentation load the engine
 // supports. The robustness guards are armed too (deadline, hedge timer,
-// per-replica breakers) at bounds that never fire, so every run takes
-// the guarded path — arena query copies, winner CAS, breaker evidence —
-// without changing behavior.
+// per-replica breakers) at bounds that never fire, so every run arms
+// both await timers and feeds the breakers evidence without changing
+// behavior.
 func fullyInstrumented(t *testing.T, flight FlightRecorderConfig) (*Engine, []Query, *metrics.Registry) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))

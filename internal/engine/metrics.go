@@ -32,11 +32,10 @@ import (
 
 // Trace is one sampled query-run record: where the run's wall-clock
 // went (plan / fan-out / wait / merge), what the planner decided, and
-// the block I/O the run caused across every shard it visited (the
-// before/after delta of each visited shard's device counters, summed —
-// a per-shard breakdown would need a slice per trace, which the
-// zero-alloc contract forbids; per-shard rollups come from the scrape
-// collector instead). A batch of scalar queries yields one Trace per
+// the block I/O the run caused across every shard it visited (the sum
+// of the run's per-shard capture — the same before/after device-counter
+// deltas the flight recorder keeps per shard; a per-shard breakdown here
+// would need a slice per trace, which the zero-alloc contract forbids). A batch of scalar queries yields one Trace per
 // run of consecutive query ops, so single-query batches trace per
 // query.
 type Trace struct {
@@ -54,8 +53,9 @@ type Trace struct {
 	ShardsPruned  int
 	PlansShared   int
 	// PlanNs is the sequential plan-and-layout phase; ExecNs spans
-	// dispatch through the last worker finishing (WaitNs is the tail of
-	// that spent blocked in wg.Wait after the caller's own k-NN work);
+	// dispatch through the last shard's finish line (WaitNs is the tail
+	// of that spent blocked in the await after the caller's own k-NN
+	// work);
 	// MergeNs is the loser-tree merge; TotalNs the whole run.
 	PlanNs, ExecNs, WaitNs, MergeNs, TotalNs int64
 	// IO is the run's block-I/O delta summed over visited shards.

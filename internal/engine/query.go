@@ -110,14 +110,23 @@ type shardSlot struct {
 // cursors and the k-NN double buffers. Arenas are recycled through the
 // engine's free list, and every slice in them is reused at its high-
 // water capacity, so a steady-state batch allocates nothing. An arena
-// belongs to exactly one Batch call at a time; the shard workers it is
-// dispatched to only touch disjoint parts of it (their own jobs list
-// and the slots it names).
+// belongs to exactly one Batch call at a time (and, past that call's
+// return, to the stragglers it left behind — see refs); the shard
+// workers it is dispatched to only touch disjoint parts of it (their
+// own jobs list and the slots it names).
 type batchArena struct {
-	wg sync.WaitGroup
+	// refs counts who may still touch the arena: the caller that took it
+	// off the free list, plus one per sub-batch handed to a replica
+	// worker and not yet finished. Whoever drops it to zero — the caller,
+	// or the last straggler of a run that returned early — releases the
+	// arena to the free list (unref).
+	refs atomic.Int32
 
-	// The current run (slices of the caller's batch); nilled on release
-	// so the free list never pins caller memory.
+	// The current run: qs is the arena's private copy of the caller's
+	// queries, so a straggler finishing after BatchInto returned never
+	// reads the caller's reusable query slice; res is the caller's result
+	// storage, touched on the caller's side of the fence only. Both are
+	// cleared on release so the free list never pins caller memory.
 	qs  []Query
 	res []Result
 
@@ -163,45 +172,39 @@ type batchArena struct {
 	// concurrently.
 	knnBufs []knnScratch
 
-	// Trace capture (metrics.go). traced marks the run as sampled:
-	// every shard visit then records its device-counter delta into the
-	// io* accumulators (atomics — shard workers and the k-NN goroutines
-	// write them concurrently). plansShared counts operand-dedup hits
+	// Run capture (metrics.go, flight.go). capture is set when the run
+	// was picked by the trace sampler (sampled) or the flight recorder is
+	// armed — whether a run was anomalous is only known once it has
+	// finished: every shard visit then accumulates its device-counter
+	// delta, replica routing and verdict counts into caps (one
+	// preallocated atomic cell block per shard; shard workers and the
+	// k-NN goroutines write their own shard's cells concurrently). The
+	// one capture feeds both rings. plansShared counts operand-dedup hits
 	// for the run (caller goroutine only).
-	traced                             bool
-	plansShared                        int
-	ioReads, ioWrites, ioHits, ioStall atomic.Int64
+	capture, sampled bool
+	plansShared      int
+	caps             []shardCapture
 
-	// Flight capture (flight.go). flight marks the engine's flight
-	// recorder as armed: every run then accumulates per-shard I/O
-	// deltas, replica routing and verdict counts into caps (one
-	// preallocated atomic cell block per shard), because whether the
-	// run was anomalous is only known once it has finished.
-	flight bool
-	caps   []shardCapture
-
-	// Guarded-run machinery (Options.Deadline / Options.HedgeAfter;
-	// engine.guarded). A guarded run races each shard's sub-batch: the
-	// primary dispatch answers into parts, a hedge re-dispatch into the
-	// shadow hparts, and sdone[si] is the per-shard finish line (sd*
-	// states) the first finisher CASes — the merge reads whichever side
-	// won, so losers scribble into slots nobody looks at. left counts
-	// undecided shards; the decider that zeroes it signals allDone
-	// (capacity 1 — a stale token from an abandoned run is swallowed
-	// before reuse). dispatches counts sub-batches handed to workers and
-	// not yet finished: zero means the arena is quiescent and directly
-	// reusable, non-zero sends it to the engine's reaper instead.
-	// qsBuf holds the guarded run's private copy of the queries, so a
-	// straggler finishing after BatchInto returned never reads the
-	// caller's (reusable) query slice. kwg joins the run's k-NN
-	// goroutines — those run on the caller's side of the fence and are
-	// never abandoned, so they get their own WaitGroup.
-	qsBuf      []Query
+	// The await machinery. Each shard's sub-batch is a race with one
+	// finish line: the primary dispatch answers into parts, a hedge
+	// re-dispatch into the shadow hparts (grown when a hedge is first
+	// sent), and sdone[si] is the per-shard finish line (sd* states) the
+	// first finisher CASes — the merge reads whichever side won, so losers
+	// scribble into slots nobody looks at. prim[si] is the replica the
+	// primary dispatch went to. left counts the shards whose decider has
+	// not reported yet (a winning worker reports after it has let go of
+	// the arena, the waiter when it abandons); exactly one report zeroes
+	// it, and when that is a worker's it posts the run's one token on
+	// allDone, which the run's await always takes before it returns — so
+	// the channel is empty between runs. kwg joins
+	// the run's k-NN goroutines — those run on the caller's side of the
+	// fence and are never abandoned. The timers are armed only for runs
+	// with a hedge delay or a deadline, and are stopped and drained
+	// between uses.
 	hparts     []partial
 	sdone      []atomic.Int32
 	prim       []int32
 	left       atomic.Int32
-	dispatches atomic.Int32
 	allDone    chan struct{}
 	kwg        sync.WaitGroup
 	nhedges    int
@@ -209,7 +212,10 @@ type batchArena struct {
 	dlTimer    *time.Timer
 }
 
-// sdone states: the per-shard winner race of a guarded run.
+// sdone states: the per-shard winner race of a run. sdIdle, the zero
+// value, is a shard this arena has never dispatched. Only shards the run
+// dispatched are ever read, and dispatch stores sdPending first, so the
+// cells carry over between runs unreset.
 const (
 	sdIdle int32 = iota
 	sdPending
@@ -218,15 +224,6 @@ const (
 	sdAbandoned
 )
 
-// addIODelta folds one visited shard's device-counter delta into the
-// run's trace accumulators.
-func (a *batchArena) addIODelta(d eio.Stats) {
-	a.ioReads.Add(d.Reads)
-	a.ioWrites.Add(d.Writes)
-	a.ioHits.Add(d.Hits)
-	a.ioStall.Add(d.StallNs)
-}
-
 // knnScratch is one incremental k-NN query's private buffers: the
 // double-buffered accumulated candidate list and its merge cursors.
 type knnScratch struct {
@@ -234,40 +231,33 @@ type knnScratch struct {
 	heads, loser []int32
 }
 
-// beginRun prepares the arena for one run of queries.
+// beginRun prepares the arena for one run of queries. The caller holds
+// the only reference, so no worker of an earlier run is still inside.
 func (a *batchArena) beginRun(e *Engine, qs []Query, res []Result) {
-	a.qs, a.res = qs, res
-	if e.guarded {
-		a.qsBuf = append(a.qsBuf[:0], qs...)
-		a.qs = a.qsBuf
-		if a.allDone == nil {
-			a.allDone = make(chan struct{}, 1)
-		}
-		if len(a.sdone) != len(e.shards) {
-			a.sdone = make([]atomic.Int32, len(e.shards))
-			a.prim = make([]int32, len(e.shards))
-		}
-		for i := range a.sdone {
-			a.sdone[i].Store(sdIdle)
-		}
-		a.left.Store(0)
-		a.nhedges = 0
+	a.qs, a.res = append(a.qs[:0], qs...), res
+	if a.allDone == nil {
+		a.allDone = make(chan struct{}, 1)
+		a.sdone = make([]atomic.Int32, len(e.shards))
+		a.prim = make([]int32, len(e.shards))
+		a.jobs = make([][]shardSlot, len(e.shards))
 	}
+	a.nhedges = 0
 	a.nplans = 0
 	a.nparts = 0
 	a.plansShared = 0
 	a.knn = a.knn[:0]
 	a.planOf = resetInt32(a.planOf, len(qs))
 	a.partOff = resetInt32(a.partOff, len(qs))
-	if a.jobs == nil {
-		a.jobs = make([][]shardSlot, len(e.shards))
-	}
 	for si := range a.jobs {
 		a.jobs[si] = a.jobs[si][:0]
 	}
-	a.flight = e.met != nil && e.met.slow != nil
-	if a.flight {
-		if len(a.caps) != len(e.shards) {
+	// A nil sampler admits nothing, so sampled is false whenever tracing
+	// is off.
+	m := e.met
+	a.sampled = m != nil && m.sampler.Hit()
+	a.capture = a.sampled || (m != nil && m.slow != nil)
+	if a.capture {
+		if a.caps == nil {
 			a.caps = make([]shardCapture, len(e.shards))
 		}
 		for i := range a.caps {
@@ -276,42 +266,21 @@ func (a *batchArena) beginRun(e *Engine, qs []Query, res []Result) {
 	}
 }
 
-// release drops the arena's references to caller memory and returns it
-// to the engine's free list. The query copies are cleared too (their
-// Query values hold caller-owned operand slices); callers guarantee the
-// arena is quiescent — no straggler still reads qsBuf — before release
-// (BatchInto settles it, the reaper waits out stragglers).
-func (a *batchArena) release(e *Engine) {
-	a.qs, a.res = nil, nil
-	for i := range a.qsBuf {
-		a.qsBuf[i] = Query{}
+// unref drops one reference; the holder of the last one clears the
+// arena's references to caller memory (the query copies hold
+// caller-owned operand slices) and returns it to the engine's free
+// list. Nothing may touch the arena after its own unref (the one
+// exception, a winning worker's report to left and allDone, is covered
+// by the waiter's reference — see replicaWorker).
+func (a *batchArena) unref(e *Engine) {
+	if a.refs.Add(-1) != 0 {
+		return
 	}
+	clear(a.qs)
+	a.res = nil
 	e.arenaMu.Lock()
 	e.arenas = append(e.arenas, a)
 	e.arenaMu.Unlock()
-}
-
-// settle decides a guarded arena's fate between runs: a quiescent arena
-// (every dispatch finished — the workers decrement dispatches before
-// wg.Done, so a zero read followed by a brief wg.Wait means full
-// quiescence) is kept after swallowing any stale completion token; an
-// arena with stragglers (a degraded run returned before its abandoned
-// sub-batches drained) goes to the reaper, and the caller must fetch a
-// fresh one. Unguarded engines never have stragglers.
-func (e *Engine) settle(a *batchArena) *batchArena {
-	if !e.guarded {
-		return a
-	}
-	if a.dispatches.Load() == 0 {
-		a.wg.Wait()
-		select {
-		case <-a.allDone:
-		default:
-		}
-		return a
-	}
-	e.retire <- a
-	return nil
 }
 
 // planWindow bounds the operand-dedup scan: a query is compared
@@ -449,15 +418,22 @@ func (e *Engine) BatchInto(qs []Query, results []Result) []Result {
 		for j < len(qs) && qs[j].Op != OpInsert && qs[j].Op != OpDelete {
 			j++
 		}
+		// Between the runs of one batch the arena is reused iff this
+		// goroutine holds the only reference; one with stragglers (a
+		// degraded run's abandoned sub-batches, a hedge loser) is left to
+		// its last straggler and the next run takes another.
+		if a != nil && a.refs.Load() != 1 {
+			a.unref(e)
+			a = nil
+		}
 		if a == nil {
 			a = e.getArena()
 		}
 		e.runQueries(a, qs[i:j], results[i:j])
-		a = e.settle(a)
 		i = j
 	}
 	if a != nil {
-		a.release(e)
+		a.unref(e)
 	}
 	return results
 }
@@ -505,14 +481,13 @@ func (e *Engine) snapshotSumsInto(a *batchArena) {
 	}
 }
 
-// runQueries executes one run of query ops: plan each query (sharing
-// plans across equal operands), group the (query, shard) work
-// shard-major, wake each shard's persistent worker once with its whole
-// sub-batch, run the incremental k-NN queries on this goroutine
-// meanwhile, then loser-tree-merge the per-shard answers into results.
-// Ops outside the family's capability (probed on shard 0 — capability
-// is constant per family, so no lock is needed) error without fanning
-// out to any shard.
+// runQueries executes one run of query ops through the engine's one
+// pipeline: plan each query (sharing plans across equal operands) and
+// group the (query, shard) work shard-major, dispatch each shard's whole
+// sub-batch to one persistent replica worker, run the incremental k-NN
+// queries on this side of the fence meanwhile, await the last shard's
+// finish line (or the deadline), loser-tree-merge the per-shard answers
+// into results, and record the run.
 func (e *Engine) runQueries(a *batchArena, qs []Query, results []Result) {
 	// Shared against migration for the whole run: the summary snapshot,
 	// every shard visit and the merge all observe either none or all of
@@ -521,37 +496,55 @@ func (e *Engine) runQueries(a *batchArena, qs []Query, results []Result) {
 	// runs and updates still proceed in parallel.
 	e.migMu.RLock()
 	defer e.migMu.RUnlock()
+	// Only instrumented runs read the clock — and deadline runs once,
+	// for the start the deadline measures from. A zero stamp is unused.
 	m := e.met
-	var t0 time.Time
-	if m != nil || e.guarded {
-		// Guarded runs need the start time even uninstrumented: the
-		// deadline measures from here.
+	var t0, t1, tw, t2 time.Time
+	if m != nil || e.deadlineNs > 0 {
 		t0 = time.Now()
 	}
 	a.beginRun(e, qs, results)
-	// A nil sampler admits nothing, so traced is false whenever tracing
-	// is off. The accumulators are reset only for sampled runs — the
-	// common path never touches them.
-	a.traced = m != nil && m.sampler.Hit()
-	if a.traced {
-		a.ioReads.Store(0)
-		a.ioWrites.Store(0)
-		a.ioHits.Store(0)
-		a.ioStall.Store(0)
+	e.planRun(a)
+	if m != nil {
+		t1 = time.Now()
 	}
+	nd, tdisp := e.dispatch(a)
+	e.runKNN(a)
+	if m != nil {
+		tw = time.Now()
+	}
+	// The k-NN goroutines run on the caller's side of the deadline fence
+	// — incremental visits from this goroutine's plan, never abandoned —
+	// so they are always joined first.
+	a.kwg.Wait()
+	degraded := e.await(a, nd, t0, tdisp)
+	if m != nil {
+		t2 = time.Now()
+	}
+	e.mergeRun(a)
+	if m != nil {
+		e.recordRun(a, degraded, t0, t1, tw, t2)
+	}
+}
+
+// planRun is the sequential plan phase: plan every query of the run and
+// lay out every answer slot. Workers index a.parts concurrently later,
+// so all of its growth happens here. Ops outside the family's capability
+// (probed on shard 0 — capability is constant per family, so no lock is
+// needed) error without fanning out to any shard.
+func (e *Engine) planRun(a *batchArena) {
+	m := e.met
 	if !e.noPlan {
 		e.snapshotSumsInto(a)
 	}
-
-	// Phase 1 (sequential): plan and lay out every slot. Workers index
-	// a.parts concurrently later, so all growth happens here.
-	for qi := range qs {
-		results[qi].reset()
+	for qi := range a.qs {
+		op := a.qs[qi].Op
+		a.res[qi].reset()
 		if m != nil {
-			m.ops.Inc(planner.OpIndex(qs[qi].Op))
+			m.ops.Inc(planner.OpIndex(op))
 		}
-		if !e.shards[0].reps[0].idx.Supports(qs[qi].Op) {
-			results[qi].Err = fmt.Errorf("engine: index family: %w %v", index.ErrUnsupported, qs[qi].Op)
+		if !e.shards[0].reps[0].idx.Supports(op) {
+			a.res[qi].Err = fmt.Errorf("engine: index family: %w %v", index.ErrUnsupported, op)
 			a.planOf[qi] = -1
 			continue
 		}
@@ -561,9 +554,9 @@ func (e *Engine) runQueries(a *batchArena, qs []Query, results []Result) {
 		if m != nil && !e.noPlan {
 			// Explain: flush this query's plan verdicts (per shared plan
 			// they repeat — each query visited those shards).
-			e.explainPlan(a, qs[qi].Op, &a.plans[pi])
+			e.explainPlan(a, op, &a.plans[pi])
 		}
-		if qs[qi].Op == OpKNN && !e.noPlan {
+		if op == OpKNN && !e.noPlan {
 			// One scratch slot for the shard-sequential visits.
 			a.knn = append(a.knn, int32(qi))
 			a.nparts++
@@ -585,220 +578,218 @@ func (e *Engine) runQueries(a *batchArena, qs []Query, results []Result) {
 	for len(a.parts) < a.nparts {
 		a.parts = append(a.parts, partial{})
 	}
-	if e.guarded {
-		for len(a.hparts) < a.nparts {
-			a.hparts = append(a.hparts, partial{})
-		}
-	}
-	var t1 time.Time
-	if m != nil {
-		t1 = time.Now()
-	}
+}
 
-	// Phase 2: one wakeup per shard with work, routed to the shard's
-	// least-loaded replica. inflight is bumped before the send so a
-	// second run dispatching concurrently sees this sub-batch and
-	// spreads to another copy. Guarded runs pre-count left before any
-	// dispatch — a worker that finishes before later shards dispatch
-	// must not see the count hit zero early.
-	if e.guarded {
-		var nd int32
-		for si := range a.jobs {
-			if len(a.jobs[si]) > 0 {
-				nd++
-			}
+// dispatch wakes each shard with work once, routed to the shard's
+// least-loaded routable replica, and returns how many shards it woke
+// and the dispatch instant a hedging engine measures its hedge delay
+// from (zero otherwise). left is stored before the first send — a worker
+// that finishes before the later shards dispatch must not see the count
+// hit zero early.
+func (e *Engine) dispatch(a *batchArena) (nd int32, tdisp time.Time) {
+	for si := range a.jobs {
+		if len(a.jobs[si]) > 0 {
+			nd++
 		}
-		a.left.Store(nd)
 	}
+	a.left.Store(nd)
 	for si := range a.jobs {
 		if len(a.jobs[si]) == 0 {
 			continue
 		}
-		a.wg.Add(1)
 		rep, ri := e.pickReplica(si)
-		if a.flight {
+		if a.capture {
 			a.caps[si].replica.Store(int32(ri))
 		}
-		if e.guarded {
-			a.sdone[si].Store(sdPending)
-			a.prim[si] = int32(ri)
-			a.dispatches.Add(1)
-		}
-		rep.inflight.Add(1)
-		rep.work <- workItem{a: a}
+		a.sdone[si].Store(sdPending)
+		a.prim[si] = int32(ri)
+		a.send(rep, false)
 	}
-	var tdisp time.Time
-	if e.guarded {
+	if e.hedging {
 		tdisp = time.Now()
 	}
+	return nd, tdisp
+}
 
-	// Phase 3: incremental k-NN queries, overlapping the workers. A
-	// lone k-NN query runs inline on this goroutine (the scalar path,
-	// kept allocation-free); several spawn one goroutine each so the
-	// queries of the run overlap, as the shard-fanned ops do — each has
-	// private knnScratch, its own answer slot, and its own result, so
-	// they share nothing but the shard locks.
+// send hands the run's sub-batch for rep's shard to rep's worker, which
+// holds a reference on the arena until it has finished. inflight is
+// bumped before the send so a second run dispatching concurrently sees
+// this sub-batch and spreads to another copy.
+func (a *batchArena) send(rep *replica, hedge bool) {
+	a.refs.Add(1)
+	rep.inflight.Add(1)
+	rep.work <- workItem{a: a, hedge: hedge}
+}
+
+// runKNN starts the run's incremental k-NN queries, overlapping the
+// workers. A lone k-NN query runs inline on this goroutine (the scalar
+// path, kept allocation-free); several spawn one goroutine each (joined
+// through kwg) so the queries of the run overlap, as the shard-fanned
+// ops do — each has private knnScratch, its own answer slot, and its own
+// result, so they share nothing but the shard locks.
+func (e *Engine) runKNN(a *batchArena) {
 	for len(a.knnBufs) < len(a.knn) {
 		a.knnBufs = append(a.knnBufs, knnScratch{})
 	}
 	if len(a.knn) == 1 {
 		e.runKNNPlanned(a, int(a.knn[0]), &a.knnBufs[0])
-	} else {
-		for ki, qi := range a.knn {
-			a.kwg.Add(1)
-			go func(qi, ki int) {
-				defer a.kwg.Done()
-				e.runKNNPlanned(a, qi, &a.knnBufs[ki])
-			}(int(qi), ki)
-		}
+		return
 	}
-	var tw time.Time
-	if m != nil {
-		tw = time.Now()
+	for ki, qi := range a.knn {
+		a.kwg.Add(1)
+		go func(qi, ki int) {
+			defer a.kwg.Done()
+			e.runKNNPlanned(a, qi, &a.knnBufs[ki])
+		}(int(qi), ki)
 	}
-	// The k-NN goroutines run on the caller's side of the deadline fence
-	// — incremental visits from this goroutine's plan, never abandoned —
-	// so they are always joined first.
-	a.kwg.Wait()
-	degraded := false
-	if e.guarded {
-		degraded = e.waitGuarded(a, t0, tdisp)
-	} else {
-		a.wg.Wait()
-	}
-	var t2 time.Time
-	if m != nil {
-		t2 = time.Now()
-	}
+}
 
-	// Phase 4: merge.
-	for qi := range qs {
-		r := &results[qi]
-		if r.Err != nil || (qs[qi].Op == OpKNN && !e.noPlan) {
+// mergeRun merges every fanned-out query's per-shard answers into its
+// result and accounts the plan outcomes (the k-NN incremental path did
+// both for its queries already).
+func (e *Engine) mergeRun(a *batchArena) {
+	m := e.met
+	for qi := range a.qs {
+		op := a.qs[qi].Op
+		r := &a.res[qi]
+		if r.Err != nil || (op == OpKNN && !e.noPlan) {
 			continue
 		}
 		pl := &a.plans[a.planOf[qi]]
-		e.mergeInto(a, qs[qi], pl, int(a.partOff[qi]), r)
+		e.mergeInto(a, a.qs[qi], pl, int(a.partOff[qi]), r)
 		r.ShardsVisited = len(pl.Shards)
 		r.ShardsPruned = pl.Pruned
 		e.visited.Add(int64(r.ShardsVisited))
 		e.pruned.Add(int64(r.ShardsPruned))
 		if m != nil {
-			k := planner.OpIndex(qs[qi].Op)
+			k := planner.OpIndex(op)
 			m.planVisited.AddAt(k, int64(r.ShardsVisited))
 			m.planPruned.AddAt(k, int64(r.ShardsPruned))
 			m.visitedWin.Observe(int64(r.ShardsVisited))
 		}
 	}
-	if m != nil {
-		t3 := time.Now()
-		total := int64(t3.Sub(t0))
-		m.runs.Inc()
-		if degraded {
-			m.degradedRuns.Inc()
-		}
-		m.planNs.Observe(int64(t1.Sub(t0)))
-		m.execNs.Observe(int64(t2.Sub(t1)))
-		m.waitNs.Observe(int64(t2.Sub(tw)))
-		m.mergeNs.Observe(int64(t3.Sub(t2)))
-		m.totalNs.Observe(total)
-		m.totalNsWin.Observe(total)
-		if a.plansShared > 0 {
-			m.plansShared.Add(int64(a.plansShared))
-		}
-		if a.traced || a.flight {
-			tr := Trace{
-				Queries:     len(qs),
-				Op:          qs[0].Op,
-				PlansShared: a.plansShared,
-				PlanNs:      int64(t1.Sub(t0)),
-				ExecNs:      int64(t2.Sub(t1)),
-				WaitNs:      int64(t2.Sub(tw)),
-				MergeNs:     int64(t3.Sub(t2)),
-				TotalNs:     total,
-			}
-			for qi := range results {
-				tr.ShardsVisited += results[qi].ShardsVisited
-				tr.ShardsPruned += results[qi].ShardsPruned
-			}
-			if a.traced {
-				tr.Seq = m.seq.Add(1)
-				tr.IO = eio.Stats{
-					Reads: a.ioReads.Load(), Writes: a.ioWrites.Load(),
-					Hits: a.ioHits.Load(), StallNs: a.ioStall.Load(),
-				}
-				m.traces.Put(tr)
-			}
-			if a.flight {
-				// The slow/normal decision: check the finished run
-				// against every configured bound, worst single shard
-				// for I/O (the critical-path disk, not the sum).
-				var reason SlowReason
-				if m.flight.TotalNs > 0 && total > m.flight.TotalNs {
-					reason |= SlowTotalNs
-				}
-				var runIO eio.Stats
-				var worstIOs int64
-				for si := range a.caps {
-					d := a.caps[si].io()
-					runIO = runIO.Add(d)
-					if t := d.IOs(); t > worstIOs {
-						worstIOs = t
-					}
-				}
-				if m.flight.ShardIOs > 0 && worstIOs > m.flight.ShardIOs {
-					reason |= SlowShardIO
-				}
-				if m.flight.ShardsVisited > 0 && tr.ShardsVisited > m.flight.ShardsVisited {
-					reason |= SlowFanout
-				}
-				// Hedged and degraded runs are anomalous by definition —
-				// both are rare by construction (a hedge fires past the
-				// p99-ish delay), so the recorder captures every one.
-				if a.nhedges > 0 {
-					reason |= SlowHedged
-				}
-				if degraded {
-					reason |= SlowDegraded
-				}
-				if reason != 0 {
-					tr.Seq = m.slowSeq.Add(1)
-					tr.IO = runIO
-					m.slowTotal.Inc()
-					m.slow.put(tr, t0.UnixNano(), reason, a.caps)
-				}
-			}
-		}
+}
+
+// recordRun observes one finished run's stage timings (instrumented
+// engines only) and, when the run was captured, offers it to the two
+// rings: a sampled run goes to the trace ring, and any run of a
+// flight-armed engine that tripped an anomaly bound goes to the slow
+// ring — one per-shard capture feeds both, and because the rings stay
+// separate, sampled traffic never evicts the rare slow runs.
+func (e *Engine) recordRun(a *batchArena, degraded bool, t0, t1, tw, t2 time.Time) {
+	m := e.met
+	t3 := time.Now()
+	tr := Trace{
+		Queries:     len(a.qs),
+		Op:          a.qs[0].Op,
+		PlansShared: a.plansShared,
+		PlanNs:      int64(t1.Sub(t0)),
+		ExecNs:      int64(t2.Sub(t1)),
+		WaitNs:      int64(t2.Sub(tw)),
+		MergeNs:     int64(t3.Sub(t2)),
+		TotalNs:     int64(t3.Sub(t0)),
+	}
+	m.runs.Inc()
+	if degraded {
+		m.degradedRuns.Inc()
+	}
+	m.planNs.Observe(tr.PlanNs)
+	m.execNs.Observe(tr.ExecNs)
+	m.waitNs.Observe(tr.WaitNs)
+	m.mergeNs.Observe(tr.MergeNs)
+	m.totalNs.Observe(tr.TotalNs)
+	m.totalNsWin.Observe(tr.TotalNs)
+	if a.plansShared > 0 {
+		m.plansShared.Add(int64(a.plansShared))
+	}
+	if !a.capture {
+		return
+	}
+	for qi := range a.res {
+		tr.ShardsVisited += a.res[qi].ShardsVisited
+		tr.ShardsPruned += a.res[qi].ShardsPruned
+	}
+	// Worst single shard for the I/O bound: the critical-path disk, not
+	// the sum.
+	var worstIOs int64
+	for si := range a.caps {
+		d := a.caps[si].io()
+		tr.IO = tr.IO.Add(d)
+		worstIOs = max(worstIOs, d.IOs())
+	}
+	if a.sampled {
+		tr.Seq = m.seq.Add(1)
+		m.traces.Put(tr)
+	}
+	if m.slow == nil {
+		return
+	}
+	var reason SlowReason
+	if m.flight.TotalNs > 0 && tr.TotalNs > m.flight.TotalNs {
+		reason |= SlowTotalNs
+	}
+	if m.flight.ShardIOs > 0 && worstIOs > m.flight.ShardIOs {
+		reason |= SlowShardIO
+	}
+	if m.flight.ShardsVisited > 0 && tr.ShardsVisited > m.flight.ShardsVisited {
+		reason |= SlowFanout
+	}
+	// Hedged and degraded runs are anomalous by definition — both are
+	// rare by construction (a hedge fires past the p99-ish delay), so
+	// the recorder captures every one.
+	if a.nhedges > 0 {
+		reason |= SlowHedged
+	}
+	if degraded {
+		reason |= SlowDegraded
+	}
+	if reason != 0 {
+		tr.Seq = m.slowSeq.Add(1)
+		m.slowTotal.Inc()
+		m.slow.put(tr, t0.UnixNano(), reason, a.caps)
 	}
 }
 
-// execReplica is a replica worker's half of a run: answer every slot of
-// the shard's sub-batch against this copy under one lock acquisition,
+// execReplica is a replica worker's half of a run: answer the shard's
+// sub-batch against this copy, then race for the shard's finish line. A
+// hedge dispatch answers into the shadow hparts slots, so the primary
+// and the hedge never share memory; the first finisher CASes the finish
+// line and the loser's answers are simply never read. Reports whether
+// this finisher won — the worker then owes the run one decrement of
+// left (replicaWorker).
+func (e *Engine) execReplica(a *batchArena, si int, rep *replica, hedge bool) (won bool) {
+	dst, win := a.parts, sdPrimary
+	if hedge {
+		dst, win = a.hparts, sdHedge
+	}
+	e.visit(a, si, rep, a.jobs[si], dst)
+	won = a.sdone[si].CompareAndSwap(sdPending, win)
+	if won && hedge {
+		if m := e.met; m != nil {
+			m.hedgeWins.Inc()
+		}
+	}
+	return won
+}
+
+// visit is the engine's one shard visit: answer every slot of jobs
+// against this copy of shard si into dst under one lock acquisition,
 // translating local record indices to global ones in place. The lock
 // also upholds the eio single-owner invariant (one request in service
-// per "disk"). A hedge dispatch answers into the shadow hparts slots,
-// so the primary and the hedge never share memory; on a guarded run
-// the first finisher CASes the shard's finish line and the loser's
-// answers are simply never read.
-func (e *Engine) execReplica(a *batchArena, si int, rep *replica, hedge bool) {
+// per "disk"). Captured and breaker-armed runs bracket the visit with
+// the replica's own device counters: the delta is exactly this run's
+// I/O on this copy (the lock excludes everything else), and the index
+// Stats snapshots are plain struct reads, so the capture stays
+// allocation-free.
+func (e *Engine) visit(a *batchArena, si int, rep *replica, jobs []shardSlot, dst []partial) {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	// Sampled, flight-armed and breaker-armed runs bracket the sub-batch
-	// with the replica's own device counters: the delta is exactly this
-	// run's I/O on this copy (the lock excludes everything else), and the
-	// index Stats snapshots are plain struct reads, so the capture
-	// stays allocation-free.
-	capture := a.traced || a.flight
 	brk := e.brkCfg != nil
 	var before eio.Stats
-	if capture || brk {
+	if a.capture || brk {
 		before = rep.idx.Stats().IO
 	}
-	dst := a.parts
-	if hedge {
-		dst = a.hparts
-	}
-	for _, s := range a.jobs[si] {
+	for _, s := range jobs {
 		p := &dst[s.part]
 		p.reset()
 		if err := rep.idx.QueryInto(a.qs[s.qi], &p.ans); err != nil {
@@ -807,41 +798,16 @@ func (e *Engine) execReplica(a *batchArena, si int, rep *replica, hedge bool) {
 		}
 		e.toGlobal(si, &p.ans)
 	}
-	rep.reads.Add(int64(len(a.jobs[si])))
-	if capture || brk {
+	rep.reads.Add(int64(len(jobs)))
+	if a.capture || brk {
 		d := rep.idx.Stats().IO.Sub(before)
-		if a.traced {
-			a.addIODelta(d)
-		}
-		if a.flight {
+		if a.capture {
 			a.caps[si].addIO(d)
 		}
 		if brk {
-			// Injected faults during the sub-batch are this copy's
-			// breaker evidence; a clean sub-batch resets it.
+			// Injected faults during the visit are this copy's breaker
+			// evidence; a clean visit resets it.
 			e.replicaOutcome(si, rep, d.Faults > 0)
-		}
-	}
-	if e.guarded {
-		want := sdPrimary
-		if hedge {
-			want = sdHedge
-		}
-		if a.sdone[si].CompareAndSwap(sdPending, want) {
-			if hedge {
-				if m := e.met; m != nil {
-					m.hedgeWins.Inc()
-				}
-			}
-			if a.left.Add(-1) == 0 {
-				// Last shard decided: wake the waiter. Non-blocking —
-				// an abandoned run's waiter is gone, and the capacity-1
-				// token is swallowed before the arena's next use.
-				select {
-				case a.allDone <- struct{}{}:
-				default:
-				}
-			}
 		}
 	}
 }
@@ -867,48 +833,41 @@ func stopDrain(t *time.Timer) {
 	}
 }
 
-// waitGuarded is the deadline/hedge-aware replacement for the plain
-// wg.Wait: it blocks until every dispatched shard is decided, firing
-// one hedge round at the hedge delay (measured from the dispatch
-// instant) and, at the deadline (measured from the run's start),
-// either abandoning the still-pending shards (Strict=false) or just
-// counting the miss and waiting on (Strict=true). Reports whether the
-// run degraded. Timers are per-arena and reused, so the steady state
-// allocates nothing.
-func (e *Engine) waitGuarded(a *batchArena, t0, tdisp time.Time) bool {
-	if a.left.Load() == 0 {
+// await is the run's one wait: it blocks until every one of the nd
+// dispatched shards is decided, on a select over the completion token
+// and the hedge and deadline timer channels — which stay nil, and so
+// never fire, on an engine with no hedge delay or deadline. The hedge
+// timer (measured from the dispatch instant) fires the run's one hedge
+// round; the deadline timer (measured from the run's start) either
+// abandons the still-pending shards (Strict=false) or just counts the
+// miss and waits on (Strict=true). It returns only after taking the
+// token of a run a worker closed, so no token outlives its run. Reports
+// whether the run degraded. Timers are per-arena and reused, so the
+// steady state allocates nothing.
+func (e *Engine) await(a *batchArena, nd int32, t0, tdisp time.Time) bool {
+	if nd == 0 {
 		return false
 	}
 	m := e.met
-	now := time.Now()
 	var hedgeC, dlC <-chan time.Time
-	hedgeLive, dlLive := false, false
 	if e.hedging {
+		now := time.Now()
 		if hns := e.currentHedgeNs(now.UnixNano()); hns > 0 {
 			if rem := time.Duration(hns) - now.Sub(tdisp); rem > 0 {
 				a.hedgeTimer = resetTimer(a.hedgeTimer, rem)
-				hedgeC, hedgeLive = a.hedgeTimer.C, true
+				hedgeC = a.hedgeTimer.C
 			} else {
 				e.dispatchHedges(a)
 			}
 		}
 	}
-	degraded, done := false, false
 	if e.deadlineNs > 0 {
-		if rem := time.Duration(e.deadlineNs) - now.Sub(t0); rem > 0 {
-			a.dlTimer = resetTimer(a.dlTimer, rem)
-			dlC, dlLive = a.dlTimer.C, true
-		} else {
-			// Already past the deadline (planning or k-NN ate it all).
-			if m != nil {
-				m.deadlineMisses.Inc()
-			}
-			if !e.strict {
-				e.abandonPending(a)
-				degraded, done = true, true
-			}
-		}
+		// Already past the deadline (planning or k-NN ate it all) arms a
+		// timer that fires at once.
+		a.dlTimer = resetTimer(a.dlTimer, time.Duration(e.deadlineNs)-time.Since(t0))
+		dlC = a.dlTimer.C
 	}
+	degraded, done := false, false
 	for !done {
 		select {
 		case <-a.allDone:
@@ -916,23 +875,27 @@ func (e *Engine) waitGuarded(a *batchArena, t0, tdisp time.Time) bool {
 		case <-hedgeC:
 			// A nil channel never fires, so a spent (or unarmed) timer
 			// case simply drops out of the race.
-			hedgeC, hedgeLive = nil, false
+			hedgeC = nil
 			e.dispatchHedges(a)
 		case <-dlC:
-			dlC, dlLive = nil, false
+			dlC = nil
 			if m != nil {
 				m.deadlineMisses.Inc()
 			}
 			if !e.strict {
-				e.abandonPending(a)
+				if !e.abandonPending(a) {
+					// A winning worker closes the run instead: its token
+					// is posted or nanoseconds away.
+					<-a.allDone
+				}
 				degraded, done = true, true
 			}
 		}
 	}
-	if hedgeLive {
+	if hedgeC != nil {
 		stopDrain(a.hedgeTimer)
 	}
-	if dlLive {
+	if dlC != nil {
 		stopDrain(a.dlTimer)
 	}
 	return degraded
@@ -958,33 +921,39 @@ func (e *Engine) dispatchHedges(a *batchArena) {
 		if m != nil {
 			m.hedges.Inc()
 		}
-		if a.flight {
+		if a.capture {
 			a.caps[si].hedged.Store(true)
 		}
-		a.wg.Add(1)
-		a.dispatches.Add(1)
-		rep.inflight.Add(1)
-		rep.work <- workItem{a: a, hedge: true}
+		// Shadow slots exist only on arenas that have hedged; they are
+		// grown here, before the send that lets a worker index them.
+		for len(a.hparts) < a.nparts {
+			a.hparts = append(a.hparts, partial{})
+		}
+		a.send(rep, true)
 	}
 }
 
 // abandonPending marks every still-pending shard abandoned at the
-// deadline. A lost CAS means the shard answered concurrently (its
-// finisher decremented left); a won CAS decrements here, so left is
-// exactly zero when the loop ends — the run returns without waiting,
-// its stragglers drain in the background, and the primary copy that sat
-// on the sub-batch is charged breaker evidence (a deadline miss is a
-// fault from the router's point of view).
-func (e *Engine) abandonPending(a *batchArena) {
+// deadline and reports whether that closed the run. A lost CAS means the
+// shard answered concurrently (its finisher decrements left); a won CAS
+// decrements here, so if the count is not zero when the loop ends, a
+// winning worker is about to close the run and the caller takes its
+// token. The run
+// returns without waiting for the abandoned sub-batches, its stragglers
+// drain in the background, and the primary copy that sat on the
+// sub-batch is charged breaker evidence (a deadline miss is a fault from
+// the router's point of view).
+func (e *Engine) abandonPending(a *batchArena) (closed bool) {
 	for si := range a.jobs {
 		if len(a.jobs[si]) == 0 {
 			continue
 		}
 		if a.sdone[si].CompareAndSwap(sdPending, sdAbandoned) {
-			a.left.Add(-1)
+			closed = a.left.Add(-1) == 0
 			e.replicaOutcome(si, e.shards[si].reps[a.prim[si]], true)
 		}
 	}
+	return closed
 }
 
 // currentHedgeNs returns the run's hedge delay in nanoseconds: the
@@ -1028,45 +997,20 @@ func (e *Engine) toGlobal(si int, ans *index.Answer) {
 	}
 }
 
-// runLocalInto answers q on shard si into the arena slot, picking and
-// locking the shard's least-loaded replica (the k-NN incremental
-// path's visits run on the caller's goroutine, interleaving with the
-// replica workers under the same mutexes). inflight brackets the call
-// so concurrent dispatch sees this visit too.
-func (e *Engine) runLocalInto(a *batchArena, si int, q Query, p *partial) {
+// runLocalInto answers query qi on shard si into arena slot part from
+// the caller's goroutine: a one-slot sub-batch through the same visit
+// the replica workers run (the k-NN incremental path's visits interleave
+// with them under the same mutexes). inflight brackets the call so
+// concurrent dispatch sees this visit too.
+func (e *Engine) runLocalInto(a *batchArena, si int, qi, part int32) {
 	rep, ri := e.pickReplica(si)
-	if a.flight {
+	if a.capture {
 		a.caps[si].replica.Store(int32(ri))
 	}
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	capture := a.traced || a.flight
-	brk := e.brkCfg != nil
-	var before eio.Stats
-	if capture || brk {
-		before = rep.idx.Stats().IO
-	}
-	p.reset()
-	if err := rep.idx.QueryInto(q, &p.ans); err != nil {
-		p.err = err
-	} else {
-		e.toGlobal(si, &p.ans)
-		rep.reads.Add(1)
-	}
-	if capture || brk {
-		d := rep.idx.Stats().IO.Sub(before)
-		if a.traced {
-			a.addIODelta(d)
-		}
-		if a.flight {
-			a.caps[si].addIO(d)
-		}
-		if brk {
-			e.replicaOutcome(si, rep, d.Faults > 0)
-		}
-	}
+	job := [1]shardSlot{{qi: qi, part: part}}
+	e.visit(a, si, rep, job[:], a.parts)
 }
 
 // runKNNPlanned answers one k-NN query incrementally: shards are
@@ -1089,7 +1033,7 @@ func (e *Engine) runKNNPlanned(a *batchArena, qi int, ks *knnScratch) {
 		if q.K > 0 && len(cur) >= q.K && pl.MinDist2[i] > cur[q.K-1].Dist2 {
 			break
 		}
-		e.runLocalInto(a, si, q, p)
+		e.runLocalInto(a, si, int32(qi), a.partOff[qi])
 		if p.err != nil {
 			r.Err = p.err
 			break
@@ -1128,7 +1072,7 @@ func (e *Engine) runKNNPlanned(a *batchArena, qi int, ks *knnScratch) {
 			m.planVerdicts.Add(k, int(planner.VerdictPrunedKNNCutoff), int64(cut))
 		}
 	}
-	if a.flight {
+	if a.capture {
 		for i, si := range pl.Shards {
 			v := planner.VerdictVisited
 			if i >= visited {
@@ -1139,19 +1083,16 @@ func (e *Engine) runKNNPlanned(a *batchArena, qi int, ks *knnScratch) {
 	}
 }
 
-// slotFor resolves which side of a guarded run's race holds shard
+// slotFor resolves which side of the shard's race holds shard
 // pl.Shards[i]'s answer for the query at slot offset off: the primary's
 // parts slot, the hedge's hparts shadow, or nil when the deadline
-// abandoned the shard (the caller records it as missing). Unguarded
-// runs always answer from parts.
-func (a *batchArena) slotFor(e *Engine, pl *planner.Plan, off, i int) *partial {
-	if e.guarded {
-		switch a.sdone[pl.Shards[i]].Load() {
-		case sdHedge:
-			return &a.hparts[off+i]
-		case sdAbandoned:
-			return nil
-		}
+// abandoned the shard (the caller records it as missing).
+func (a *batchArena) slotFor(pl *planner.Plan, off, i int) *partial {
+	switch a.sdone[pl.Shards[i]].Load() {
+	case sdHedge:
+		return &a.hparts[off+i]
+	case sdAbandoned:
+		return nil
 	}
 	return &a.parts[off+i]
 }
@@ -1165,7 +1106,7 @@ func (a *batchArena) slotFor(e *Engine, pl *planner.Plan, off, i int) *partial {
 func (e *Engine) mergeInto(a *batchArena, q Query, pl *planner.Plan, off int, r *Result) {
 	n := len(pl.Shards)
 	for i := 0; i < n; i++ {
-		p := a.slotFor(e, pl, off, i)
+		p := a.slotFor(pl, off, i)
 		if p == nil {
 			r.Degraded = true
 			r.Missing = append(r.Missing, pl.Shards[i])
@@ -1181,7 +1122,7 @@ func (e *Engine) mergeInto(a *batchArena, q Query, pl *planner.Plan, off int, r 
 	case q.Op == OpKNN:
 		a.nbRuns = a.nbRuns[:0]
 		for i := 0; i < n; i++ {
-			if p := a.slotFor(e, pl, off, i); p != nil {
+			if p := a.slotFor(pl, off, i); p != nil {
 				a.nbRuns = append(a.nbRuns, p.ans.Neighbors)
 			}
 		}
@@ -1189,7 +1130,7 @@ func (e *Engine) mergeInto(a *batchArena, q Query, pl *planner.Plan, off int, r 
 	case e.mutable:
 		a.recRuns = a.recRuns[:0]
 		for i := 0; i < n; i++ {
-			if p := a.slotFor(e, pl, off, i); p != nil {
+			if p := a.slotFor(pl, off, i); p != nil {
 				a.recRuns = append(a.recRuns, p.ans.Recs)
 			}
 		}
@@ -1197,7 +1138,7 @@ func (e *Engine) mergeInto(a *batchArena, q Query, pl *planner.Plan, off int, r 
 	default:
 		a.idRuns = a.idRuns[:0]
 		for i := 0; i < n; i++ {
-			if p := a.slotFor(e, pl, off, i); p != nil {
+			if p := a.slotFor(pl, off, i); p != nil {
 				a.idRuns = append(a.idRuns, p.ans.IDs)
 			}
 		}

@@ -34,13 +34,10 @@ import (
 type HotShard = sketch.Entry
 
 // Replicate sets shard si's replica degree to n (n >= 1: the primary
-// is never dropped), cloning the index onto fresh devices to grow or
-// dropping the highest-numbered copies to shrink. Static shards clone
-// by rebuilding from the retained build set outside the locks; mutable
-// shards enumerate the primary and replay it into an empty index under
-// the exclusive migration lock, so no concurrent update can slip
-// between the copy and the attach. Serialized against Rebalance,
-// Retrain, Drop and AutoReplicate; answers are unchanged throughout.
+// is never dropped), cloning the index onto fresh devices to grow
+// (cloneShard) or dropping the highest-numbered copies to shrink.
+// Serialized against Rebalance, Retrain, Drop, Repair and AutoReplicate;
+// answers are unchanged throughout.
 func (e *Engine) Replicate(si, n int) error {
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
@@ -99,12 +96,9 @@ func (e *Engine) setDegreeLocked(si, n int) error {
 		}
 		return nil
 	}
-	var err error
-	if e.mutable {
-		err = e.cloneMutableLocked(si, sh, n)
-	} else {
-		err = e.cloneStaticLocked(si, sh, n)
-	}
+	err := e.cloneShard(si, n-cur, func(fresh []*replica) {
+		sh.reps = append(sh.reps, fresh...)
+	})
 	if err == nil {
 		if m := e.met; m != nil {
 			m.replicaAdds.Add(int64(n - cur))
@@ -130,59 +124,60 @@ func (e *Engine) dropLocked(sh *shard, n int) {
 	}
 }
 
-// cloneStaticLocked grows a static shard to n copies: each clone is
-// rebuilt from the retained build set (builder + the shard's global-id
-// list, both stable under rebalMu) on a device with the primary's
-// geometry, outside every lock — queries keep flowing — and the
-// finished copies attach in one short exclusive section.
-func (e *Engine) cloneStaticLocked(si int, sh *shard, n int) error {
-	ids := e.globals[si]
-	fresh := make([]*replica, 0, n-len(sh.reps))
-	for i := len(sh.reps); i < n; i++ {
-		dev := eio.NewDeviceLike(sh.reps[0].dev)
-		rep := newReplica(e.builder(si, dev, ids), dev)
-		fresh = append(fresh, rep)
-		e.workersWG.Add(1)
-		go e.replicaWorker(si, rep)
+// cloneShard is the one way a shard gains a copy (Replicate grows with
+// it, Repair replaces with it): build n fresh replicas of shard si's
+// primary on devices with the primary's geometry, start their workers,
+// and hand them to attach inside an exclusive migration section, so no
+// run ever sees a half-updated replica set. Caller holds rebalMu (so
+// degrees, globals and the builder inputs are stable).
+//
+// A static shard is rebuilt from the retained build set (builder + the
+// shard's global-id list) outside every lock — queries keep flowing —
+// and only the attach is exclusive. A mutable shard is copied under the
+// exclusive lock for the whole build: enumerate the primary's exact
+// live multiset and replay it into empty indexes minted by the retained
+// per-shard constructor — an update that slipped between the
+// enumeration and the attach would be missing from the copy forever.
+// That pause is proportional to the shard's size, like a rebalance move
+// batch covering the whole shard. On error nothing was attached or
+// started.
+func (e *Engine) cloneShard(si, n int, attach func(fresh []*replica)) error {
+	prim := e.shards[si].reps[0]
+	fresh := make([]*replica, 0, n)
+	if !e.mutable {
+		for len(fresh) < n {
+			dev := eio.NewDeviceLike(prim.dev)
+			fresh = append(fresh, newReplica(e.builder(si, dev, e.globals[si]), dev))
+		}
 	}
-	e.migMu.Lock()
-	sh.reps = append(sh.reps, fresh...)
-	e.migMu.Unlock()
-	return nil
-}
-
-// cloneMutableLocked grows a mutable shard to n copies under the
-// exclusive migration lock: enumerate the primary's exact live multiset
-// and replay it into empty indexes minted by the retained per-shard
-// constructor. Exclusive for the whole copy — an update that slipped
-// between the enumeration and the attach would be missing from the
-// clone forever. The pause is proportional to the shard's size, like a
-// rebalance move batch covering the whole shard.
-func (e *Engine) cloneMutableLocked(si int, sh *shard, n int) error {
 	e.migMu.Lock()
 	defer e.migMu.Unlock()
-	en, ok := sh.reps[0].idx.(index.Enumerable)
-	if !ok {
-		return fmt.Errorf("%w: shard %d (replication of a mutable family needs enumeration)", ErrNotEnumerable, si)
-	}
-	recs := en.AppendRecords(nil)
-	for i := len(sh.reps); i < n; i++ {
-		dev := eio.NewDeviceLike(sh.reps[0].dev)
-		idx := e.mkIdx(si, dev)
-		mut, ok := idx.(index.Mutable)
+	if e.mutable {
+		en, ok := prim.idx.(index.Enumerable)
 		if !ok {
-			return fmt.Errorf("engine: shard %d: cloned index is not mutable", si)
+			return fmt.Errorf("%w: shard %d (copying a mutable shard needs enumeration)", ErrNotEnumerable, si)
 		}
-		for _, r := range recs {
-			if err := mut.Insert(r); err != nil {
-				return fmt.Errorf("engine: shard %d: replaying record into clone: %w", si, err)
+		recs := en.AppendRecords(nil)
+		for len(fresh) < n {
+			dev := eio.NewDeviceLike(prim.dev)
+			idx := e.mkIdx(si, dev)
+			mut, ok := idx.(index.Mutable)
+			if !ok {
+				return fmt.Errorf("engine: shard %d: copied index is not mutable", si)
 			}
+			for _, r := range recs {
+				if err := mut.Insert(r); err != nil {
+					return fmt.Errorf("engine: shard %d: replaying record into copy: %w", si, err)
+				}
+			}
+			fresh = append(fresh, newReplica(idx, dev))
 		}
-		rep := newReplica(idx, dev)
+	}
+	for _, rep := range fresh {
 		e.workersWG.Add(1)
 		go e.replicaWorker(si, rep)
-		sh.reps = append(sh.reps, rep)
 	}
+	attach(fresh)
 	return nil
 }
 

@@ -10,6 +10,7 @@ package engine
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"linconstraint/internal/index"
 	"linconstraint/internal/metrics"
 	"linconstraint/internal/partition"
+	"linconstraint/internal/planner"
 	"linconstraint/internal/workload"
 )
 
@@ -398,24 +400,64 @@ func TestDeadlineDegradedAndStrict(t *testing.T) {
 func TestHedgedReadsByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	pts := workload.Uniform2(rng, 6_000)
-	reg := metrics.NewRegistry()
-	e := NewPlanar(pts, Options{
-		Shards: 2, BlockSize: 32, Seed: 8, Partitioner: partition.NewKDCut(),
-		Metrics: reg, HedgeAfter: 20 * time.Microsecond,
-		FlightRecorder: FlightRecorderConfig{TotalNs: int64(time.Hour)},
-	})
-	defer e.Close()
-	for si := 0; si < 2; si++ {
-		if err := e.Replicate(si, 2); err != nil {
-			t.Fatal(err)
+	// Every engine of the test shares the data, the layout and two copies
+	// of both shards; only the robustness and telemetry options differ.
+	build := func(opt Options) *Engine {
+		opt.Shards, opt.BlockSize, opt.Seed, opt.Partitioner = 2, 32, 8, partition.NewKDCut()
+		e := NewPlanar(pts, opt)
+		t.Cleanup(e.Close)
+		for si := 0; si < 2; si++ {
+			if err := e.Replicate(si, 2); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return e
 	}
 	qs := make([]Query, 8)
 	for i := range qs {
 		h := workload.HalfplaneWithSelectivity(rng, pts, 0.1)
 		qs[i] = Query{Op: OpHalfplane, A: h.A, B: h.B}
 	}
-	base := e.Batch(qs)
+
+	// One run path, whatever is armed: an engine with no robustness
+	// option at all, one with only a deadline and one with only a hedge
+	// delay (neither ever firing) return the same answers for the same
+	// block transfers — the copies are identical builds on uncached
+	// devices, so the total does not depend on which copy a run picked.
+	var base []Result
+	var baseIOs int64
+	for _, c := range []struct {
+		name string
+		opt  Options
+	}{
+		{"plain", Options{}},
+		{"deadline-only", Options{Deadline: time.Hour}},
+		{"hedged", Options{HedgeAfter: time.Hour}},
+	} {
+		ce := build(c.opt)
+		ce.ResetStats()
+		got := ce.Batch(qs)
+		ios := ce.Stats().Total.IOs()
+		if base == nil {
+			base, baseIOs = got, ios
+			continue
+		}
+		for i := range qs {
+			if got[i].Err != nil || got[i].Degraded || !equalInts(got[i].IDs, base[i].IDs) {
+				t.Fatalf("%s: query %d differs from the plain engine (err %v, degraded %v, %d vs %d ids)",
+					c.name, i, got[i].Err, got[i].Degraded, len(got[i].IDs), len(base[i].IDs))
+			}
+		}
+		if ios != baseIOs {
+			t.Fatalf("%s: %d block transfers for the batch, plain engine %d", c.name, ios, baseIOs)
+		}
+	}
+
+	reg := metrics.NewRegistry()
+	e := build(Options{
+		Metrics: reg, HedgeAfter: 20 * time.Microsecond,
+		FlightRecorder: FlightRecorderConfig{TotalNs: int64(time.Hour)},
+	})
 
 	// Brown out replica 0 of both shards — the copy an idle engine's
 	// pick always chooses — so the primary dispatch stalls ~1ms per miss
@@ -482,7 +524,7 @@ func TestHedgeAutoFollowsWindow(t *testing.T) {
 		Shards: 2, BlockSize: 64, Seed: 9, Partitioner: partition.NewKDCut(),
 		Metrics: reg, HedgeAfter: HedgeAuto,
 		// Per-miss latency keeps runs long enough that the waiter
-		// observes them pending (a run that finishes before waitGuarded
+		// observes them pending (a run that finishes before its await
 		// never consults the hedge-delay cache); the window must span
 		// many such runs, since the p99 needs hedgeMinSamples of them.
 		WindowSlots: 4, WindowInterval: time.Second,
@@ -730,12 +772,12 @@ func TestHedgedBreakerZeroAllocs(t *testing.T) {
 			}
 		}
 	}
-	// A hedge loser that straggles past its run's return sends the arena
-	// through the reaper, so the free list keeps being reshuffled: for a
-	// while a run may pop an arena whose slot buffers have not yet held
-	// that query's answer, and — once in a few thousand runs, when one
-	// slow straggler holds the reaper's queue — find the list empty and
-	// make an arena. Each such first meeting allocates once and never
+	// A hedge loser that straggles past its run's return keeps its
+	// reference on the arena and returns it to the free list itself, so
+	// the list keeps being reshuffled: for a while a run may pop an arena
+	// whose slot buffers have not yet held that query's answer, or — when
+	// every pooled arena still has a straggler inside — find the list
+	// empty and make one. Each such first meeting allocates once and never
 	// again, so a single 20-run window after a fixed warm-up measures the
 	// warm-up's luck, not the path. The bound is on the steady state:
 	// within a bounded number of windows, three in a row must read
@@ -755,5 +797,171 @@ func TestHedgedBreakerZeroAllocs(t *testing.T) {
 	}
 	if hedges, _ := reg.Snapshot().Value("engine_hedges_total", ""); hedges == 0 {
 		t.Fatal("1ns hedge delay never fired — the measured path was not the hedged one")
+	}
+}
+
+// waitFor polls cond for up to 2s (the events waited on here — a
+// goroutine's exit, a straggler's unref — are microseconds away).
+func waitFor(cond func() bool) bool {
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCloseLeavesNoGoroutines pins the engine's goroutine budget: a
+// built engine runs one worker per physical copy plus the watchdog and
+// nothing else — whatever robustness options are armed — and Close
+// returns only after all of them, abandoned stragglers and hedge losers
+// included, have exited.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	pts := workload.Uniform2(rng, 4_000)
+	h := workload.HalfplaneWithSelectivity(rng, pts, 0.2)
+	qs := []Query{{Op: OpHalfplane, A: h.A, B: h.B}}
+	// A replica this sick blows a 1ms deadline (the run degrades and
+	// leaves a straggler) and loses every 20µs hedge race.
+	sick := eio.FaultPlan{StuckEvery: 1, StuckStall: 200 * time.Microsecond}
+	ref := NewPlanar(pts, Options{BlockSize: 32, Seed: 5})
+	want := ref.Batch(qs)[0].IDs
+	ref.Close()
+
+	for _, c := range []struct {
+		name     string
+		opt      Options
+		replicas int
+		want     int // goroutines of the built engine
+	}{
+		{"plain", Options{}, 1, 2},
+		{"deadline", Options{Deadline: time.Millisecond}, 1, 2},
+		{"hedged", Options{HedgeAfter: 20 * time.Microsecond}, 2, 4},
+		{"watchdog", Options{Watchdog: &WatchdogConfig{Interval: time.Millisecond}}, 1, 3},
+	} {
+		before := runtime.NumGoroutine()
+		c.opt.Shards, c.opt.BlockSize, c.opt.Seed = 2, 32, 5
+		e := NewPlanar(pts, c.opt)
+		for si := 0; si < 2; si++ {
+			if err := e.Replicate(si, c.replicas); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !waitFor(func() bool { return runtime.NumGoroutine() <= before+c.want }) {
+			t.Errorf("%s: built engine runs %d goroutines, want %d (one per copy, plus the watchdog)",
+				c.name, runtime.NumGoroutine()-before, c.want)
+		}
+		if err := e.InjectFaults(0, 0, sick); err != nil {
+			t.Fatal(err)
+		}
+		var degraded bool
+		for i := 0; i < 4; i++ {
+			res := e.Batch(qs)
+			if res[0].Err != nil {
+				t.Fatalf("%s: %v", c.name, res[0].Err)
+			}
+			degraded = degraded || res[0].Degraded
+			if !res[0].Degraded && !equalInts(res[0].IDs, want) {
+				t.Fatalf("%s: complete answer changed behind a sick replica", c.name)
+			}
+		}
+		if c.opt.Deadline > 0 && !degraded {
+			t.Errorf("%s: no run degraded behind the sick replica — Close had no straggler to wait out", c.name)
+		}
+		e.Close()
+		if !waitFor(func() bool { return runtime.NumGoroutine() <= before }) {
+			t.Errorf("%s: %d goroutines outlive Close", c.name, runtime.NumGoroutine()-before)
+		}
+	}
+}
+
+// TestStragglerDoesNotPinOtherArenas: a degraded run's straggler holds
+// only its own arena. Run 1 is abandoned at the deadline while one
+// replica sits on its sub-batch indefinitely — the test parks it by
+// holding the replica's mutex, the lock every device access happens
+// under, so "the long straggler is still running" is a fact rather than
+// a timing guess. Every later run also leaves a (brief) straggler on
+// another shard, and each of those arenas must come back to the free
+// list on its own while the first is still out: the engine makes exactly
+// one more arena, not one per run. Once the long straggler finishes, its
+// arena returns too.
+func TestStragglerDoesNotPinOtherArenas(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	pts := workload.Uniform2(rng, 8_000)
+	e := NewPlanar(pts, Options{
+		Shards: 4, BlockSize: 32, Seed: 6, Partitioner: partition.NewKDCut(),
+		Deadline: time.Millisecond, Metrics: metrics.NewRegistry(),
+	})
+	defer e.Close()
+	freeArenas := func() int {
+		e.arenaMu.Lock()
+		defer e.arenaMu.Unlock()
+		return len(e.arenas)
+	}
+
+	// all visits every shard; low is planned away from at least one
+	// (stuck, where run 1's straggler parks) and onto another (busy,
+	// where the later runs leave their brief ones).
+	all := []Query{{Op: OpHalfplane, A: 0, B: 2}}
+	low := []Query{{Op: OpHalfplane, A: 0, B: 0.2}}
+	var ex Explain
+	e.ExplainInto(low[0], &ex)
+	stuck, busy := -1, -1
+	for si, v := range ex.Verdicts {
+		if v == planner.VerdictVisited {
+			busy = si
+		} else {
+			stuck = si
+		}
+	}
+	if stuck < 0 || busy < 0 {
+		t.Fatalf("layout gives the low query no pruned and visited shard pair: verdicts %v", ex.Verdicts)
+	}
+
+	e.Batch(all) // warm one arena
+	if !waitFor(func() bool { return freeArenas() == 1 }) {
+		t.Fatalf("warm-up left %d arenas on the free list, want 1", freeArenas())
+	}
+	rep := e.shards[stuck].reps[0]
+	var unpark sync.Once
+	rep.mu.Lock()
+	defer unpark.Do(rep.mu.Unlock)
+	res := e.Batch(all)
+	// (A loaded machine may make a healthy shard miss the 1ms deadline
+	// too; its straggler is brief and shares run 1's arena.)
+	if !res[0].Degraded || !subsetInts([]int{stuck}, res[0].Missing) {
+		t.Fatalf("run behind the parked replica: degraded=%v missing=%v, want shard %d missing",
+			res[0].Degraded, res[0].Missing, stuck)
+	}
+	fresh := e.met.arenaFresh.Load()
+
+	if err := e.InjectFaults(busy, 0, eio.FaultPlan{StuckEvery: 1, StuckStall: 200 * time.Microsecond}); err != nil {
+		t.Fatal(err)
+	}
+	stragglers := 0
+	for i := 0; i < 8; i++ {
+		if res = e.Batch(low); res[0].Err != nil {
+			t.Fatal(res[0].Err)
+		}
+		if res[0].Degraded {
+			stragglers++
+		}
+		if !waitFor(func() bool { return freeArenas() == 1 }) {
+			t.Fatalf("run %d: its arena never came back while run 1's straggler is parked (%d free)", i, freeArenas())
+		}
+	}
+	if stragglers == 0 {
+		t.Fatal("no later run degraded — nothing straggled beside the parked sub-batch")
+	}
+	if rep.inflight.Load() != 1 {
+		t.Fatalf("parked replica has %d sub-batches in flight, want run 1's", rep.inflight.Load())
+	}
+	if got := e.met.arenaFresh.Load() - fresh; got != 1 {
+		t.Errorf("engine_arena_fresh_total grew by %d over 8 runs beside one parked straggler, want 1", got)
+	}
+
+	unpark.Do(rep.mu.Unlock)
+	if !waitFor(func() bool { return freeArenas() == 2 }) {
+		t.Errorf("%d arenas on the free list after the parked straggler finished, want 2", freeArenas())
 	}
 }

@@ -500,7 +500,7 @@ func TestRobustnessFacade(t *testing.T) {
 	}
 	e := NewPlanarEngine(pts, EngineConfig{
 		Shards: 2, BlockSize: 32, Seed: 7, Partitioner: KDCutLayout(),
-		HedgeAfter: time.Hour, // armed but never firing: guarded path, deterministic routing
+		HedgeAfter: time.Hour, // armed but never firing: hedge timer set every run, deterministic routing
 		Breaker:    &BreakerConfig{Threshold: 2, Cooldown: time.Hour},
 	})
 	defer e.Close()
