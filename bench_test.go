@@ -5,7 +5,8 @@ package linconstraint
 // reporting the fitted growth exponents as benchmark metrics, plus
 // micro-benchmarks of the individual query paths. Benchmarks run the
 // experiments at quick scale so `go test -bench=.` stays tractable;
-// cmd/lcbench runs the full-scale versions.
+// cmd/lcbench runs the experiments at full scale, and `go run ./bench`
+// is the end-to-end perf ledger for the query paths.
 
 import (
 	"fmt"
@@ -213,7 +214,8 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // locality-aware layouts (kd-cut, SFC) must report mean ShardsVisited
 // at most 4 — versus the full fan-out of 8 under round-robin — while
 // returning byte-identical result sets; the benchmark fails otherwise.
-// The lcbench -pruning smoke asserts the same bar in CI.
+// internal/engine's TestPruningStatsAndEffectiveness asserts the same
+// bar in CI at n = 4k.
 func BenchmarkEnginePruning(b *testing.B) {
 	const (
 		n      = 100_000

@@ -4,67 +4,22 @@
 // paper's claim, the measured series, fitted growth exponents and a
 // pass/fail verdict, and writes the raw series as CSV.
 //
-// With -pruning it instead runs the shard-pruning efficiency smoke for
-// the engine's query planner: it builds 8-shard planar engines under
-// the round-robin, space-filling-curve and kd-cut layouts over the same
-// points, verifies the three report byte-identical result sets on
-// selective (1%) halfplane queries, and fails unless the locality-aware
-// layouts prune shards with mean shards-visited at or below half the
-// shard count — the engine-level payoff the planner exists for.
-//
-// With -reshard it runs the online-resharding smoke (reshard.go): a
-// skewed delete-heavy phase hollows most shards of a mutable engine,
-// one Rebalance migrates and retrains, and the run fails unless the
-// live-count skew falls to <= 1.5, mean shards-visited on selective
-// halfplanes drops strictly below the hollowed state, and every answer
-// is byte-identical across the rebalance. Combine with -json PATH to
-// write the reshard record.
-//
-// With -hotshard it runs the hot-shard replication smoke (hotshard.go):
-// a zipf(s=1.2) read workload concentrates on one shard of a planar
-// engine with per-miss device latency, AutoReplicate reads the
-// engine's traffic sketch and promotes the hot shard to three copies,
-// and the run fails unless the replicated engine clears 2x the
-// unreplicated read qps with byte-identical answers and a zero-alloc
-// steady-state read path. Combine with -json PATH to write the record
-// (the PR 7 state is checked in as results/BENCH_pr7.json).
-//
-// With -faultsoak it runs the robustness smoke (faultsoak.go): the
-// workload's hot shard is replicated and its primary copy browned out
-// 50× per miss; the run fails unless hedged reads hold the p99 at or
-// below 3× the healthy baseline and strictly below the unhedged run, a
-// hard-failed replica trips the circuit breaker, is routed around,
-// repaired via Engine.Repair and re-closed — answers byte-identical
-// throughout and the steady-state read path at 0 allocs/op with the
-// full fault stack armed. Combine with -json PATH to write the record
-// (the PR 9 state is checked in as results/BENCH_pr9.json).
-//
-// With -json PATH it instead runs the engine hot-path benchmarks
-// (bench.go) and writes a machine-readable perf record — qps, ns/op,
-// B/op, allocs/op, shards visited and I/Os per op family — to PATH;
-// -baseline FILE embeds a previously written record for comparison.
-// The seed-state record of PR 4 is checked in as
-// results/BENCH_pr4_seed.json, the post-PR record as
-// results/BENCH_pr4.json.
+// Serving-stack performance is not measured here: `go run ./bench` is
+// the one perf ledger (bench/README.md), and the engine's and server's
+// performance bars are ordinary tests in their packages.
 //
 // Usage:
 //
-//	lcbench [-quick] [-seed N] [-out DIR] [-only E1,E7,...] [-pruning]
-//	        [-reshard] [-hotshard] [-faultsoak]
-//	        [-json PATH [-baseline FILE]]
+//	lcbench [-quick] [-seed N] [-out DIR] [-only E1,E7,...]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"slices"
 	"strings"
 
-	"linconstraint"
 	"linconstraint/internal/harness"
-	"linconstraint/internal/workload"
 )
 
 func main() {
@@ -72,57 +27,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "experiment RNG seed")
 	out := flag.String("out", "results", "directory for CSV output")
 	only := flag.String("only", "", "comma-separated experiment ids to run (default all)")
-	pruning := flag.Bool("pruning", false, "run the shard-pruning efficiency smoke instead of the experiments")
-	reshard := flag.Bool("reshard", false, "run the online-resharding smoke (skewed delete phase, rebalance, skew + visited-shards before/after); -json writes its record")
-	hotshard := flag.Bool("hotshard", false, "run the hot-shard replication smoke (zipf reads, sketch-driven AutoReplicate, qps before/after); -json writes its record")
-	faultsoak := flag.Bool("faultsoak", false, "run the robustness smoke (browned-out replica, hedged vs unhedged p99, breaker trip/route-around/repair); -json writes its record")
-	servebench := flag.Bool("servebench", false, "run the serving front-end smoke (HTTP qps with stripe batching vs passthrough, plus a load-shedding leg); -json writes its record")
-	jsonOut := flag.String("json", "", "run the engine hot-path benchmarks and write the perf record to this path (with -reshard: the reshard record)")
-	baseline := flag.String("baseline", "", "with -json: previously written perf record to embed as the comparison baseline")
 	flag.Parse()
-
-	if *reshard {
-		if !reshardSmoke(*seed, *quick, *jsonOut) {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *hotshard {
-		if !hotshardSmoke(*seed, *quick, *jsonOut) {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *faultsoak {
-		if !faultsoakSmoke(*seed, *quick, *jsonOut) {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *servebench {
-		if !servebenchSmoke(*seed, *quick, *jsonOut) {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonOut != "" {
-		if err := runBenchJSON(*jsonOut, *baseline, *seed, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *pruning {
-		if !pruningSmoke(*seed, *quick) {
-			os.Exit(1)
-		}
-		return
-	}
 
 	cfg := harness.Config{Seed: *seed, Quick: *quick}
 	all := map[string]func(harness.Config) harness.Result{
@@ -167,78 +72,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// pruningSmoke builds the same n=100k points into 8-shard engines under
-// every layout, checks the layouts answer 64 selective halfplane
-// queries byte-identically, and asserts the locality-aware layouts
-// prune: ShardsPruned > 0 and mean ShardsVisited <= shards/2.
-func pruningSmoke(seed int64, quick bool) bool {
-	const shards = 8
-	n := 100_000
-	if quick {
-		n = 20_000
-	}
-	rng := rand.New(rand.NewSource(seed))
-	pts := workload.Uniform2(rng, n)
-	queries := make([]workload.Halfplane, 64)
-	for i := range queries {
-		queries[i] = workload.HalfplaneWithSelectivity(rng, pts, 0.01)
-	}
-
-	type row struct {
-		name        string
-		layout      linconstraint.Partitioner
-		mustPrune   bool
-		meanVisited float64
-		pruned      int64
-		ios         int64
-		results     [][]int
-	}
-	rows := []*row{
-		{name: "roundrobin", layout: linconstraint.RoundRobinLayout()},
-		{name: "sfc", layout: linconstraint.SFCLayout(), mustPrune: true},
-		{name: "kdcut", layout: linconstraint.KDCutLayout(), mustPrune: true},
-	}
-	for _, r := range rows {
-		eng := linconstraint.NewPlanarEngine(pts, linconstraint.EngineConfig{
-			Shards: shards, Workers: shards, BlockSize: 128, Seed: seed, Partitioner: r.layout,
-		})
-		eng.ResetStats()
-		for _, q := range queries {
-			r.results = append(r.results, eng.Halfplane(q.A, q.B))
-		}
-		st := eng.Stats()
-		r.meanVisited = float64(st.ShardsVisited) / float64(len(queries))
-		r.pruned = st.ShardsPruned
-		r.ios = st.Total.IOs()
-		eng.Close()
-	}
-
-	ok := true
-	fmt.Printf("pruning smoke: n=%d, %d shards, %d halfplane queries at 1%% selectivity\n\n", n, shards, len(queries))
-	fmt.Printf("%-12s %14s %14s %12s\n", "layout", "mean visited", "total pruned", "query I/Os")
-	for _, r := range rows {
-		fmt.Printf("%-12s %14.2f %14d %12d\n", r.name, r.meanVisited, r.pruned, r.ios)
-		for qi := range queries {
-			if !slices.Equal(r.results[qi], rows[0].results[qi]) {
-				fmt.Printf("FAIL: %s query %d differs from roundrobin (%d vs %d hits)\n",
-					r.name, qi, len(r.results[qi]), len(rows[0].results[qi]))
-				ok = false
-				break
-			}
-		}
-		if r.mustPrune && r.pruned == 0 {
-			fmt.Printf("FAIL: %s layout pruned no shards on selective queries\n", r.name)
-			ok = false
-		}
-		if r.mustPrune && r.meanVisited > shards/2 {
-			fmt.Printf("FAIL: %s layout mean shards visited %.2f > %d\n", r.name, r.meanVisited, shards/2)
-			ok = false
-		}
-	}
-	if ok {
-		fmt.Println("\nPASS")
-	}
-	return ok
 }

@@ -214,7 +214,8 @@ func TestPlannedMutableInterleaved(t *testing.T) {
 }
 
 // TestPruningStatsAndEffectiveness: a locality-aware layout must
-// actually skip shards on selective queries, the per-query plan stats
+// actually skip shards on selective queries — at 1% selectivity it
+// visits at most half of them on average — the per-query plan stats
 // must account for every shard, and Stats must accumulate them. The
 // round-robin layout must prune far less: its shards are uniform
 // samples spanning the whole data set (occasional exact prunes — a
@@ -260,6 +261,9 @@ func TestPruningStatsAndEffectiveness(t *testing.T) {
 		}
 		if tc.wantPrune && pruned == 0 {
 			t.Errorf("%s: no shards pruned across %d selective halfplanes", tc.name, queries)
+		}
+		if mean := float64(visited) / queries; tc.wantPrune && mean > s/2 {
+			t.Errorf("%s: mean %.2f of %d shards visited on selective halfplanes, want <= %d", tc.name, mean, s, s/2)
 		}
 		prunedBy[tc.name] = pruned
 		e.ResetStats()

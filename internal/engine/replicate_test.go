@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"linconstraint/internal/chan3d"
 	"linconstraint/internal/eio"
 	"linconstraint/internal/geom"
 	"linconstraint/internal/index"
@@ -362,5 +365,117 @@ func TestStatsReplicaAggregation(t *testing.T) {
 	}
 	if st.Total.IOs() != 0 {
 		t.Fatal("ResetStats left device counters")
+	}
+}
+
+// median3 is the median of three calls of f: the wall-clock ratio
+// tests take it over three measurement windows, so one scheduler
+// hiccup cannot decide a verdict.
+func median3[T cmp.Ordered](f func() T) T {
+	w := []T{f(), f(), f()}
+	slices.Sort(w)
+	return w[1]
+}
+
+// TestHotShardReplicationDoublesReadQPS is the throughput half of the
+// replication claim (DESIGN.md §10): zipf(s=1.2) k-NN reads concentrate
+// on shard 0 of an engine whose devices charge per-miss latency, so one
+// device serializes ~43% of the traffic while the others idle. The
+// engine's own sketch must name that shard, AutoReplicate must spend
+// its budget there, and batched read qps must at least double. A
+// small-k query near a KDCut tile's center visits exactly that tile's
+// shard (the distance cutoff prunes the rest), so the query points
+// alone control the skew. The gain is latency hiding, not CPU
+// parallelism — clients blocked on one copy's misses yield while the
+// other copies serve — so it holds on a single core.
+func TestHotShardReplicationDoublesReadQPS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const shards, clients, k, hot = 8, 8, 16, 0
+	rng := rand.New(rand.NewSource(76))
+	pts := workload.Uniform2(rng, 6_000)
+	e := NewKNN(pts, Options{
+		Shards: shards, BlockSize: 128, Seed: 1, Partitioner: partition.NewKDCut(),
+		IOLatency: 200 * time.Microsecond,
+	})
+	defer e.Close()
+
+	// pools[si]: query points in the middle of shard si's tile.
+	pools := make([][]geom.Point2, shards)
+	for si := range pools {
+		box := e.sums[si].Box
+		for j := 0; j < 32; j++ {
+			pools[si] = append(pools[si], geom.Point2{
+				X: box.Min[0] + (0.4+0.2*rng.Float64())*(box.Max[0]-box.Min[0]),
+				Y: box.Min[1] + (0.4+0.2*rng.Float64())*(box.Max[1]-box.Min[1]),
+			})
+		}
+	}
+	before := make([][]chan3d.Neighbor, shards)
+	for si := range before {
+		before[si] = slices.Clone(e.KNN(k, pools[si][0]))
+	}
+
+	// window drives the zipf read mix from `clients` closed-loop callers
+	// on the allocation-free BatchInto path and returns the aggregate qps.
+	window := func() float64 {
+		var total atomic.Int64
+		var wg sync.WaitGroup
+		start := time.Now()
+		deadline := start.Add(400 * time.Millisecond)
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				crng := rand.New(rand.NewSource(int64(100 + c)))
+				zipf := rand.NewZipf(crng, 1.2, 1, shards-1)
+				one := make([]Query, 1)
+				res := make([]Result, 0, 1)
+				for time.Now().Before(deadline) {
+					pool := pools[zipf.Uint64()]
+					one[0] = Query{Op: OpKNN, K: k, Pt: pool[crng.Intn(len(pool))]}
+					res = e.BatchInto(one, res[:0])
+					if res[0].Err != nil || res[0].ShardsVisited != 1 {
+						t.Errorf("k-NN read: err %v, %d shards visited, want 1", res[0].Err, res[0].ShardsVisited)
+						return
+					}
+					total.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		return float64(total.Load()) / time.Since(start).Seconds()
+	}
+
+	single := median3(window)
+	if top := e.HotShards(nil); len(top) == 0 || top[0].Key != hot {
+		t.Fatalf("sketch top-1 = %+v, want shard %d", top, hot)
+	}
+	// At s=1.2 the zipf head holds ~43% of the traffic and rank 2 at most
+	// ~19%, so MinShare 0.25 leaves the head as the only promotable shard.
+	st, err := e.AutoReplicate(AutoReplicateOptions{Budget: shards + 2, MaxPerShard: 3, MinShare: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Degrees[hot] != 3 || st.Promoted != 2 {
+		t.Fatalf("AutoReplicate degrees %v (promoted %d), want the hot shard alone at 3", st.Degrees, st.Promoted)
+	}
+	e.ResetStats()
+	replicated := median3(window)
+
+	for ri, n := range e.Stats().ReplicaReads[hot] {
+		if n == 0 {
+			t.Errorf("replica %d of the hot shard served no reads", ri)
+		}
+	}
+	for si, want := range before {
+		if got := e.KNN(k, pools[si][0]); !slices.Equal(got, want) {
+			t.Errorf("shard %d: answer changed across replication", si)
+		}
+	}
+	t.Logf("zipf read qps: %.0f at 1 copy, %.0f replicated (%.2fx)", single, replicated, replicated/single)
+	if replicated < 2*single {
+		t.Errorf("replicated qps %.0f < 2x unreplicated %.0f (%.2fx)", replicated, single, replicated/single)
 	}
 }

@@ -11,6 +11,7 @@ package engine
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -509,6 +510,105 @@ func TestHedgedReadsByteIdentical(t *testing.T) {
 	}
 	if !sawMark {
 		t.Error("no captured shard trace carries the Hedged mark")
+	}
+}
+
+// TestHedgedP99UnderBrownout is the latency half of the hedging claim
+// (DESIGN.md §12): the shard the workload visits most has two copies
+// and its primary browned out 50× per miss. With the hedge delay pinned
+// to the measured healthy p99, the hedged engine's p99 run latency must
+// stay at or below 3× healthy and strictly below the unhedged engine's,
+// every answer byte-identical to the healthy one. Each p99 is the
+// median of three windows.
+func TestHedgedP99UnderBrownout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	// The 5ms brown stall must clear time.Sleep's real-world floor
+	// (kernels commonly round sub-millisecond sleeps up to ~1ms) by a wide
+	// margin, or a browned miss would cost no more than a healthy one; the
+	// 100µs healthy miss keeps healthy runs in the same sleep-floor regime
+	// the hedge timer lives in.
+	const ioLat, brownStall = 100 * time.Microsecond, 50 * 100 * time.Microsecond
+	const shards, runs = 4, 48
+	rng := rand.New(rand.NewSource(88))
+	pts := workload.Uniform2(rng, 12_000)
+	qs := make([]Query, 32)
+	for i := range qs {
+		// 1% selectivity: the worst single-shard critical path is about a
+		// dozen misses, so the per-miss brown stall dominates a faulted visit.
+		h := workload.HalfplaneWithSelectivity(rng, pts, 0.01)
+		qs[i] = Query{Op: OpHalfplane, A: h.A, B: h.B}
+	}
+	// Same points, seed and layout training set: every engine below plans
+	// and answers identically.
+	build := func(opt Options) *Engine {
+		opt.Shards, opt.BlockSize, opt.Seed, opt.Partitioner, opt.IOLatency = shards, 128, 8, partition.NewKDCut(), ioLat
+		e := NewPlanar(pts, opt)
+		t.Cleanup(e.Close)
+		return e
+	}
+	healthy := build(Options{})
+	base := healthy.Batch(qs)
+	hot := 0
+	for si := 1; si < shards; si++ {
+		if healthy.ShardTraffic(si) > healthy.ShardTraffic(hot) {
+			hot = si
+		}
+	}
+	// The least-in-flight pick breaks ties to the first copy, so a
+	// sequential caller always lands on the browned primary.
+	brownHot := func(e *Engine) *Engine {
+		if err := e.Replicate(hot, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.InjectFaults(hot, 0, eio.FaultPlan{Seed: 9, BrownoutProb: 1, BrownoutStall: brownStall}); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+
+	// window is the p99 latency of n single-query runs cycling the pool.
+	one := make([]Query, 1)
+	res := make([]Result, 0, 1)
+	window := func(e *Engine, n int) time.Duration {
+		durs := make([]time.Duration, n)
+		for i := range durs {
+			one[0] = qs[i%len(qs)]
+			t0 := time.Now()
+			res = e.BatchInto(one, res[:0])
+			durs[i] = time.Since(t0)
+			if res[0].Err != nil || !equalInts(res[0].IDs, base[i%len(qs)].IDs) {
+				t.Fatalf("run %d: answer differs from the healthy engine (err %v)", i, res[0].Err)
+			}
+		}
+		slices.Sort(durs)
+		return durs[n*99/100]
+	}
+	p99of3 := func(e *Engine) time.Duration {
+		return median3(func() time.Duration { return window(e, runs) })
+	}
+
+	healthyP99 := p99of3(healthy)
+	// One pass over the pool: each unhedged hot visit costs ~50 healthy
+	// ones, and the bar it sets has 4x room.
+	unhedgedP99 := window(brownHot(build(Options{})), len(qs))
+	reg := metrics.NewRegistry()
+	hedgedP99 := p99of3(brownHot(build(Options{HedgeAfter: healthyP99, Metrics: reg})))
+
+	snap := reg.Snapshot()
+	hedges, _ := snap.Value("engine_hedges_total", "")
+	wins, _ := snap.Value("engine_hedge_wins_total", "")
+	if hedges == 0 || wins == 0 {
+		t.Errorf("hedges %v, wins %v: the browned primary never lost a hedge race", hedges, wins)
+	}
+	t.Logf("p99 run latency: healthy %v, unhedged %v, hedged %v (%.2fx healthy; %v hedges, %v won)",
+		healthyP99, unhedgedP99, hedgedP99, float64(hedgedP99)/float64(healthyP99), hedges, wins)
+	if hedgedP99 > 3*healthyP99 {
+		t.Errorf("hedged p99 %v > 3x healthy %v", hedgedP99, healthyP99)
+	}
+	if hedgedP99 >= unhedgedP99 {
+		t.Errorf("hedged p99 %v not strictly below unhedged %v", hedgedP99, unhedgedP99)
 	}
 }
 

@@ -22,7 +22,7 @@
 // does not.
 //
 // A Registry collects instruments for export: a consistent Snapshot
-// for programmatic consumers (lcbench -json embeds it), a Prometheus
+// for programmatic consumers (the bench ledger reads it), a Prometheus
 // text exposition (ServeHTTP / WriteProm) for scrapers, and a JSON
 // document for humans with curl. Collectors let owners of
 // non-instrument state (the engine's per-shard devices) contribute

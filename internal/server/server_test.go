@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"linconstraint/internal/geom"
 	"linconstraint/internal/index"
 	"linconstraint/internal/metrics"
+	"linconstraint/internal/partition"
 	"linconstraint/internal/workload"
 )
 
@@ -339,6 +342,96 @@ func TestSheddingBoundedAndCloseReleases(t *testing.T) {
 	var resp Response
 	if st := srv.Do(index.Query{Op: index.OpHalfplane}, &resp); st != StatusClosed {
 		t.Fatalf("post-Close Do: %v, want StatusClosed", st)
+	}
+}
+
+// TestCoalescingBeatsPassthrough is the throughput half of the stripe
+// batcher's claim (DESIGN.md §13): at equal client concurrency over
+// real HTTP, MaxBatch 16 must serve at least 2x the qps of MaxBatch 1
+// (every request its own engine run) with a mean batch above 1.5.
+//
+// The gain is device-miss overlap: a small-k query at a uniform random
+// point visits the one or two KDCut tiles under it and its misses
+// serialize on that shard's device, so a size-1 run waits on one
+// query's device at a time, while a coalesced run carries queries for
+// mostly disjoint shards and finishes in about the slowest one's time.
+// The cache is tiny so random points keep missing; workers match the
+// shard count so every shard of a batch can wait concurrently; MaxBatch
+// stays below the closed-loop client count so batches fill from the
+// queue instead of waiting out MaxDelay.
+func TestCoalescingBeatsPassthrough(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const shards, clients, maxBatch = 32, 24, 16
+	rng := rand.New(rand.NewSource(11))
+	pts := workload.Uniform2(rng, 10_000)
+	eng := engine.NewKNN(pts, engine.Options{
+		Shards: shards, Workers: shards, BlockSize: 64, CacheBlocks: 4,
+		IOLatency: 200 * time.Microsecond, Partitioner: partition.NewKDCut(),
+	})
+	defer eng.Close()
+	paths := make([]string, 128)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/query?op=knn&k=8&x=%v&y=%v", rng.Float64(), rng.Float64())
+	}
+
+	// leg serves one 500ms window of closed-loop keep-alive GETs from a
+	// fresh server over eng and returns its qps and mean batch size.
+	leg := func(batch int) (qps, meanBatch float64) {
+		srv := New(eng, Config{MaxBatch: batch, MaxDelay: time.Millisecond, Metrics: metrics.NewRegistry()})
+		defer srv.Close()
+		hs := httptest.NewServer(srv)
+		defer hs.Close()
+		cl := hs.Client()
+		cl.Transport.(*http.Transport).MaxIdleConnsPerHost = clients
+
+		var served atomic.Int64
+		var wg sync.WaitGroup
+		start := time.Now()
+		deadline := start.Add(500 * time.Millisecond)
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := c; time.Now().Before(deadline); i++ {
+					hr, err := cl.Get(hs.URL + paths[i%len(paths)])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, hr.Body)
+					hr.Body.Close()
+					if hr.StatusCode != http.StatusOK {
+						t.Errorf("status %d", hr.StatusCode)
+						return
+					}
+					served.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		qps = float64(served.Load()) / time.Since(start).Seconds()
+		if batch > 1 && srv.met.coalesced.Load() == 0 {
+			t.Errorf("MaxBatch %d: no flush coalesced more than one request", batch)
+		}
+		return qps, float64(served.Load()) / float64(srv.met.batches.Load())
+	}
+	// Median of three alternating pairs, so drift hits both sides alike.
+	var ratios, batches []float64
+	for i := 0; i < 3; i++ {
+		pass, _ := leg(1)
+		coal, mean := leg(maxBatch)
+		ratios, batches = append(ratios, coal/pass), append(batches, mean)
+	}
+	slices.Sort(ratios)
+	slices.Sort(batches)
+	t.Logf("coalesced/passthrough qps %.2fx (windows %.2f), mean batch %.1f", ratios[1], ratios, batches[1])
+	if batches[1] <= 1.5 {
+		t.Errorf("mean batch %.2f, want > 1.5", batches[1])
+	}
+	if ratios[1] < 2 {
+		t.Errorf("coalesced qps %.2fx passthrough, want >= 2x", ratios[1])
 	}
 }
 

@@ -527,7 +527,7 @@ type EngineStats = engine.Stats
 // and fixed-bucket latency histograms observed with single atomic
 // operations. Pass one to EngineConfig.Metrics to instrument an
 // engine, then export it via MetricsHandler (Prometheus text + JSON +
-// pprof), Snapshot (programmatic, what lcbench -json embeds), or
+// pprof), Snapshot (programmatic, what the bench ledger reads), or
 // WriteProm.
 type Metrics = metrics.Registry
 
@@ -535,7 +535,7 @@ type Metrics = metrics.Registry
 func NewMetrics() *Metrics { return metrics.NewRegistry() }
 
 // MetricsSnapshot is a point-in-time view of a Metrics registry, safe
-// to serialize (it is what /metrics.json and lcbench -json emit).
+// to serialize (it is what /metrics.json emits).
 type MetricsSnapshot = metrics.Snapshot
 
 // MetricsHandler returns an http.Handler serving reg:
