@@ -37,8 +37,8 @@
 //	        [-slow-ns N] [-explain] [-slo SPEC] [-watchdog DUR]
 //	        [-faults SPEC] [-hedge DUR|auto] [-deadline DUR] [-strict]
 //	        [-breaker T:DUR] [-linger DUR] [-promcheck FILE]
-//	        [-listen HOST:PORT [-max-batch N] [-max-delay DUR]
-//	         [-queue N] [-stripes N] [-grace DUR]]
+//	        [-listen HOST:PORT [-max-batch N] [-queue N] [-stripes N]
+//	         [-grace DUR]]
 //	        [-target URL [-clients N]]
 //
 // The engine always runs instrumented: run-phase latency histograms
@@ -96,12 +96,13 @@
 // With -listen the process becomes a server: the listener binds before
 // the engine builds (a taken port fails fast, exit 1), queries arrive
 // as POST JSON or GET parameters on /query and run through per-op
-// striped batchers (-max-batch/-max-delay flush triggers, -queue
-// bounded admission per stripe — full rings shed with 429, -stripes
-// stripes per op), and the same port serves /healthz, /metrics and the
-// /debug/* introspection. SIGINT/SIGTERM drains in order — HTTP
-// server, then the front-end (every admitted request answered), then
-// the engine — bounded by -grace; a blown drain exits non-zero. With
+// striped batchers (a stripe flushes whatever its ring holds, up to
+// -max-batch, the moment it runs dry; -queue bounded admission per
+// stripe — full rings shed with 429, -stripes stripes per op), and the
+// same port serves /healthz, /metrics and the /debug/* introspection.
+// SIGINT/SIGTERM drains in order — HTTP server, then the front-end
+// (every admitted request answered), then the engine — bounded by
+// -grace; a blown drain exits non-zero. With
 // -target the process is the matching client: it regenerates the
 // server's operand pool from -kind/-n/-sel/-seed (pair them with the
 // server's flags) and drives -queries keep-alive requests from
@@ -184,8 +185,7 @@ func main() {
 		watchdog = flag.Duration("watchdog", 0, "health watchdog tick interval (0 disables; 1s implied when -slo is set)")
 
 		listen   = flag.String("listen", "", "serve mode: build the engine, serve the batching query front-end on this host:port (plus /metrics and the /debug endpoints), and wait for SIGINT/SIGTERM; no profile or load phases")
-		maxBatch = flag.Int("max-batch", 64, "serve mode: flush a stripe at this many coalesced requests (1 = passthrough)")
-		maxDelay = flag.Duration("max-delay", time.Millisecond, "serve mode: flush a non-empty stripe this long after its first request")
+		maxBatch = flag.Int("max-batch", 64, "serve mode: most queued requests one flush coalesces into a single engine run (1 = passthrough)")
 		queueCap = flag.Int("queue", 256, "serve mode: per-stripe admission ring capacity (full rings shed with 429)")
 		stripesF = flag.Int("stripes", 0, "serve mode: batcher stripes per op family (0 = GOMAXPROCS, capped at 4)")
 		grace    = flag.Duration("grace", 10*time.Second, "shutdown grace period after a signal: exit non-zero if draining takes longer")
@@ -509,8 +509,7 @@ func main() {
 	// the engine.
 	if serveLn != nil {
 		code := serveMode(ctx, serveLn, eng, reg, linconstraint.ServerConfig{
-			MaxBatch: *maxBatch, MaxDelay: *maxDelay,
-			QueueCap: *queueCap, Stripes: *stripesF,
+			MaxBatch: *maxBatch, QueueCap: *queueCap, Stripes: *stripesF,
 			Metrics: reg,
 		}, *grace)
 		shutdown(code)

@@ -405,6 +405,9 @@ type Engine struct {
 	sem       chan struct{}
 	workersWG sync.WaitGroup
 	closeOnce sync.Once
+	// closed is set first thing in Close; BatchInto checks it once, so
+	// every route (worker, inline, k-NN) refuses a closed engine alike.
+	closed atomic.Bool
 
 	// arenas is the free list of batch scratch spaces (see batchArena).
 	// A plain stack, not a sync.Pool: arenas must survive GC so the
@@ -625,19 +628,9 @@ func (e *Engine) replicaWorker(si int, rep *replica) {
 	defer e.workersWG.Done()
 	defer close(rep.stopped)
 	for w := range rep.work {
-		if e.sem != nil {
-			if m := e.met; m != nil {
-				t := time.Now()
-				e.sem <- struct{}{}
-				m.workerWaitNs.Observe(int64(time.Since(t)))
-			} else {
-				e.sem <- struct{}{}
-			}
-		}
+		e.acquireWorker()
 		won := e.execReplica(w.a, si, rep, w.hedge)
-		if e.sem != nil {
-			<-e.sem
-		}
+		e.releaseWorker()
 		// Dropping the reference is the worker's last use of the arena's
 		// scratch — once it drops, the arena may already be serving
 		// another run — and a worker that won its shard drops it before
@@ -653,6 +646,28 @@ func (e *Engine) replicaWorker(si int, rep *replica) {
 		if won && w.a.left.Add(-1) == 0 {
 			w.a.allDone <- struct{}{}
 		}
+	}
+}
+
+// acquireWorker takes one of the Options.Workers execution slots around
+// a shard visit (a no-op when Workers >= Shards: nothing to cap), and
+// observes how long the visit queued for it; releaseWorker returns it.
+func (e *Engine) acquireWorker() {
+	if e.sem == nil {
+		return
+	}
+	if m := e.met; m != nil {
+		t := time.Now()
+		e.sem <- struct{}{}
+		m.workerWaitNs.Observe(int64(time.Since(t)))
+		return
+	}
+	e.sem <- struct{}{}
+}
+
+func (e *Engine) releaseWorker() {
+	if e.sem != nil {
+		<-e.sem
 	}
 }
 
@@ -962,13 +977,15 @@ func (e *Engine) NumShards() int { return len(e.shards) }
 func (e *Engine) NumWorkers() int { return e.workers }
 
 // Close stops the watchdog (synchronously — its final tick completes
-// before teardown proceeds) and every replica worker. Queries issued
-// after Close panic. Close is idempotent and waits for in-flight
-// sub-batches — abandoned stragglers included — to finish; the workers
-// are the engine's only goroutines besides the watchdog. It must not
-// race Replicate/Drop (both mutate the replica sets); engines are closed
-// after their traffic stops.
+// before teardown proceeds) and every replica worker. BatchInto, and so
+// every query method, panics after Close, whichever route the run would
+// have taken. Close is idempotent and waits for in-flight sub-batches —
+// abandoned stragglers included — to finish; the workers are the
+// engine's only goroutines besides the watchdog. It must not race
+// Replicate/Drop (both mutate the replica sets); engines are closed after
+// their traffic stops.
 func (e *Engine) Close() {
+	e.closed.Store(true)
 	e.closeOnce.Do(func() {
 		if e.wd != nil {
 			close(e.wd.stop)

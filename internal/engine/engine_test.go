@@ -244,16 +244,32 @@ func TestDegenerateShapes(t *testing.T) {
 	}
 }
 
+// TestCloseIsIdempotentAndFinal: Close twice is fine, and afterwards
+// every route into BatchInto — a multi-shard run (worker route), a
+// one-shard run (answered inline on the caller) and a planned k-NN query
+// (also inline) — panics with the one documented message instead of
+// answering or dying on a closed channel.
 func TestCloseIsIdempotentAndFinal(t *testing.T) {
-	e := NewPlanar([]geom.Point2{{X: 0.1, Y: 0.1}}, Options{Shards: 2})
-	e.Close()
-	e.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("query after Close must panic")
-		}
-	}()
-	e.Halfplane(0, 1)
+	pts := []geom.Point2{{X: 0.1, Y: 0.1}, {X: 0.9, Y: 0.9}}
+	for name, tc := range map[string]struct {
+		e     *Engine
+		query func(e *Engine)
+	}{
+		"multi-shard": {NewPlanar(pts, Options{Shards: 2}), func(e *Engine) { e.Halfplane(0, 1) }},
+		"one-shard":   {NewPlanar(pts, Options{Shards: 1}), func(e *Engine) { e.Halfplane(0, 1) }},
+		"knn":         {NewKNN(pts, Options{Shards: 2, Partitioner: partition.NewKDCut()}), func(e *Engine) { e.KNN(1, pts[0]) }},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tc.e.Close()
+			tc.e.Close()
+			defer func() {
+				if got := recover(); got != "engine: BatchInto after Close" {
+					t.Fatalf("query after Close: recovered %v, want the BatchInto-after-Close panic", got)
+				}
+			}()
+			tc.query(tc.e)
+		})
+	}
 }
 
 func equalInts(a, b []int) bool {

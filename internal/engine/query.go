@@ -214,8 +214,9 @@ type batchArena struct {
 
 // sdone states: the per-shard winner race of a run. sdIdle, the zero
 // value, is a shard this arena has never dispatched. Only shards the run
-// dispatched are ever read, and dispatch stores sdPending first, so the
-// cells carry over between runs unreset.
+// gave work are ever read, and dispatch stores sdPending (or, on the
+// inline route, the decided sdPrimary) first, so the cells carry over
+// between runs unreset.
 const (
 	sdIdle int32 = iota
 	sdPending
@@ -398,6 +399,9 @@ func (e *Engine) Batch(qs []Query) []Result {
 // the same storage — copy out anything that must outlive it. See
 // DESIGN.md §7.
 func (e *Engine) BatchInto(qs []Query, results []Result) []Result {
+	if e.closed.Load() {
+		panic("engine: BatchInto after Close")
+	}
 	// Re-expose dormant entries up to capacity before growing: a caller
 	// passing results[:0] gets back the same warmed Result buffers, not
 	// zero values (overwriting them would throw away every reused
@@ -484,8 +488,9 @@ func (e *Engine) snapshotSumsInto(a *batchArena) {
 // runQueries executes one run of query ops through the engine's one
 // pipeline: plan each query (sharing plans across equal operands) and
 // group the (query, shard) work shard-major, dispatch each shard's whole
-// sub-batch to one persistent replica worker, run the incremental k-NN
-// queries on this side of the fence meanwhile, await the last shard's
+// sub-batch to one persistent replica worker (a lone shard's is answered
+// right here instead — see dispatch), run the incremental k-NN queries
+// on this side of the fence meanwhile, await the last shard's
 // finish line (or the deadline), loser-tree-merge the per-shard answers
 // into results, and record the run.
 func (e *Engine) runQueries(a *batchArena, qs []Query, results []Result) {
@@ -586,11 +591,23 @@ func (e *Engine) planRun(a *batchArena) {
 // from (zero otherwise). left is stored before the first send — a worker
 // that finishes before the later shards dispatch must not see the count
 // hit zero early.
+//
+// A run with work for exactly one shard has nothing to overlap, so it
+// skips the hand-off: runInline answers it on this goroutine and no
+// shard is woken (nd = 0, await returns at once). Only an engine that
+// arms no timer takes that route — a hedge or a deadline must be able to
+// walk away from the visit, which takes a worker to leave it with.
 func (e *Engine) dispatch(a *batchArena) (nd int32, tdisp time.Time) {
+	only := -1
 	for si := range a.jobs {
 		if len(a.jobs[si]) > 0 {
 			nd++
+			only = si
 		}
+	}
+	if nd == 1 && !e.hedging && e.deadlineNs == 0 {
+		e.runInline(a, only)
+		return 0, tdisp
 	}
 	a.left.Store(nd)
 	for si := range a.jobs {
@@ -609,6 +626,26 @@ func (e *Engine) dispatch(a *batchArena) (nd int32, tdisp time.Time) {
 		tdisp = time.Now()
 	}
 	return nd, tdisp
+}
+
+// runInline is a replica worker's half of a run done by the caller:
+// pick the copy, answer shard si's whole sub-batch into parts under the
+// Options.Workers cap, and mark the shard decided for the merge. The run
+// holds migMu shared, so the replica set is stable; inflight brackets the
+// visit so concurrent dispatch sees it. No arena reference, no left, no
+// token — there is no second goroutine to hand anything to.
+func (e *Engine) runInline(a *batchArena, si int) {
+	rep, ri := e.pickReplica(si)
+	if a.capture {
+		a.caps[si].replica.Store(int32(ri))
+	}
+	a.prim[si] = int32(ri)
+	rep.inflight.Add(1)
+	e.acquireWorker()
+	e.visit(a, si, rep, a.jobs[si], a.parts)
+	e.releaseWorker()
+	rep.inflight.Add(-1)
+	a.sdone[si].Store(sdPrimary)
 }
 
 // send hands the run's sub-batch for rep's shard to rep's worker, which

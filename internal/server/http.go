@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -17,10 +19,14 @@ import (
 //	              conjunction uses repeated constraint= params)
 //	GET  /healthz liveness
 //
-// Status codes: 200 complete, 206 degraded/partial, 400 unparseable or
-// unsupported op, 429 shed by admission control, 503 shutting down,
-// 500 engine error. The body is always a Response (plus an error
-// string when not 200/206).
+// Status codes: 200 complete, 206 degraded/partial, 400 unparseable,
+// non-finite operand or unsupported op, 413 body over maxBodyBytes, 429
+// shed by admission control, 503 shutting down, 500 engine error. The
+// body is always a Response (plus an error string when not 200/206).
+
+// maxBodyBytes bounds a POST body; the largest legitimate query (a
+// conjunction of a few d-dim constraints) is a few hundred bytes.
+const maxBodyBytes = 1 << 20
 
 // wireQuery is the JSON request schema. Op selects which fields are
 // read, mirroring index.Query; the names match Op.String().
@@ -58,12 +64,31 @@ var opsByName = map[string]index.Op{
 	index.OpDelete.String():      index.OpDelete,
 }
 
+// finite reports whether every x is a finite number.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // toQuery builds the engine query. Operand slices (Coef, Constraints,
 // Rec.PD) are freshly allocated here and never pooled — see request.
+// NaN and ±Inf operands (strconv.ParseFloat accepts their spellings on
+// the GET form) are rejected here, before anything reaches the index.
 func (w *wireQuery) toQuery() (index.Query, string) {
 	op, ok := opsByName[w.Op]
 	if !ok {
 		return index.Query{}, "unknown op " + strconv.Quote(w.Op)
+	}
+	ok = finite(w.A, w.B, w.C, w.X, w.Y) && finite(w.Coef...) && finite(w.Rec2...) && finite(w.RecD...)
+	for _, c := range w.Constraints {
+		ok = ok && finite(c.Coef...)
+	}
+	if !ok {
+		return index.Query{}, "operands must be finite numbers"
 	}
 	q := index.Query{Op: op}
 	switch op {
@@ -190,8 +215,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var wq wireQuery
 	switch r.Method {
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&wq); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&wq); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, "bad JSON: "+err.Error())
 			return
 		}
 	case http.MethodGet:
@@ -208,18 +238,26 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, msg)
 		return
 	}
-	resp := s.getResp()
-	st := s.Do(q, resp)
+	rp := s.getReply()
+	defer s.replyPool.Put(rp)
+	st := s.Do(q, &rp.resp)
+	if rp.resp.Err == "" && st != StatusOK && st != StatusPartial {
+		rp.resp.Err = st.String()
+	}
+	var err error
+	if rp.buf, err = appendResponse(rp.buf[:0], &rp.resp); err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
 	if st == StatusShed {
 		w.Header().Set("Retry-After", "1")
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(rp.buf)))
 	w.WriteHeader(st.HTTPCode())
-	if resp.Err == "" && st != StatusOK && st != StatusPartial {
-		resp.Err = st.String()
-	}
-	json.NewEncoder(w).Encode(resp)
-	s.putResp(resp)
+	// A failed write means the client is gone; net/http tears the
+	// connection down and there is nobody left to tell.
+	_, _ = w.Write(rp.buf)
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
@@ -230,11 +268,16 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	}{msg})
 }
 
-func (s *Server) getResp() *Response {
-	if v := s.respPool.Get(); v != nil {
-		return v.(*Response)
-	}
-	return &Response{}
+// reply is the handler's pooled per-request state: the Response Do
+// fills and the buffer it is encoded into, both reused at capacity.
+type reply struct {
+	resp Response
+	buf  []byte
 }
 
-func (s *Server) putResp(r *Response) { s.respPool.Put(r) }
+func (s *Server) getReply() *reply {
+	if v := s.replyPool.Get(); v != nil {
+		return v.(*reply)
+	}
+	return &reply{}
+}

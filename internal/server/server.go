@@ -8,9 +8,12 @@
 // ring (mpmc.go) drained by one flusher goroutine that collects up to
 // MaxBatch requests and runs them as a single Backend.BatchInto call
 // on stripe-owned, capacity-reusing query/result arenas. A stripe
-// flushes when it holds MaxBatch requests or MaxDelay after its first
-// request was collected, whichever comes first; MaxBatch=1 is exact
-// passthrough. Admission is shed-not-buffer: a push into a full ring
+// flushes when it holds MaxBatch requests or its ring runs dry,
+// whichever comes first — the flusher runs the batch itself, so
+// requests that arrive while the engine is busy pile up in the ring and
+// the next flush takes them all: batches form exactly when the engine
+// is the bottleneck and an idle engine answers at once. MaxBatch=1 is
+// exact passthrough. Admission is shed-not-buffer: a push into a full ring
 // fails and the request is rejected with StatusShed (HTTP 429) and
 // counted, so queued memory is bounded by ops × Stripes × QueueCap
 // requests plus the in-flight batches, no matter the offered load.
@@ -56,14 +59,10 @@ type Backend interface {
 // Config tunes the striped batcher. The zero value serves with the
 // defaults noted on each field.
 type Config struct {
-	// MaxBatch flushes a stripe once it holds this many requests
-	// (default 64). 1 means exact passthrough: every request becomes
-	// its own engine run with no coalescing delay.
+	// MaxBatch caps how many queued requests one flush coalesces into a
+	// single engine run (default 64). 1 means exact passthrough: every
+	// request becomes its own engine run.
 	MaxBatch int
-	// MaxDelay flushes a non-empty stripe this long after its first
-	// request was collected (default 1ms), bounding the latency cost
-	// of waiting for a batch to fill.
-	MaxDelay time.Duration
 	// QueueCap is each stripe's admission-ring capacity (default 256,
 	// rounded up to a power of two). A push into a full ring sheds the
 	// request instead of buffering it.
@@ -121,7 +120,7 @@ type Server struct {
 	admitting atomic.Int64 // producers between the closed check and their push
 	wg        sync.WaitGroup
 	reqPool   sync.Pool
-	respPool  sync.Pool // *Response buffers for the HTTP handler
+	replyPool sync.Pool // *reply, the HTTP handler's per-request state
 }
 
 // New starts a server over be: cfg.Stripes flusher goroutines per op
@@ -129,9 +128,6 @@ type Server struct {
 func New(be Backend, cfg Config) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = time.Millisecond
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 256
@@ -228,87 +224,51 @@ func (s *Server) submit(r *request) Status {
 	return r.status
 }
 
-// flusher drains one stripe until stop: park empty, collect up to
-// MaxBatch, flush on size or on MaxDelay after the first collect.
+// flusher drains one stripe until stop: gather what the ring holds (up
+// to MaxBatch) and flush it at once, park only on an empty ring. It
+// never waits on a clock — whatever arrives during a flush is the next
+// batch. After stop, admission has quiesced (Close waited out
+// admitting), so once gather runs dry the stripe is truly empty and no
+// waiter is stranded.
 func (s *Server) flusher(st *stripe) {
 	defer s.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	stopDrain(timer)
-	var deadline time.Time
 	for {
-	gather:
-		for len(st.batch) < s.cfg.MaxBatch {
-			if r, ok := st.ring.tryPop(); ok {
-				r.tDeq = time.Now()
-				if s.met != nil {
-					s.met.queueDepth.Add(-1)
-				}
-				if len(st.batch) == 0 {
-					deadline = r.tDeq.Add(s.cfg.MaxDelay)
-				}
-				st.batch = append(st.batch, r)
-				continue
-			}
-			if len(st.batch) == 0 {
-				select {
-				case <-st.notify:
-					continue
-				case <-st.stop:
-					s.drain(st)
-					return
-				}
-			}
-			rem := time.Until(deadline)
-			if rem <= 0 {
-				break
-			}
-			timer.Reset(rem)
-			select {
-			case <-st.notify:
-				stopDrain(timer)
-			case <-timer.C:
-				break gather
-			case <-st.stop:
-				stopDrain(timer)
-				s.flush(st)
-				s.drain(st)
-				return
-			}
+		if s.gather(st) {
+			s.flush(st)
+			continue
 		}
-		s.flush(st)
+		select {
+		case <-st.notify:
+		case <-st.stop:
+			for s.gather(st) {
+				s.flush(st)
+			}
+			return
+		}
 	}
 }
 
-// drain answers everything left in the ring after stop: admission has
-// quiesced by then (Close waited out admitting), so once tryPop runs
-// dry the stripe is truly empty and no waiter is stranded.
-func (s *Server) drain(st *stripe) {
-	for {
-		for len(st.batch) < s.cfg.MaxBatch {
-			r, ok := st.ring.tryPop()
-			if !ok {
-				break
-			}
-			r.tDeq = time.Now()
-			if s.met != nil {
-				s.met.queueDepth.Add(-1)
-			}
-			st.batch = append(st.batch, r)
+// gather pops up to MaxBatch requests off the ring into st.batch and
+// reports whether it collected any.
+func (s *Server) gather(st *stripe) bool {
+	for len(st.batch) < s.cfg.MaxBatch {
+		r, ok := st.ring.tryPop()
+		if !ok {
+			break
 		}
-		if len(st.batch) == 0 {
-			return
+		r.tDeq = time.Now()
+		if s.met != nil {
+			s.met.queueDepth.Add(-1)
 		}
-		s.flush(st)
+		st.batch = append(st.batch, r)
 	}
+	return len(st.batch) > 0
 }
 
 // flush runs the collected batch as one BatchInto and demultiplexes:
 // deep-copy each result into its request's caller-owned Response,
 // classify, attribute latency, signal done.
 func (s *Server) flush(st *stripe) {
-	if len(st.batch) == 0 {
-		return
-	}
 	m := s.met
 	tFlush := time.Now()
 	st.qs = st.qs[:0]
@@ -397,15 +357,4 @@ func (s *Server) putReq(r *request) {
 	r.q = index.Query{}
 	r.out = nil
 	s.reqPool.Put(r)
-}
-
-// stopDrain stops a timer and clears a token it may already have
-// fired, so the next Reset starts from a clean channel.
-func stopDrain(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
 }

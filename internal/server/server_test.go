@@ -5,15 +5,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"linconstraint/internal/chan3d"
 	"linconstraint/internal/engine"
 	"linconstraint/internal/geom"
 	"linconstraint/internal/index"
@@ -83,7 +87,7 @@ func TestHTTPEquivalenceStatic(t *testing.T) {
 		want[i] = append(want[i], res.IDs...)
 	}
 
-	srv := New(eng, Config{MaxBatch: 16, MaxDelay: 2 * time.Millisecond, QueueCap: 128, Stripes: 2})
+	srv := New(eng, Config{MaxBatch: 16, QueueCap: 128, Stripes: 2})
 	defer srv.Close()
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
@@ -146,7 +150,7 @@ func TestHTTPEquivalenceMutable(t *testing.T) {
 
 	eng := engine.NewDynamicPartition(engine.Options{Shards: 3, BlockSize: 32, Seed: 3})
 	defer eng.Close()
-	srv := New(eng, Config{MaxBatch: 8, MaxDelay: time.Millisecond, QueueCap: 64, Stripes: 2})
+	srv := New(eng, Config{MaxBatch: 8, QueueCap: 64, Stripes: 2})
 	defer srv.Close()
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
@@ -257,7 +261,7 @@ func TestSheddingBoundedAndCloseReleases(t *testing.T) {
 	be := &gatedBackend{release: make(chan struct{})}
 	reg := metrics.NewRegistry()
 	srv := New(be, Config{
-		MaxBatch: maxBatch, MaxDelay: time.Millisecond,
+		MaxBatch: maxBatch,
 		QueueCap: queueCap, Stripes: 1, Metrics: reg,
 	})
 
@@ -345,6 +349,164 @@ func TestSheddingBoundedAndCloseReleases(t *testing.T) {
 	}
 }
 
+// stepBackend announces every BatchInto's size on entered and then holds
+// it until the test sends a release token, so the test decides exactly
+// when the "engine" is busy.
+type stepBackend struct {
+	entered chan int
+	release chan struct{}
+}
+
+func (b *stepBackend) BatchInto(qs []index.Query, res []engine.Result) []engine.Result {
+	b.entered <- len(qs)
+	<-b.release
+	res = res[:0]
+	for range qs {
+		res = append(res, engine.Result{})
+	}
+	return res
+}
+
+// TestFlushWhenIdleBatchWhenBusy is the batching rule of DESIGN.md §13
+// in both directions. Idle: a lone request reaches the backend as a batch
+// of one as soon as the flusher sees it — its gather time is nowhere near
+// the millisecond a delay timer would cost. Busy: requests admitted while
+// the backend is held pile up in the ring, and the very next BatchInto
+// carries all of them.
+func TestFlushWhenIdleBatchWhenBusy(t *testing.T) {
+	const k = 7
+	be := &stepBackend{entered: make(chan int), release: make(chan struct{})}
+	srv := New(be, Config{MaxBatch: 16, QueueCap: 16, Stripes: 1, Metrics: metrics.NewRegistry()})
+	defer srv.Close()
+	q := index.Query{Op: index.OpHalfplane, A: 1}
+	resps := make(chan Response, k)
+	do := func() {
+		var resp Response
+		if st := srv.Do(q, &resp); st != StatusOK {
+			t.Errorf("Do: %v, want StatusOK", st)
+		}
+		resps <- resp
+	}
+
+	gather := int64(time.Hour)
+	for i := 0; i < 5; i++ {
+		go do()
+		if n := <-be.entered; n != 1 {
+			t.Fatalf("lone request %d reached the backend in a batch of %d", i, n)
+		}
+		be.release <- struct{}{}
+		gather = min(gather, (<-resps).Lat.BatchNs)
+	}
+	if limit := int64(500 * time.Microsecond); gather >= limit {
+		t.Errorf("fastest lone request spent %dns between pop and flush, want < %dns: the flusher waited on something", gather, limit)
+	}
+
+	// Hold one request inside the backend and admit k more behind it.
+	go do()
+	if n := <-be.entered; n != 1 {
+		t.Fatalf("holding request reached the backend in a batch of %d", n)
+	}
+	for i := 0; i < k; i++ {
+		go do()
+	}
+	for deadline := time.Now().Add(10 * time.Second); srv.met.queueDepth.Load() != k; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests admitted behind a busy backend", srv.met.queueDepth.Load(), k)
+		}
+	}
+	be.release <- struct{}{}
+	if n := <-be.entered; n != k {
+		t.Fatalf("after the backend freed up the next batch carried %d requests, want all %d that piled up", n, k)
+	}
+	be.release <- struct{}{}
+	inBatch := map[int]int{}
+	for i := 0; i < k+1; i++ {
+		inBatch[(<-resps).Batch]++
+	}
+	if inBatch[1] != 1 || inBatch[k] != k {
+		t.Errorf("responses by reported batch size: %v, want 1 in a batch of 1 and %d in a batch of %d", inBatch, k, k)
+	}
+}
+
+// countingBackend counts the queries that reach it.
+type countingBackend struct{ n atomic.Int64 }
+
+func (b *countingBackend) BatchInto(qs []index.Query, res []engine.Result) []engine.Result {
+	b.n.Add(int64(len(qs)))
+	res = res[:0]
+	for range qs {
+		res = append(res, engine.Result{})
+	}
+	return res
+}
+
+// TestFrontDoorRejectsHostileInput: NaN and ±Inf operands in any float
+// field (strconv.ParseFloat accepts their spellings on the GET form; a
+// JSON number that overflows decodes to a range error) and bodies over
+// maxBodyBytes get a 4xx and never reach the backend.
+func TestFrontDoorRejectsHostileInput(t *testing.T) {
+	be := &countingBackend{}
+	srv := New(be, Config{MaxBatch: 1})
+	defer srv.Close()
+	huge := `{"op":"halfspaceD","coef":[` + strings.Repeat("1,", maxBodyBytes) + `1]}`
+	for _, tc := range []struct {
+		name, method, target, body string
+		want                       int
+	}{
+		{"NaN a", "GET", "/query?op=halfplane&a=NaN&b=0", "", 400},
+		{"Inf b", "GET", "/query?op=halfplane&a=0&b=Inf", "", 400},
+		{"-inf c", "GET", "/query?op=halfspace3&a=0&b=0&c=-inf", "", 400},
+		{"NaN unused field", "GET", "/query?op=halfplane&a=0&b=0&x=nan", "", 400},
+		{"NaN coef", "GET", "/query?op=halfspaceD&coef=1,NaN", "", 400},
+		{"Inf constraint coef", "GET", "/query?op=conjunction&constraint=below:1,+Inf", "", 400},
+		{"NaN knn point", "GET", "/query?op=knn&k=1&x=NaN&y=0", "", 400},
+		{"Inf rec2", "GET", "/query?op=insert&rec2=0,Infinity", "", 400},
+		{"NaN recd", "GET", "/query?op=delete&recd=0,1,NaN", "", 400},
+		{"overflowing JSON number", "POST", "/query", `{"op":"halfplane","a":1e999,"b":0}`, 400},
+		{"2 MiB body", "POST", "/query", huge, 413},
+		{"finite GET", "GET", "/query?op=halfplane&a=1e308&b=-1e-308", "", 200},
+		{"finite POST", "POST", "/query", `{"op":"halfplane","a":0.5,"b":0}`, 200},
+	} {
+		before := be.n.Load()
+		rr := httptest.NewRecorder()
+		srv.ServeHTTP(rr, httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body)))
+		if rr.Code != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, rr.Code, tc.want, rr.Body)
+		}
+		if reached := be.n.Load() - before; (reached == 1) != (tc.want == 200) {
+			t.Errorf("%s: %d queries reached the backend", tc.name, reached)
+		}
+	}
+}
+
+// overflowBackend answers every query with one neighbour at distance²
+// +Inf — what a k-NN query far enough out (x = 1e200) computes from
+// finite operands and finite points.
+type overflowBackend struct{}
+
+func (overflowBackend) BatchInto(qs []index.Query, res []engine.Result) []engine.Result {
+	res = res[:0]
+	for range qs {
+		res = append(res, engine.Result{Neighbors: []chan3d.Neighbor{{ID: 1, Dist2: math.Inf(1)}}})
+	}
+	return res
+}
+
+// TestUnencodableAnswerIs500: JSON cannot spell ±Inf, so such an answer
+// is an explicit 500 with an error body, never a 200 with a cut-off one.
+func TestUnencodableAnswerIs500(t *testing.T) {
+	srv := New(overflowBackend{}, Config{MaxBatch: 1})
+	defer srv.Close()
+	rr := httptest.NewRecorder()
+	srv.ServeHTTP(rr, httptest.NewRequest("GET", "/query?op=knn&k=1&x=1e200&y=0", nil))
+	var body struct {
+		Err string `json:"error"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &body); rr.Code != http.StatusInternalServerError || err != nil || body.Err == "" {
+		t.Fatalf("status %d, body %q (decode error %v): want 500 with an error string", rr.Code, rr.Body, err)
+	}
+}
+
 // TestCoalescingBeatsPassthrough is the throughput half of the stripe
 // batcher's claim (DESIGN.md §13): at equal client concurrency over
 // real HTTP, MaxBatch 16 must serve at least 2x the qps of MaxBatch 1
@@ -358,7 +520,7 @@ func TestSheddingBoundedAndCloseReleases(t *testing.T) {
 // The cache is tiny so random points keep missing; workers match the
 // shard count so every shard of a batch can wait concurrently; MaxBatch
 // stays below the closed-loop client count so batches fill from the
-// queue instead of waiting out MaxDelay.
+// queue.
 func TestCoalescingBeatsPassthrough(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -379,7 +541,7 @@ func TestCoalescingBeatsPassthrough(t *testing.T) {
 	// leg serves one 500ms window of closed-loop keep-alive GETs from a
 	// fresh server over eng and returns its qps and mean batch size.
 	leg := func(batch int) (qps, meanBatch float64) {
-		srv := New(eng, Config{MaxBatch: batch, MaxDelay: time.Millisecond, Metrics: metrics.NewRegistry()})
+		srv := New(eng, Config{MaxBatch: batch, Metrics: metrics.NewRegistry()})
 		defer srv.Close()
 		hs := httptest.NewServer(srv)
 		defer hs.Close()

@@ -956,8 +956,9 @@ func (e *Engine) Close() { e.eng.Close() }
 
 // --- Serving front-end (DESIGN.md §13) -------------------------------
 
-// ServerConfig tunes the serving front-end's striped batcher: flush
-// thresholds (MaxBatch/MaxDelay), per-stripe admission-ring capacity
+// ServerConfig tunes the serving front-end's striped batcher: the
+// coalescing cap (MaxBatch — a stripe flushes what its ring holds the
+// moment it runs dry, never on a timer), per-stripe admission-ring capacity
 // (QueueCap, full rings shed with HTTP 429), stripes per op family,
 // and an optional metrics registry for the server_* series (share the
 // engine's registry — the name sets are disjoint).

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"linconstraint"
 	"linconstraint/internal/metrics"
@@ -25,7 +24,7 @@ func TestServeFacade(t *testing.T) {
 	})
 
 	srv := linconstraint.Serve(eng, linconstraint.ServerConfig{
-		MaxBatch: 4, MaxDelay: time.Millisecond, Metrics: reg,
+		MaxBatch: 4, Metrics: reg,
 	})
 	hs := httptest.NewServer(srv)
 
