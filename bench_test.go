@@ -229,7 +229,7 @@ func BenchmarkEnginePruning(b *testing.B) {
 		queries[i] = workload.HalfplaneWithSelectivity(rng, pts, sel)
 	}
 	baseline := NewPlanarEngine(pts, EngineConfig{
-		Shards: shards, Workers: shards, BlockSize: 128, Seed: 1, DisablePlanner: true,
+		Shards: shards, Workers: shards, BlockSize: 128, Seed: 1, NoPlanner: true,
 	})
 	defer baseline.Close()
 

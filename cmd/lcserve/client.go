@@ -6,7 +6,7 @@ package main
 // server's flags yields queries with the server's selectivity against
 // the server's dataset. Requests ride keep-alive connections from a
 // prebuilt URL pool; per-request cost is the GET itself, which is the
-// point — this is the load half of the servebench story.
+// point — the client measures the server, not its own request building.
 
 import (
 	"context"
@@ -18,13 +18,13 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"linconstraint/internal/workload"
-
 	"linconstraint/internal/geom"
+	"linconstraint/internal/workload"
 )
 
 const clientPoolSize = 256 // distinct query URLs cycled by the workers
@@ -33,7 +33,7 @@ const clientPoolSize = 256 // distinct query URLs cycled by the workers
 // generator call order as main's build switch) and derives query URLs
 // at the requested selectivity. The dynamic kinds query the same shape
 // as their static base, so they map onto it.
-func buildURLPool(base, kind string, n, queries, k, dim int, sel float64, seed int64) ([]string, error) {
+func buildURLPool(base, kind string, n, k, dim int, sel float64, seed int64) ([]string, error) {
 	rng := rand.New(rand.NewSource(seed))
 	fl := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 	urls := make([]string, 0, clientPoolSize)
@@ -65,9 +65,7 @@ func buildURLPool(base, kind string, n, queries, k, dim int, sel float64, seed i
 			for i, c := range h.H.Coef {
 				coef[i] = fl(c)
 			}
-			v := url.Values{"op": {"halfspaceD"}}
-			v.Set("coef", joinCSV(coef))
-			add(v)
+			add(url.Values{"op": {"halfspaceD"}, "coef": {strings.Join(coef, ",")}})
 		}
 	default:
 		return nil, fmt.Errorf("client mode does not support -kind %q", kind)
@@ -75,29 +73,16 @@ func buildURLPool(base, kind string, n, queries, k, dim int, sel float64, seed i
 	return urls, nil
 }
 
-func joinCSV(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ","
-		}
-		out += p
-	}
-	return out
-}
-
 // runClient fires `queries` GETs at target from `clients` workers and
 // reports qps, latency percentiles and the status-code histogram.
 // Non-zero on transport errors or if nothing succeeded.
-func runClient(ctx context.Context, target, kind string, n, clients, queries, k, dim int, sel float64, seed int64) int {
-	urls, err := buildURLPool(target, kind, n, queries, k, dim, sel, seed)
+func runClient(ctx context.Context, stdout io.Writer, target, kind string, n, clients, queries, k, dim int, sel float64, seed int64) int {
+	urls, err := buildURLPool(target, kind, n, k, dim, sel, seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	if clients < 1 {
-		clients = 1
-	}
+	clients = max(1, clients)
 	tr := &http.Transport{
 		MaxIdleConns:        clients,
 		MaxIdleConnsPerHost: clients,
@@ -112,7 +97,7 @@ func runClient(ctx context.Context, target, kind string, n, clients, queries, k,
 		statuses = map[int]int{}
 		lats     []time.Duration
 	)
-	fmt.Printf("client: %d requests to %s (%d workers, kind=%s)\n", queries, target, clients, kind)
+	fmt.Fprintf(stdout, "client: %d requests to %s (%d workers, kind=%s)\n", queries, target, clients, kind)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -153,7 +138,7 @@ func runClient(ctx context.Context, target, kind string, n, clients, queries, k,
 
 	done := len(lats)
 	if ctx.Err() != nil {
-		fmt.Printf("signal: client stopped after %d of %d requests\n", done, queries)
+		fmt.Fprintf(stdout, "signal: client stopped after %d of %d requests\n", done, queries)
 	}
 	if done == 0 {
 		fmt.Fprintf(os.Stderr, "no requests completed (%d transport errors)\n", netErrs.Load())
@@ -161,7 +146,7 @@ func runClient(ctx context.Context, target, kind string, n, clients, queries, k,
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	pct := func(p float64) time.Duration { return lats[min(int(p*float64(done)), done-1)] }
-	fmt.Printf("client: %d requests in %v (%.0f req/sec); latency p50 %v p90 %v p99 %v\n",
+	fmt.Fprintf(stdout, "client: %d requests in %v (%.0f req/sec); latency p50 %v p90 %v p99 %v\n",
 		done, elapsed.Round(time.Millisecond), float64(done)/elapsed.Seconds(),
 		pct(0.50).Round(time.Microsecond), pct(0.90).Round(time.Microsecond), pct(0.99).Round(time.Microsecond))
 	codes := make([]int, 0, len(statuses))
@@ -170,7 +155,7 @@ func runClient(ctx context.Context, target, kind string, n, clients, queries, k,
 	}
 	sort.Ints(codes)
 	for _, code := range codes {
-		fmt.Printf("  HTTP %d: %d\n", code, statuses[code])
+		fmt.Fprintf(stdout, "  HTTP %d: %d\n", code, statuses[code])
 	}
 	if nerr := netErrs.Load(); nerr > 0 {
 		fmt.Fprintf(os.Stderr, "%d transport errors\n", nerr)

@@ -10,6 +10,7 @@ package linconstraint
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -29,7 +30,7 @@ import (
 // halfspaceD|knn plus the op's parameters — a, b, c for the halfplane
 // and halfspace families, coef=v1,v2,... for the d-dimensional one,
 // k, x, y for k-NN — and reports the planner's verdict for every
-// shard. lcserve -metrics-addr mounts this handler.
+// shard. lcserve -listen mounts this handler beside /query.
 func DebugHandler(reg *Metrics, eng *Engine) http.Handler {
 	mux := metrics.Mux(reg)
 	mux.HandleFunc("/debug/slow", func(w http.ResponseWriter, r *http.Request) {
@@ -94,17 +95,24 @@ func DebugHandler(reg *Metrics, eng *Engine) http.Handler {
 }
 
 // explainQuery builds the Query a /debug/explain request describes.
+// NaN and ±Inf operands are rejected, as /query rejects them.
 func explainQuery(v url.Values) (Query, error) {
+	num := func(name, s string) (float64, error) {
+		x, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return 0, fmt.Errorf("parameter %q: %v", name, err)
+		}
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return 0, fmt.Errorf("parameter %q: operands must be finite numbers", name)
+		}
+		return x, nil
+	}
 	f := func(name string) (float64, error) {
 		s := v.Get(name)
 		if s == "" {
 			return 0, fmt.Errorf("missing parameter %q", name)
 		}
-		x, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return 0, fmt.Errorf("parameter %q: %v", name, err)
-		}
-		return x, nil
+		return num(name, s)
 	}
 	var q Query
 	var err error
@@ -124,9 +132,9 @@ func explainQuery(v url.Values) (Query, error) {
 	case "halfspaceD":
 		q.Op = OpHalfspaceD
 		for _, s := range strings.Split(v.Get("coef"), ",") {
-			x, perr := strconv.ParseFloat(strings.TrimSpace(s), 64)
+			x, perr := num("coef", strings.TrimSpace(s))
 			if perr != nil {
-				return q, fmt.Errorf("parameter \"coef\": %v", perr)
+				return q, perr
 			}
 			q.Coef = append(q.Coef, x)
 		}

@@ -101,13 +101,13 @@ func main() {
 			book = book[:len(book)-1]
 			cancels++
 		default:
-			got := eng.LiveHalfplane(-0.05, 98)
+			got := eng.HalfplaneRecs(-0.05, 98)
 			want := ref.Halfplane(-0.05, 98)
 			if len(got) != len(want) {
 				panic(fmt.Sprintf("tick %d: engine %d vs unsharded %d", tick, len(got), len(want)))
 			}
 			for i := range got {
-				if got[i] != want[i] {
+				if got[i].P2 != want[i] {
 					panic(fmt.Sprintf("tick %d: answers diverge at %d", tick, i))
 				}
 			}

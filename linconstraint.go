@@ -41,7 +41,6 @@ package linconstraint
 
 import (
 	"net/http"
-	"time"
 
 	"linconstraint/internal/chan3d"
 	"linconstraint/internal/eio"
@@ -136,13 +135,7 @@ func (p *PlanarIndex) Len() int { return p.idx.Len() }
 
 // Window bounds the (x, y) range of 3D and k-NN queries; indexes
 // materialize sample envelopes over it.
-type Window struct {
-	XMin, XMax, YMin, YMax float64
-}
-
-func (w Window) toHull() hull3d.Window {
-	return hull3d.Window{XMin: w.XMin, XMax: w.XMax, YMin: w.YMin, YMax: w.YMax}
-}
+type Window = hull3d.Window
 
 // Index3D answers 3D halfspace reporting queries over points with
 // O(log_B n + t) expected I/Os (Theorem 4.4).
@@ -154,7 +147,7 @@ type Index3D struct {
 // the (a, b) coefficient range of future queries; a zero Window selects
 // [-16, 16]².
 func NewIndex3D(points []Point3, win Window, cfg Config) *Index3D {
-	return &Index3D{idx: index.NewSpatial3(cfg.device(), points, win.toHull(), cfg.Seed)}
+	return &Index3D{idx: index.NewSpatial3(cfg.device(), points, win, cfg.Seed)}
 }
 
 // Halfspace reports the indices of all points with z <= a·x + b·y + c.
@@ -364,111 +357,15 @@ func SFCLayout() Partitioner { return partition.NewSFC() }
 // of the built-in layouts, at near-exact balance.
 func KDCutLayout() Partitioner { return partition.NewKDCut() }
 
-// EngineConfig tunes a sharded engine. The zero value means one shard,
-// one worker, the default block size, no cache, no simulated disk
-// latency, and round-robin sharding.
-type EngineConfig struct {
-	// Shards is the number of independent shards, each with its own
-	// simulated device, index and persistent worker goroutine (default 1).
-	Shards int
-	// Workers caps how many shard workers may execute simultaneously
-	// (default Shards — no cap).
-	Workers int
-	// BlockSize and CacheBlocks configure every shard's device, as in
-	// Config.
-	BlockSize   int
-	CacheBlocks int
-	// Seed drives per-shard randomization (shard s uses Seed+s).
-	Seed int64
-	// IOLatency, when positive, is slept by a shard's device on every
-	// cache miss, modeling disk access time; the worker pool then
-	// overlaps misses across shards (latency hiding).
-	IOLatency time.Duration
-	// Partitioner is the record-to-shard layout (default round-robin).
-	// With a locality-aware layout (SFCLayout, KDCutLayout) the engine
-	// plans every query against per-shard bounding regions and skips
-	// shards that cannot contribute; answers are byte-identical under
-	// every layout.
-	Partitioner Partitioner
-	// DisablePlanner forces full fan-out (every query visits every
-	// shard), the pre-planner behavior; useful as a pruning baseline.
-	DisablePlanner bool
-	// PretrainSample, when non-empty, trains the Partitioner on the
-	// sample before the engine is built, so an engine that builds
-	// empty (the dynamic constructors) routes its very first inserts
-	// spatially and gets planner pruning from the start. Static
-	// engines ignore it — their build set trains the layout anyway.
-	PretrainSample []PointD
-	// Metrics, when non-nil, receives the engine's instruments: run
-	// latency histograms, op/plan-verdict/per-shard counters, rebalance
-	// phase events, and a scrape-time collector exporting every shard's
-	// device rollups. Instruments are pre-registered and observed with
-	// single atomic operations, so enabling metrics keeps the
-	// steady-state query path allocation-free. Build one with
-	// NewMetrics; serve it with MetricsHandler. Give each engine its
-	// own registry (the per-shard series are sized to the shard count).
-	Metrics *Metrics
-	// TraceEvery, when positive, samples one query run in every
-	// TraceEvery into a fixed ring of Trace records, read with
-	// Engine.Traces. Zero disables tracing.
-	TraceEvery int
-	// TraceBuf is the trace ring capacity (default 256).
-	TraceBuf int
-	// FlightRecorder enables threshold-triggered capture of anomalous
-	// runs: any run whose end-to-end latency, worst single-shard I/O,
-	// or total shard visits exceeds a configured bound is recorded —
-	// with per-shard plan verdicts, replica routing and I/O deltas —
-	// into a dedicated ring read with Engine.SlowQueries, independent
-	// of the TraceEvery sampler. The zero value disables it; enabling
-	// it keeps the steady-state query path allocation-free.
-	FlightRecorder FlightRecorderConfig
-	// Watchdog, when non-nil, runs a background health sampler that
-	// watches runtime pressure (GC pause, heap, goroutines), layout
-	// skew, traffic concentration, replica balance and the SLO burn
-	// rates, emitting typed events read with Engine.Health. Stopped by
-	// Engine.Close.
-	Watchdog *WatchdogConfig
-	// WindowSlots and WindowInterval shape the instrumented engine's
-	// rotating histogram windows — the time-resolved latency/fan-out
-	// views behind the *_win series and the watchdog's SLO checks
-	// (defaults 6 slots of 10s).
-	WindowSlots    int
-	WindowInterval time.Duration
-	// Deadline, when positive, bounds every query run end to end. A
-	// strict engine (Strict=true) lets a late run finish anyway and
-	// just counts the miss; a lenient one returns what the shards that
-	// beat the deadline answered, marks each QueryResult Degraded and
-	// lists the abandoned shards in Missing (DESIGN.md §12).
-	Deadline time.Duration
-	// Strict makes a past-deadline run complete instead of degrade.
-	Strict bool
-	// HedgeAfter arms hedged reads on replicated shards: a shard
-	// dispatch unanswered past the delay is re-issued to another
-	// replica and the first answer wins (answers stay byte-identical).
-	// Pass HedgeAuto to track the engine's windowed p99 latency, a
-	// fixed positive duration to pin the delay, zero to disable.
-	HedgeAfter time.Duration
-	// Breaker, when non-nil, arms a per-replica circuit breaker:
-	// replicas whose device keeps faulting trip open, the read path
-	// routes around them, and after Cooldown a half-open probe decides
-	// whether they re-close. Repair rebuilds a sick replica on demand.
-	Breaker *BreakerConfig
-}
-
-func (c EngineConfig) options() engine.Options {
-	return engine.Options{
-		Shards: c.Shards, Workers: c.Workers,
-		BlockSize: c.BlockSize, CacheBlocks: c.CacheBlocks,
-		Seed: c.Seed, IOLatency: c.IOLatency,
-		Partitioner: c.Partitioner, NoPlanner: c.DisablePlanner,
-		PretrainSample: c.PretrainSample,
-		Metrics:        c.Metrics, TraceEvery: c.TraceEvery, TraceBuf: c.TraceBuf,
-		FlightRecorder: c.FlightRecorder, Watchdog: c.Watchdog,
-		WindowSlots: c.WindowSlots, WindowInterval: c.WindowInterval,
-		Deadline: c.Deadline, Strict: c.Strict,
-		HedgeAfter: c.HedgeAfter, Breaker: c.Breaker,
-	}
-}
+// EngineConfig tunes a sharded engine: shard and worker counts, every
+// shard's device (BlockSize, CacheBlocks, IOLatency), the layout
+// (Partitioner, NoPlanner, PretrainSample), telemetry (Metrics,
+// TraceEvery, FlightRecorder, Watchdog, WindowSlots/WindowInterval) and
+// robustness (Deadline, Strict, HedgeAfter, Breaker); Window bounds
+// NewEngine3D's queries. The zero value means one shard, one worker,
+// the default block size, no cache, no simulated disk latency, and
+// round-robin sharding.
+type EngineConfig = engine.Options
 
 // Query is one element of an Engine batch; see the Op* constants.
 type Query = engine.Query
@@ -544,8 +441,8 @@ type MetricsSnapshot = metrics.Snapshot
 //	/metrics.json   JSON snapshot
 //	/debug/pprof/   net/http/pprof profiles
 //
-// Mount it on a side port (lcserve -metrics-addr does) so telemetry
-// never contends with serving.
+// DebugHandler extends it with the engine's introspection endpoints;
+// lcserve -listen serves both next to /query on one port.
 func MetricsHandler(reg *Metrics) http.Handler { return metrics.Mux(reg) }
 
 // Trace is one sampled query-run record (EngineConfig.TraceEvery):
@@ -665,9 +562,10 @@ type Explain = engine.Explain
 //
 // Engines over the dynamic families (NewDynamicPlanarEngine,
 // NewDynamicPartitionEngine) also accept live updates: Insert routes
-// the record to the currently-smallest shard, Delete scatter-gathers
-// by value across the shards, and both are also available as OpInsert/
-// OpDelete batch ops. Static engines return ErrImmutable.
+// the record to a shard, Delete scatter-gathers by value across the
+// shards, and both are also available as OpInsert/OpDelete batch ops;
+// HalfplaneRecs, HalfspaceDRecs and ConjunctionRecs report their live
+// records (read .P2 or .PD). Static engines return ErrImmutable.
 //
 // Hot shards can be replicated onto extra private devices (Replicate,
 // Drop, AutoReplicate): reads spread across the copies, updates fan
@@ -675,145 +573,36 @@ type Explain = engine.Explain
 // HotShards) measures which shards deserve the copies — answers are
 // byte-identical under any replica layout.
 //
-// The scalar query methods (Halfplane, Halfspace3, Halfspace,
-// Conjunction, KNN, LiveHalfplane, LiveHalfspace, LiveConjunction)
-// panic when called on an engine built over a family that does not
-// serve them; Batch reports the mismatch as QueryResult.Err instead.
-type Engine struct {
-	eng *engine.Engine
-}
+// The scalar query methods (Halfplane, Halfspace3, HalfspaceD,
+// Conjunction, KNN and the *Recs variants) panic when called on an
+// engine built over a family that does not serve them; Batch reports
+// the mismatch as QueryResult.Err instead.
+type Engine = engine.Engine
 
 // NewPlanarEngine shards the §3 planar structure.
-func NewPlanarEngine(points []Point2, cfg EngineConfig) *Engine {
-	return &Engine{eng: engine.NewPlanar(points, cfg.options())}
-}
+func NewPlanarEngine(points []Point2, cfg EngineConfig) *Engine { return engine.NewPlanar(points, cfg) }
 
-// NewEngine3D shards the §4 3D structure. The window must cover the
+// NewEngine3D shards the §4 3D structure. cfg.Window must cover the
 // (a, b) coefficient range of future queries, as in NewIndex3D.
-func NewEngine3D(points []Point3, win Window, cfg EngineConfig) *Engine {
-	opt := cfg.options()
-	opt.Window = win.toHull()
-	return &Engine{eng: engine.New3D(points, opt)}
-}
+func NewEngine3D(points []Point3, cfg EngineConfig) *Engine { return engine.New3D(points, cfg) }
 
 // NewKNNEngine shards the Theorem 4.3 k-nearest-neighbor structure.
-func NewKNNEngine(points []Point2, cfg EngineConfig) *Engine {
-	return &Engine{eng: engine.NewKNN(points, cfg.options())}
-}
+func NewKNNEngine(points []Point2, cfg EngineConfig) *Engine { return engine.NewKNN(points, cfg) }
 
 // NewPartitionEngine shards the §5 d-dimensional partition tree.
 func NewPartitionEngine(points []PointD, cfg EngineConfig) *Engine {
-	return &Engine{eng: engine.NewPartition(points, cfg.options())}
+	return engine.NewPartition(points, cfg)
 }
 
 // NewDynamicPlanarEngine returns an empty mutable engine over the
 // dynamized §3 planar structure: live inserts and deletes of Point2
 // records alongside halfplane reporting.
-func NewDynamicPlanarEngine(cfg EngineConfig) *Engine {
-	return &Engine{eng: engine.NewDynamicPlanar(cfg.options())}
-}
+func NewDynamicPlanarEngine(cfg EngineConfig) *Engine { return engine.NewDynamicPlanar(cfg) }
 
 // NewDynamicPartitionEngine returns an empty mutable engine over the
 // dynamized §5 partition tree: live inserts and deletes of PointD
 // records alongside halfspace reporting.
-func NewDynamicPartitionEngine(cfg EngineConfig) *Engine {
-	return &Engine{eng: engine.NewDynamicPartition(cfg.options())}
-}
-
-// Mutable reports whether the engine accepts Insert/Delete.
-func (e *Engine) Mutable() bool { return e.eng.Mutable() }
-
-// Insert adds a record to the currently-smallest shard. It returns
-// ErrImmutable on a static engine.
-func (e *Engine) Insert(r Record) error { return e.eng.Insert(r) }
-
-// Delete removes one record equal to r (scatter-gather by value across
-// the shards), reporting whether one was present. It returns
-// ErrImmutable on a static engine.
-func (e *Engine) Delete(r Record) (bool, error) { return e.eng.Delete(r) }
-
-// Halfplane reports the indices of all points with y <= a·x + b, sorted.
-func (e *Engine) Halfplane(a, b float64) []int { return e.eng.Halfplane(a, b) }
-
-// LiveHalfplane reports the live points of a dynamic planar engine
-// with y <= a·x + b, in canonical (X, Y) order.
-func (e *Engine) LiveHalfplane(a, b float64) []Point2 {
-	recs := e.eng.HalfplaneRecs(a, b)
-	out := make([]Point2, len(recs))
-	for i, r := range recs {
-		out[i] = r.P2
-	}
-	return out
-}
-
-// Halfspace3 reports the indices of all points with z <= a·x + b·y + c.
-func (e *Engine) Halfspace3(a, b, c float64) []int { return e.eng.Halfspace3(a, b, c) }
-
-// Halfspace reports the indices of points with x_d <= coef·(x,1), sorted.
-func (e *Engine) Halfspace(coef []float64) []int { return e.eng.HalfspaceD(coef) }
-
-// LiveHalfspace reports the live points of a dynamic partition engine
-// with x_d <= coef·(x,1), in lexicographic order.
-func (e *Engine) LiveHalfspace(coef []float64) []PointD {
-	recs := e.eng.HalfspaceDRecs(coef)
-	out := make([]PointD, len(recs))
-	for i, r := range recs {
-		out[i] = r.PD
-	}
-	return out
-}
-
-// Conjunction reports the points satisfying every constraint.
-func (e *Engine) Conjunction(cs []Constraint) []int { return e.eng.Conjunction(cs) }
-
-// LiveConjunction reports the live points of a dynamic partition
-// engine satisfying every constraint, in lexicographic order.
-func (e *Engine) LiveConjunction(cs []Constraint) []PointD {
-	recs := e.eng.ConjunctionRecs(cs)
-	out := make([]PointD, len(recs))
-	for i, r := range recs {
-		out[i] = r.PD
-	}
-	return out
-}
-
-// KNN returns the k nearest indexed points to q, closest first.
-func (e *Engine) KNN(k int, q Point2) []Neighbor { return e.eng.KNN(k, q) }
-
-// Batch executes a batch of ops: update ops apply at their position in
-// the batch, runs of consecutive queries are answered concurrently
-// (scatter-gather through the persistent shard workers), and the
-// answers return in order, in freshly allocated result slices the
-// caller owns outright.
-func (e *Engine) Batch(qs []Query) []QueryResult { return e.eng.Batch(qs) }
-
-// BatchInto is Batch with caller-owned result storage: results is
-// resized to len(qs), each QueryResult's slices are refilled in place
-// (capacity reused), and the slice is returned. A caller that reuses
-// the same query and result slices across calls runs the engine's
-// allocation-free hot path — on a static engine a steady-state query
-// batch performs zero heap allocations end to end.
-//
-// The refilled slices remain owned by the caller but are overwritten by
-// the caller's next BatchInto with the same storage; copy out anything
-// that must outlive it. See DESIGN.md §7 for the arena ownership rules.
-func (e *Engine) BatchInto(qs []Query, results []QueryResult) []QueryResult {
-	return e.eng.BatchInto(qs, results)
-}
-
-// Rebalance migrates records onto a layout retrained on the live data
-// (DESIGN.md §8). On a dynamic engine it snapshots the live records,
-// retrains the layout, moves at most MaxMoves records between shards
-// in small batches interleaved with serving — answers remain
-// byte-identical to an unsharded index throughout — and shrinks every
-// shard summary to its live set, so regions cleared by deletes prune
-// again. On a static engine it re-splits the build set and rebuilds
-// the shards in parallel (one brief exclusive swap; per-shard I/O
-// counters restart). Concurrent Rebalance calls serialize; queries
-// and updates keep flowing between move batches.
-func (e *Engine) Rebalance(opt RebalanceOptions) (RebalanceStats, error) {
-	return e.eng.Rebalance(opt)
-}
+func NewDynamicPartitionEngine(cfg EngineConfig) *Engine { return engine.NewDynamicPartition(cfg) }
 
 // AutoReplicateOptions tune one Engine.AutoReplicate call: the total
 // physical-copy budget, the per-shard degree cap, and the minimum
@@ -827,132 +616,6 @@ type AutoReplicateStats = engine.AutoReplicateStats
 // HotShard is one heavy-hitter entry of the engine's traffic sketch: a
 // shard id and its approximate (aged) recent visit count.
 type HotShard = engine.HotShard
-
-// Replicate sets shard si's replica degree to n (n >= 1): the shard's
-// index is cloned onto n-1 fresh private devices (or excess copies are
-// dropped), the read path spreads visits across the copies, and every
-// update fans out to all of them — answers are byte-identical
-// throughout (DESIGN.md §10).
-func (e *Engine) Replicate(si, n int) error { return e.eng.Replicate(si, n) }
-
-// Drop demotes shard si back to a single copy.
-func (e *Engine) Drop(si int) error { return e.eng.Drop(si) }
-
-// Replicas returns the per-shard replica degrees (1 = unreplicated).
-func (e *Engine) Replicas() []int { return e.eng.Replicas() }
-
-// ShardTraffic returns the traffic sketch's estimate of shard si's
-// recent planned query visits.
-func (e *Engine) ShardTraffic(si int) uint64 { return e.eng.ShardTraffic(si) }
-
-// HotShards appends the sketch's current heavy-hitter shards to dst,
-// hottest first, and returns it.
-func (e *Engine) HotShards(dst []HotShard) []HotShard { return e.eng.HotShards(dst) }
-
-// AutoReplicate reshapes the replica layout to the measured traffic:
-// hot shards (by the engine's always-on frequency sketch) are promoted
-// within the budget, cold replicated shards demote. Caller-triggered,
-// like Rebalance — run it from a ticker or after a workload shift.
-func (e *Engine) AutoReplicate(opt AutoReplicateOptions) (AutoReplicateStats, error) {
-	return e.eng.AutoReplicate(opt)
-}
-
-// InjectFaults installs a deterministic fault-injection plan on shard
-// si's replica ri device (the zero FaultPlan clears it). Faults charge
-// only cache misses, so a warm replica browns out only when it touches
-// the disk — exactly the failure mode the breaker and hedging exist to
-// absorb.
-func (e *Engine) InjectFaults(si, ri int, plan FaultPlan) error {
-	return e.eng.InjectFaults(si, ri, plan)
-}
-
-// FailReplica hard-fails shard si's replica ri: every device touch
-// faults (charging the plan's FailStall, default 1ms) until HealReplica
-// or Repair. With a breaker armed the replica trips open and the read
-// path routes around it.
-func (e *Engine) FailReplica(si, ri int) error { return e.eng.FailReplica(si, ri) }
-
-// HealReplica clears a hard fail installed by FailReplica. Any
-// injected FaultPlan stays armed; the breaker re-closes on its next
-// successful probe.
-func (e *Engine) HealReplica(si, ri int) error { return e.eng.HealReplica(si, ri) }
-
-// Repair rebuilds shard si's sick replicas — those whose breaker is
-// not closed or whose device is hard-failed. A sick primary is healed
-// in place (fault plan cleared); a sick secondary is rebuilt from the
-// primary onto a fresh device. It returns how many replicas were
-// repaired; answers stay byte-identical throughout.
-func (e *Engine) Repair(si int) (int, error) { return e.eng.Repair(si) }
-
-// BreakerStates returns shard si's per-replica circuit-breaker states
-// (all BreakerClosed on an engine without EngineConfig.Breaker).
-func (e *Engine) BreakerStates(si int) ([]BreakerState, error) {
-	return e.eng.BreakerStates(si)
-}
-
-// Retrain (re)trains a dynamic engine's layout without moving
-// records: on a non-empty sample directly, otherwise on a snapshot of
-// the live records. It steers future insert placement and the target
-// of a later Rebalance. Static engines return an error — their layout
-// state is consumed only by Rebalance, which retrains as part of
-// rebuilding.
-func (e *Engine) Retrain(sample []PointD) error { return e.eng.Retrain(sample) }
-
-// Stats aggregates I/O counters and space across shards, including all
-// construction and rebuild (compaction) work.
-func (e *Engine) Stats() EngineStats { return e.eng.Stats() }
-
-// Metrics returns the registry holding the engine's instruments: the
-// one from EngineConfig.Metrics, or a private registry when only
-// tracing was enabled. Nil for an uninstrumented engine.
-func (e *Engine) Metrics() *Metrics { return e.eng.Metrics() }
-
-// Traces appends the engine's sampled query traces to dst, oldest
-// first, and returns it. Empty unless EngineConfig.TraceEvery was
-// positive. Pass a reused dst[:0] to keep polling allocation-free.
-func (e *Engine) Traces(dst []Trace) []Trace { return e.eng.Traces(dst) }
-
-// RebalanceEvents appends the recorded rebalance phase events to dst,
-// oldest first, and returns it. Empty for an uninstrumented engine.
-func (e *Engine) RebalanceEvents(dst []RebalanceEvent) []RebalanceEvent {
-	return e.eng.RebalanceEvents(dst)
-}
-
-// SlowQueries appends the flight recorder's captured anomalous runs to
-// dst, oldest first, and returns it. Empty unless
-// EngineConfig.FlightRecorder set at least one bound. Pass a reused
-// dst[:0] to poll without allocating (each entry's PerShard capacity
-// is reused too).
-func (e *Engine) SlowQueries(dst []SlowTrace) []SlowTrace { return e.eng.SlowQueries(dst) }
-
-// Health appends the watchdog's recorded health events to dst, oldest
-// first, and returns it. Empty unless EngineConfig.Watchdog was set.
-// Pass a reused dst[:0] to poll without allocating.
-func (e *Engine) Health(dst []HealthEvent) []HealthEvent { return e.eng.Health(dst) }
-
-// ExplainInto plans q against the engine's current shard summaries —
-// without visiting any shard — and fills ex with the planner's
-// per-shard verdicts: which shards the query would visit, and which
-// bound (empty, box, support function, constraint conjunction) prunes
-// each of the rest. On a DisablePlanner engine it still reports what
-// the planner would decide. Reuse ex across calls to keep polling
-// allocation-free.
-func (e *Engine) ExplainInto(q Query, ex *Explain) { e.eng.ExplainInto(q, ex) }
-
-// ResetStats zeroes every shard's counters and drops their caches.
-func (e *Engine) ResetStats() { e.eng.ResetStats() }
-
-// Len returns the total number of live records.
-func (e *Engine) Len() int { return e.eng.Len() }
-
-// NumShards returns the shard count.
-func (e *Engine) NumShards() int { return e.eng.NumShards() }
-
-// NumWorkers returns the worker concurrency cap.
-func (e *Engine) NumWorkers() int { return e.eng.NumWorkers() }
-
-// Close stops the per-shard workers; queries after Close panic.
-func (e *Engine) Close() { e.eng.Close() }
 
 // --- Serving front-end (DESIGN.md §13) -------------------------------
 
@@ -992,6 +655,4 @@ const (
 
 // Serve starts a batching front-end over eng. The server does not own
 // the engine: call Server.Close first, Engine.Close after.
-func Serve(eng *Engine, cfg ServerConfig) *Server {
-	return server.New(eng.eng, cfg)
-}
+func Serve(eng *Engine, cfg ServerConfig) *Server { return server.New(eng, cfg) }

@@ -265,8 +265,8 @@ func TestEngineFacade(t *testing.T) {
 }
 
 // TestMutableEngineFacade drives the public mutable-engine surface:
-// scalar Insert/Delete, OpInsert/OpDelete batch ops, LiveHalfplane /
-// LiveHalfspace answers byte-identical to an unsharded dynamic index
+// scalar Insert/Delete, OpInsert/OpDelete batch ops, HalfplaneRecs /
+// HalfspaceDRecs answers byte-identical to an unsharded dynamic index
 // fed the same updates, and ErrImmutable on static engines.
 func TestMutableEngineFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -296,12 +296,12 @@ func TestMutableEngineFacade(t *testing.T) {
 		t.Fatalf("Len %d/%d", e.Len(), ref.Len())
 	}
 	for _, q := range []struct{ a, b float64 }{{0.5, 0.2}, {-1, 0.9}, {0, 0.4}} {
-		got, want := e.LiveHalfplane(q.a, q.b), ref.Halfplane(q.a, q.b)
+		got, want := e.HalfplaneRecs(q.a, q.b), ref.Halfplane(q.a, q.b)
 		if len(got) != len(want) {
 			t.Fatalf("engine %d hits, unsharded %d", len(got), len(want))
 		}
 		for i := range got {
-			if got[i] != want[i] {
+			if got[i].P2 != want[i] {
 				t.Fatalf("answers differ at %d: %v vs %v", i, got[i], want[i])
 			}
 		}
@@ -336,13 +336,13 @@ func TestMutableEngineFacade(t *testing.T) {
 		}
 		refD.Insert(pd)
 	}
-	got, want := ed.LiveHalfspace([]float64{0.1, 0.1, 0.5}), refD.Halfspace([]float64{0.1, 0.1, 0.5})
+	got, want := ed.HalfspaceDRecs([]float64{0.1, 0.1, 0.5}), refD.Halfspace([]float64{0.1, 0.1, 0.5})
 	if len(got) != len(want) {
 		t.Fatalf("partition engine %d hits, unsharded %d", len(got), len(want))
 	}
 	for i := range got {
-		for j := range got[i] {
-			if got[i][j] != want[i][j] {
+		for j := range got[i].PD {
+			if got[i].PD[j] != want[i][j] {
 				t.Fatalf("partition answers differ at %d", i)
 			}
 		}
@@ -455,12 +455,12 @@ func TestRebalanceFacade(t *testing.T) {
 	if st.After.Skew > 1.5 || st.Moved == 0 {
 		t.Fatalf("facade rebalance stats: %+v", st)
 	}
-	got, want := e.LiveHalfplane(0.3, 0.4), ref.Halfplane(0.3, 0.4)
+	got, want := e.HalfplaneRecs(0.3, 0.4), ref.Halfplane(0.3, 0.4)
 	if len(got) != len(want) {
 		t.Fatalf("post-rebalance answer: %d recs, want %d", len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != want[i] {
+		if got[i].P2 != want[i] {
 			t.Fatalf("post-rebalance answer differs at %d", i)
 		}
 	}
