@@ -354,7 +354,7 @@ func BenchmarkEngineQueryBatched(b *testing.B) {
 	b.ReportMetric(nq/b.Elapsed().Seconds(), "queries/sec")
 }
 
-// BenchmarkEngineQueryKNN measures the steady-state incremental k-NN
+// BenchmarkEngineQueryKNN measures the steady-state two-wave k-NN
 // path (box-distance visit order, kth-distance cutoff) through
 // BatchInto on a warmed kd-cut engine.
 func BenchmarkEngineQueryKNN(b *testing.B) {

@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"linconstraint"
 )
 
 // TestMalformedSpecsExit2 pins the spec parsers: a malformed -faults,
@@ -32,6 +35,38 @@ func TestMalformedSpecsExit2(t *testing.T) {
 		if code := run(context.Background(), args, io.Discard); code != 2 {
 			t.Errorf("run %q: exit %d, want 2", args, code)
 		}
+	}
+}
+
+// TestHalfHeaderIsCut: a connection that sends half a request header
+// and then goes quiet is closed by the server once readHeaderTimeout
+// passes, instead of being held open for as long as the client likes.
+func TestHalfHeaderIsCut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out readHeaderTimeout")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := linconstraint.NewDynamicPlanarEngine(linconstraint.EngineConfig{Shards: 1})
+	sv := serve(ln, eng, linconstraint.NewMetrics(), linconstraint.ServerConfig{})
+	defer sv.drain(eng, 5*time.Second, 0)
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	t0 := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(t0.Add(readHeaderTimeout + 10*time.Second))
+	n, err := io.Copy(io.Discard, conn) // returns once the server closes
+	if took := time.Since(t0); err != nil || took < readHeaderTimeout/2 {
+		t.Fatalf("half header: connection ended after %v with %d bytes read and err %v, want the server to close it after ~%v",
+			took, n, err, readHeaderTimeout)
 	}
 }
 

@@ -28,6 +28,19 @@ type service struct {
 	errc  chan error // Serve's exit
 }
 
+// The server's connection bounds. A client gets readHeaderTimeout to send
+// its request header and readTimeout for the whole request (a query body
+// is at most a few hundred bytes), and an idle keep-alive connection is
+// closed after idleTimeout, so a slow or silent client cannot hold a
+// connection open indefinitely. There is no WriteTimeout: the same mux
+// serves /debug/pprof/profile, which streams for the seconds=N the
+// client asks for, and a write deadline would cut it off.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // serve mounts /query and /healthz (the front-end) and /metrics plus
 // /debug/* (DebugHandler) on one server over ln and starts it.
 func serve(ln net.Listener, eng *linconstraint.Engine, reg *linconstraint.Metrics, scfg linconstraint.ServerConfig) *service {
@@ -36,7 +49,12 @@ func serve(ln net.Listener, eng *linconstraint.Engine, reg *linconstraint.Metric
 	mux.Handle("/query", sv.front)
 	mux.Handle("/healthz", sv.front)
 	mux.Handle("/", linconstraint.DebugHandler(reg, eng))
-	sv.srv = &http.Server{Handler: mux}
+	sv.srv = &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go func() { sv.errc <- sv.srv.Serve(ln) }()
 	return sv
 }

@@ -165,13 +165,9 @@ type Options struct {
 	// Result.Degraded (with the missing shards listed); with Strict true
 	// the run blocks to completion and only the deadline-miss counter
 	// records the overrun. Zero arms nothing — the await then only waits
-	// for the last shard. The bound covers the fan-out dispatches; the
-	// incremental k-NN path runs on the caller's goroutine and is never
-	// abandoned. Abandoned sub-batches drain in the background, holding a
-	// reference on the run's scratch arena until they finish — callers
-	// that mutate a Query's operand slices (Coef, Constraints) in place
-	// between batches should not do so while degraded runs' stragglers
-	// finish (the engine copies the Query values themselves).
+	// for the last shard. Abandoned sub-batches drain in the background,
+	// holding a reference on the run's scratch arena (which owns its own
+	// copy of every operand) until they finish.
 	Deadline time.Duration
 	// Strict selects blocking (true) over degradation (false) for runs
 	// that exceed Deadline.
@@ -246,11 +242,13 @@ type replica struct {
 	stopped chan struct{}
 }
 
-// workItem is one dispatched sub-batch: the run's arena plus whether
-// this dispatch is the hedge (second replica) for its shard, which
-// decides where execReplica writes its answers.
+// workItem is one dispatched sub-batch: the run's arena, the wave that
+// dispatched it (whose cells execReplica reads its jobs from and races
+// on), and whether this dispatch is the hedge (second replica) for its
+// shard, which decides where execReplica writes its answers.
 type workItem struct {
 	a     *batchArena
+	wave  uint8
 	hedge bool
 }
 
@@ -406,7 +404,7 @@ type Engine struct {
 	workersWG sync.WaitGroup
 	closeOnce sync.Once
 	// closed is set first thing in Close; BatchInto checks it once, so
-	// every route (worker, inline, k-NN) refuses a closed engine alike.
+	// every route (worker or inline) refuses a closed engine alike.
 	closed atomic.Bool
 
 	// arenas is the free list of batch scratch spaces (see batchArena).
@@ -629,7 +627,7 @@ func (e *Engine) replicaWorker(si int, rep *replica) {
 	defer close(rep.stopped)
 	for w := range rep.work {
 		e.acquireWorker()
-		won := e.execReplica(w.a, si, rep, w.hedge)
+		won := e.execReplica(si, rep, w)
 		e.releaseWorker()
 		// Dropping the reference is the worker's last use of the arena's
 		// scratch — once it drops, the arena may already be serving

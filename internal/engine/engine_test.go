@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"linconstraint/internal/geom"
 	"linconstraint/internal/halfspace2d"
 	"linconstraint/internal/hull3d"
+	"linconstraint/internal/index"
 	"linconstraint/internal/partition"
 	"linconstraint/internal/workload"
 )
@@ -80,6 +82,44 @@ func TestPartitionMatchesUnsharded(t *testing.T) {
 			t.Fatalf("S=%d conjunction: %d hits != %d hits", s, len(got), len(want))
 		}
 		e.Close()
+	}
+}
+
+// TestWrongDimensionOperandIsAnError: a 2-shard partition engine over
+// 3-d points, static and mutable, answers an operand of another
+// dimension with a per-query error wrapping index.ErrUnsupported — a
+// too-long coefficient vector used to crash a shard worker, a too-short
+// one to answer wrongly — while the well-formed queries of the same
+// batch still answer.
+func TestWrongDimensionOperandIsAnError(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	pts := workload.CubeD(rng, 600, 3)
+	dyn := NewDynamicPartition(Options{Shards: 2, BlockSize: 32})
+	defer dyn.Close()
+	for _, p := range pts {
+		if err := dyn.Insert(Record{PD: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	static := NewPartition(pts, Options{Shards: 2, BlockSize: 32, Partitioner: partition.NewKDCut()})
+	defer static.Close()
+	good := []float64{0.1, 0.2, 0.5}
+	qs := []Query{
+		{Op: OpHalfspaceD, Coef: good},
+		{Op: OpHalfspaceD, Coef: []float64{1, 2, 3, 4, 5, 6}},
+		{Op: OpHalfspaceD, Coef: []float64{0.5, 0.5}},
+		{Op: OpConjunction, Constraints: []Constraint{{Coef: good, Below: true}, {Coef: []float64{0.1, 0.2}}}},
+	}
+	for name, e := range map[string]*Engine{"static": static, "mutable": dyn} {
+		res := e.Batch(qs)
+		if res[0].Err != nil || len(res[0].IDs)+len(res[0].Recs) == 0 {
+			t.Fatalf("%s: well-formed query: err %v, %d ids, %d recs", name, res[0].Err, len(res[0].IDs), len(res[0].Recs))
+		}
+		for i, r := range res[1:] {
+			if !errors.Is(r.Err, index.ErrUnsupported) {
+				t.Errorf("%s: query %d: err %v, want one wrapping index.ErrUnsupported", name, i+1, r.Err)
+			}
+		}
 	}
 }
 

@@ -41,21 +41,11 @@ type Explain struct {
 func (e *Engine) ExplainInto(q Query, ex *Explain) {
 	e.migMu.RLock()
 	defer e.migMu.RUnlock()
-	sums := e.sums
+	sums := e.snapshotSums(ex.sums)
 	if e.mutable {
-		// Deep-copy under sumsMu like a query run does (the live
-		// summaries grow in place); static summaries are stable under
-		// the shared migration lock and are used as-is.
-		if cap(ex.sums) < len(e.sums) {
-			ex.sums = make([]partition.ShardSummary, len(e.sums))
-		}
-		ex.sums = ex.sums[:len(e.sums)]
-		e.sumsMu.RLock()
-		for i := range e.sums {
-			e.sums[i].CloneInto(&ex.sums[i])
-		}
-		e.sumsMu.RUnlock()
-		sums = ex.sums
+		// Keep only a copy buffer: a reused Explain may serve another
+		// engine next, and must never write into one's live summaries.
+		ex.sums = sums
 	}
 	planner.PlanQueryInto(q, sums, &ex.plan)
 	ex.Op = q.Op
@@ -75,16 +65,12 @@ func (e *Engine) ExplainInto(q Query, ex *Explain) {
 
 // explainPlan flushes one planned query's verdicts into the explain
 // counters and, when the run is captured (sampled, or the flight
-// recorder is armed), the arena's per-shard verdict captures. k-NN "visited" verdicts are withheld
-// here: the plan's visit list is provisional for k-NN (the runtime
-// kth-distance cutoff decides), so runKNNPlanned attributes those.
+// recorder is armed), the arena's per-shard verdict captures. It runs
+// after the run's last wave, so a k-NN plan already carries its
+// kth-distance cutoffs (cutKNN).
 func (e *Engine) explainPlan(a *batchArena, op Op, pl *planner.Plan) {
 	var cnt [planner.NumVerdicts]int32
-	knn := op == OpKNN
 	for si, v := range pl.Verdicts {
-		if knn && v == planner.VerdictVisited {
-			continue
-		}
 		cnt[v]++
 		if a.capture {
 			a.caps[si].verdicts[v].Add(1)

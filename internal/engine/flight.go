@@ -9,8 +9,8 @@ package engine
 // every run: each shard's block-I/O delta, the replica index its visits
 // were routed to, and how many of the run's queries reached each plan
 // verdict for it. All of it lives in preallocated atomics inside the
-// batch arena (shard workers and the k-NN goroutines write their own
-// shard's cells concurrently), so the always-on capture keeps the
+// batch arena (shard workers write their own shard's cells
+// concurrently), so the always-on capture keeps the
 // steady-state query path allocation-free. When the finished run trips
 // a bound, the accumulated evidence is copied into a dedicated ring —
 // independent of the 1-in-N sampler — read by Engine.SlowQueries.
@@ -111,8 +111,8 @@ type ShardTrace struct {
 	// copies' work).
 	Hedged bool
 	// Verdicts counts how many of the run's queries reached each plan
-	// verdict for this shard (planner.Verdict order; the k-NN runtime
-	// cutoff is attributed here too, which the plan itself never holds).
+	// verdict for this shard (planner.Verdict order, the k-NN
+	// kth-distance cutoff included).
 	Verdicts [planner.NumVerdicts]int32
 	// IO is the shard's block-I/O delta for the run.
 	IO eio.Stats
@@ -134,9 +134,9 @@ type SlowTrace struct {
 
 // shardCapture is one shard's per-run flight accumulator. Atomics
 // throughout: the shard's worker writes the I/O cells, the dispatching
-// goroutine (or a k-NN goroutine) the replica cell, and the planning
-// goroutine plus k-NN goroutines the verdict cells — all concurrently
-// with each other across shards.
+// goroutine the replica cell, and the merging goroutine the verdict
+// cells — all concurrently with each other across shards (a degraded
+// run's stragglers may still be adding I/O).
 type shardCapture struct {
 	reads, writes, hits, stall atomic.Int64
 	faults, faultStall         atomic.Int64

@@ -55,7 +55,7 @@ func (x probeIndex) QueryInto(index.Query, *index.Answer) error {
 func (x probeIndex) Query(q index.Query) (ans index.Answer, err error) {
 	return ans, x.QueryInto(q, &ans)
 }
-func (probeIndex) Supports(op index.Op) bool { return op == index.OpHalfplane }
+func (probeIndex) Supports(op index.Op) bool { return op == index.OpHalfplane || op == index.OpKNN }
 func (probeIndex) Len() int                  { return 1 }
 func (probeIndex) Stats() index.Stats        { return index.Stats{} }
 func (probeIndex) ResetStats()               {}
@@ -86,7 +86,8 @@ func probeEngine(opt Options, p *probe) *Engine {
 // for exactly one shard is answered on the goroutine that called
 // BatchInto; a multi-shard run, and any run of an engine that may have
 // to abandon a visit (Deadline armed), goes through the replica
-// workers; and the inline route still queues for the Options.Workers cap.
+// workers; and the inline route, like the k-NN waves, still queues for
+// the Options.Workers cap.
 func TestOneShardRunIsInline(t *testing.T) {
 	const inline, worker = "engine.(*Engine).BatchInto", "engine.(*Engine).replicaWorker"
 	run := func(t *testing.T, opt Options, q Query, wantVisits int, want string) {
@@ -111,6 +112,29 @@ func TestOneShardRunIsInline(t *testing.T) {
 	t.Run("multi shard", func(t *testing.T) { run(t, Options{}, allShards, len(probeShards), worker) })
 	t.Run("one shard, deadline armed", func(t *testing.T) {
 		run(t, Options{Deadline: time.Minute}, onlyShard(2), 1, worker)
+	})
+
+	t.Run("workers cap, k-NN", func(t *testing.T) {
+		// One k-NN query at each shard's point: the first wave sends each
+		// query to its own shard, and — the stubs answering no neighbors —
+		// the second to the other three, so every wave wakes every shard.
+		var p probe
+		e := probeEngine(Options{Workers: 1}, &p)
+		defer e.Close()
+		qs := make([]Query, len(probeShards))
+		for i, pt := range probeShards {
+			qs[i] = Query{Op: OpKNN, K: 1, Pt: geom.Point2{X: pt[0], Y: pt[1]}}
+		}
+		for n := 0; n < 20; n++ {
+			for _, r := range e.Batch(qs) {
+				if r.Err != nil || r.ShardsVisited != len(probeShards) {
+					t.Fatalf("visited %d shards (err %v), want %d", r.ShardsVisited, r.Err, len(probeShards))
+				}
+			}
+		}
+		if p.overlap.Load() {
+			t.Error("two k-NN visits overlapped under Workers: 1")
+		}
 	})
 
 	t.Run("workers cap", func(t *testing.T) {

@@ -141,3 +141,11 @@ func neighborLess(a, b chan3d.Neighbor) bool {
 	}
 	return a.ID < b.ID
 }
+
+// The answer fields the orders above merge, as plain functions too.
+
+func answerIDs(x *index.Answer) []int { return x.IDs }
+
+func answerRecs(x *index.Answer) []index.Record { return x.Recs }
+
+func answerNeighbors(x *index.Answer) []chan3d.Neighbor { return x.Neighbors }

@@ -54,9 +54,9 @@ type Trace struct {
 	PlansShared   int
 	// PlanNs is the sequential plan-and-layout phase; ExecNs spans
 	// dispatch through the last shard's finish line (WaitNs is the tail
-	// of that spent blocked in the await after the caller's own k-NN
-	// work);
-	// MergeNs is the loser-tree merge; TotalNs the whole run.
+	// of that after the first wave's dispatch returned: the awaits, and a
+	// k-NN run's second wave); MergeNs is the loser-tree merge; TotalNs
+	// the whole run.
 	PlanNs, ExecNs, WaitNs, MergeNs, TotalNs int64
 	// IO is the run's block-I/O delta summed over visited shards.
 	IO eio.Stats

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,7 +43,8 @@ const (
 // Recs with the matching records in canonical order; OpKNN fills
 // Neighbors (global IDs, closest first); OpDelete sets Deleted when a
 // record was removed. Err is non-nil when the op is outside the
-// engine's capability, and the other fields are empty.
+// engine's capability or its operand has another dimension than the
+// engine's points, and the other fields are empty.
 //
 // ShardsVisited and ShardsPruned are the query's plan stats: how many
 // shards answered it and how many the planner (plus, for OpKNN, the
@@ -106,14 +106,14 @@ type shardSlot struct {
 }
 
 // batchArena holds every piece of per-run scratch one Batch call needs:
-// plans, per-shard job lists, per-(query, shard) answer slots, merge
-// cursors and the k-NN double buffers. Arenas are recycled through the
-// engine's free list, and every slice in them is reused at its high-
-// water capacity, so a steady-state batch allocates nothing. An arena
-// belongs to exactly one Batch call at a time (and, past that call's
-// return, to the stragglers it left behind — see refs); the shard
-// workers it is dispatched to only touch disjoint parts of it (their
-// own jobs list and the slots it names).
+// plans, per-wave shard job lists, per-(query, shard) answer slots and
+// merge cursors. Arenas are recycled through the engine's free list, and
+// every slice in them is reused at its high-water capacity, so a
+// steady-state batch allocates nothing. An arena belongs to exactly one
+// Batch call at a time (and, past that call's return, to the stragglers
+// it left behind — see refs); the shard workers it is dispatched to only
+// touch disjoint parts of it (their own wave's jobs list and the slots it
+// names).
 type batchArena struct {
 	// refs counts who may still touch the arena: the caller that took it
 	// off the free list, plus one per sub-batch handed to a replica
@@ -123,12 +123,14 @@ type batchArena struct {
 	refs atomic.Int32
 
 	// The current run: qs is the arena's private copy of the caller's
-	// queries, so a straggler finishing after BatchInto returned never
-	// reads the caller's reusable query slice; res is the caller's result
-	// storage, touched on the caller's side of the fence only. Both are
-	// cleared on release so the free list never pins caller memory.
-	qs  []Query
-	res []Result
+	// queries, with their operand slices copied into coefs and cons, so a
+	// straggler finishing after BatchInto returned never reads memory the
+	// caller may reuse; res is the caller's result storage, touched on the
+	// caller's side of the fence only and cleared on release.
+	qs    []Query
+	coefs []float64
+	cons  []Constraint
+	res   []Result
 
 	// Plans, deduplicated per distinct operand: plans[0:nplans] are the
 	// distinct plans of the run, planRep[pi] the first query that needed
@@ -145,20 +147,15 @@ type batchArena struct {
 	// are immutable and used in place).
 	sums []partition.ShardSummary
 
-	// jobs[si] lists the slots shard si answers this run; parts[0:nparts]
-	// are the answer slots, laid out per query at partOff[qi] in plan
-	// order (k-NN incremental queries use a single slot as visit
-	// scratch). All slots are allocated before any dispatch: workers
-	// index a stable slice.
-	jobs    [][]shardSlot
+	// waves are the run's dispatch rounds (the second is used by k-NN
+	// only); parts[0:nparts] are the answer slots, laid out per query at
+	// partOff[qi] in plan order, a wave's slots disjoint from the other's.
+	// All slots are allocated before any dispatch: workers index a stable
+	// slice.
+	waves   [2]wave
 	parts   []partial
 	nparts  int
 	partOff []int32
-
-	// knn lists the queries of the run that take the incremental
-	// shard-sequential k-NN path (planned OpKNN); they run on the
-	// caller's goroutine while the shard workers chew the fan-out jobs.
-	knn []int32
 
 	// Merge scratch: loser-tree cursors and the per-query run tables
 	// (used by the caller goroutine's merge phase only).
@@ -167,56 +164,59 @@ type batchArena struct {
 	recRuns      [][]Record
 	nbRuns       [][]chan3d.Neighbor
 
-	// knnBufs[i] is the private scratch of the run's i-th incremental
-	// k-NN query, so multiple k-NN queries of one run can execute
-	// concurrently.
-	knnBufs []knnScratch
-
 	// Run capture (metrics.go, flight.go). capture is set when the run
 	// was picked by the trace sampler (sampled) or the flight recorder is
 	// armed — whether a run was anomalous is only known once it has
 	// finished: every shard visit then accumulates its device-counter
 	// delta, replica routing and verdict counts into caps (one
-	// preallocated atomic cell block per shard; shard workers and the
-	// k-NN goroutines write their own shard's cells concurrently). The
-	// one capture feeds both rings. plansShared counts operand-dedup hits
-	// for the run (caller goroutine only).
+	// preallocated atomic cell block per shard; shard workers write their
+	// own shard's cells concurrently). The one capture feeds both rings.
+	// plansShared counts operand-dedup hits for the run (caller goroutine
+	// only).
 	capture, sampled bool
 	plansShared      int
 	caps             []shardCapture
 
-	// The await machinery. Each shard's sub-batch is a race with one
-	// finish line: the primary dispatch answers into parts, a hedge
+	// The await machinery. A primary dispatch answers into parts, a hedge
 	// re-dispatch into the shadow hparts (grown when a hedge is first
-	// sent), and sdone[si] is the per-shard finish line (sd* states) the
-	// first finisher CASes — the merge reads whichever side won, so losers
-	// scribble into slots nobody looks at. prim[si] is the replica the
-	// primary dispatch went to. left counts the shards whose decider has
-	// not reported yet (a winning worker reports after it has let go of
-	// the arena, the waiter when it abandons); exactly one report zeroes
-	// it, and when that is a worker's it posts the run's one token on
-	// allDone, which the run's await always takes before it returns — so
-	// the channel is empty between runs. kwg joins
-	// the run's k-NN goroutines — those run on the caller's side of the
-	// fence and are never abandoned. The timers are armed only for runs
-	// with a hedge delay or a deadline, and are stopped and drained
-	// between uses.
+	// sent); each wave's sdone cells decide which side the merge reads.
+	// left counts the wave's shards whose decider has not reported yet (a
+	// winning worker reports after it has let go of the arena, the waiter
+	// when it abandons); exactly one report zeroes it, and when that is a
+	// worker's it posts the wave's one token on allDone, which the wave's
+	// await always takes before it returns — so the channel is empty
+	// between waves and left is free for the next (a losing straggler
+	// touches neither). missed records that the run's deadline has fired.
+	// The timers are armed only for runs with a hedge delay or a deadline,
+	// and are stopped and drained between uses.
 	hparts     []partial
-	sdone      []atomic.Int32
-	prim       []int32
 	left       atomic.Int32
 	allDone    chan struct{}
-	kwg        sync.WaitGroup
+	missed     bool
 	nhedges    int
 	hedgeTimer *time.Timer
 	dlTimer    *time.Timer
 }
 
-// sdone states: the per-shard winner race of a run. sdIdle, the zero
-// value, is a shard this arena has never dispatched. Only shards the run
-// gave work are ever read, and dispatch stores sdPending (or, on the
-// inline route, the decided sdPrimary) first, so the cells carry over
-// between runs unreset.
+// wave is one dispatch round's per-shard cells: jobs[si] lists the slots
+// shard si answers in the wave, sdone[si] is the shard's finish line (sd*
+// states) the first finisher CASes — the merge reads whichever side won,
+// so losers scribble into slots nobody looks at — and prim[si] is the
+// replica the primary dispatch went to. Each wave owns its cells because
+// a first-wave straggler (a hedge loser, a sub-batch abandoned at the
+// deadline) still reads its jobs and CASes its finish line while the
+// second wave runs.
+type wave struct {
+	jobs  [][]shardSlot
+	sdone []atomic.Int32
+	prim  []int32
+}
+
+// sdone states: the per-shard winner race of a wave. sdIdle, the zero
+// value, is a shard this arena has never dispatched. Only shards the wave
+// gave work are ever read, and dispatch stores every one of those first
+// (sdAbandoned, then sdPending or, on the inline route, the decided
+// sdPrimary), so the cells carry over between runs unreset.
 const (
 	sdIdle int32 = iota
 	sdPending
@@ -225,32 +225,39 @@ const (
 	sdAbandoned
 )
 
-// knnScratch is one incremental k-NN query's private buffers: the
-// double-buffered accumulated candidate list and its merge cursors.
-type knnScratch struct {
-	cur, spare   []chan3d.Neighbor
-	heads, loser []int32
+// reset empties the wave's job lists for a run over n shards, making its
+// cells on the arena's first run.
+func (wv *wave) reset(n int) {
+	if wv.jobs == nil {
+		wv.jobs, wv.sdone, wv.prim = make([][]shardSlot, n), make([]atomic.Int32, n), make([]int32, n)
+	}
+	for si := range wv.jobs {
+		wv.jobs[si] = wv.jobs[si][:0]
+	}
 }
 
 // beginRun prepares the arena for one run of queries. The caller holds
 // the only reference, so no worker of an earlier run is still inside.
 func (a *batchArena) beginRun(e *Engine, qs []Query, res []Result) {
 	a.qs, a.res = append(a.qs[:0], qs...), res
+	a.coefs, a.cons = a.coefs[:0], a.cons[:0]
+	for i := range a.qs {
+		q := &a.qs[i]
+		q.Coef = a.own(q.Coef)
+		n := len(a.cons)
+		for _, c := range q.Constraints {
+			a.cons = append(a.cons, Constraint{Coef: a.own(c.Coef), Below: c.Below})
+		}
+		q.Constraints = a.cons[n:len(a.cons):len(a.cons)]
+	}
 	if a.allDone == nil {
 		a.allDone = make(chan struct{}, 1)
-		a.sdone = make([]atomic.Int32, len(e.shards))
-		a.prim = make([]int32, len(e.shards))
-		a.jobs = make([][]shardSlot, len(e.shards))
 	}
-	a.nhedges = 0
-	a.nplans = 0
-	a.nparts = 0
-	a.plansShared = 0
-	a.knn = a.knn[:0]
+	a.nhedges, a.nplans, a.nparts, a.plansShared, a.missed = 0, 0, 0, 0, false
 	a.planOf = resetInt32(a.planOf, len(qs))
 	a.partOff = resetInt32(a.partOff, len(qs))
-	for si := range a.jobs {
-		a.jobs[si] = a.jobs[si][:0]
+	for w := range a.waves {
+		a.waves[w].reset(len(e.shards))
 	}
 	// A nil sampler admits nothing, so sampled is false whenever tracing
 	// is off.
@@ -267,9 +274,19 @@ func (a *batchArena) beginRun(e *Engine, qs []Query, res []Result) {
 	}
 }
 
+// own copies an operand slice into the arena's coefficient buffer. A
+// reallocating append leaves the slices handed out earlier in this run on
+// the old backing array, whose contents stay intact, so every operand
+// remains valid; once warm, the buffer never reallocates.
+func (a *batchArena) own(xs []float64) []float64 {
+	n := len(a.coefs)
+	a.coefs = append(a.coefs, xs...)
+	return a.coefs[n:len(a.coefs):len(a.coefs)]
+}
+
 // unref drops one reference; the holder of the last one clears the
-// arena's references to caller memory (the query copies hold
-// caller-owned operand slices) and returns it to the engine's free
+// arena's references to caller memory (the result storage, and whatever
+// else the query copies carried in) and returns it to the engine's free
 // list. Nothing may touch the arena after its own unref (the one
 // exception, a winning worker's report to left and allDone, is covered
 // by the waiter's reference — see replicaWorker).
@@ -328,6 +345,23 @@ func (a *batchArena) plan(e *Engine, qi int) int32 {
 	}
 	planner.PlanQueryInto(q, a.sums, pl)
 	return int32(pi)
+}
+
+// firstWave returns how many of pl's shards the run's first wave
+// visits: all of them, except for a planned k-NN query — the one plan
+// with a visit-order key — whose first wave is the shards at box distance
+// 0 from the query point or, failing any, the nearest one (MinDist2 is
+// ascending, so either way a prefix of the plan). The rest wait for the
+// kth-distance cutoff the first wave's answers give (cutKNN).
+func firstWave(pl *planner.Plan) int {
+	if len(pl.MinDist2) == 0 {
+		return len(pl.Shards)
+	}
+	n := 1
+	for n < len(pl.MinDist2) && pl.MinDist2[n] == 0 {
+		n++
+	}
+	return n
 }
 
 // sameOperand reports whether two queries ask the same thing — same op,
@@ -454,45 +488,44 @@ func (e *Engine) applyUpdate(q Query, r *Result) {
 	r.Deleted, r.Err = e.Delete(q.Rec)
 }
 
-// snapshotSumsInto refreshes the arena's summary snapshot for one run.
-// A static engine's summaries change only under the exclusive
-// migration lock (rebuildStatic's in-place copy), and every run holds
-// the shared side, so the live slice is aliased as-is — valid for
-// exactly this run, no longer; a mutable engine's keep growing in
-// place under sumsMu, so the arena gets a deep copy (into reused
-// buffers) that stays valid after the lock is released. One snapshot
-// serves the whole run: while queries can observe them, summaries only
-// grow (shrinks happen under the exclusive lock, between runs), so
-// every plan drawn from it is sound for queries of this run (see the
-// monotonicity argument in DESIGN.md §6 and the shrink rules in §8).
-func (e *Engine) snapshotSumsInto(a *batchArena) {
+// snapshotSums returns the shard summaries one run (or one explain)
+// plans against. A static engine's summaries change only under the
+// exclusive migration lock (rebuildStatic's in-place copy), and every
+// caller holds the shared side, so the live slice is returned as-is —
+// valid for exactly this run, no longer; a mutable engine's keep growing
+// in place under sumsMu, so they are deep-copied into buf (reused at
+// capacity), a snapshot that stays valid after the lock is released. One
+// snapshot serves the whole run: while queries can observe them,
+// summaries only grow (shrinks happen under the exclusive lock, between
+// runs), so every plan drawn from it is sound for queries of this run
+// (see the monotonicity argument in DESIGN.md §6 and the shrink rules in
+// §8).
+func (e *Engine) snapshotSums(buf []partition.ShardSummary) []partition.ShardSummary {
 	if !e.mutable {
-		// Safe to alias under the run's shared migMu: writes are
-		// excluded, and an arena only ever serves one engine, so the
-		// slice can never be mistaken for a mutable engine's copy
-		// buffer.
-		a.sums = e.sums
-		return
+		return e.sums
 	}
-	if cap(a.sums) < len(e.sums) {
-		a.sums = make([]partition.ShardSummary, len(e.sums))
+	if cap(buf) < len(e.sums) {
+		buf = make([]partition.ShardSummary, len(e.sums))
 	}
-	a.sums = a.sums[:len(e.sums)]
+	buf = buf[:len(e.sums)]
 	e.sumsMu.RLock()
 	defer e.sumsMu.RUnlock()
 	for i := range e.sums {
-		e.sums[i].CloneInto(&a.sums[i])
+		e.sums[i].CloneInto(&buf[i])
 	}
+	return buf
 }
 
 // runQueries executes one run of query ops through the engine's one
 // pipeline: plan each query (sharing plans across equal operands) and
 // group the (query, shard) work shard-major, dispatch each shard's whole
 // sub-batch to one persistent replica worker (a lone shard's is answered
-// right here instead — see dispatch), run the incremental k-NN queries
-// on this side of the fence meanwhile, await the last shard's
-// finish line (or the deadline), loser-tree-merge the per-shard answers
-// into results, and record the run.
+// right here instead — see dispatch), await the last shard's finish line
+// (or the deadline), loser-tree-merge the per-shard answers into
+// results, and record the run. A planned k-NN query takes the dispatch →
+// await step twice: its first wave answers the shards nearest the query
+// point, and the second every shard the first wave's kth distance cannot
+// rule out (cutKNN).
 func (e *Engine) runQueries(a *batchArena, qs []Query, results []Result) {
 	// Shared against migration for the whole run: the summary snapshot,
 	// every shard visit and the merge all observe either none or all of
@@ -513,16 +546,15 @@ func (e *Engine) runQueries(a *batchArena, qs []Query, results []Result) {
 	if m != nil {
 		t1 = time.Now()
 	}
-	nd, tdisp := e.dispatch(a)
-	e.runKNN(a)
+	nd, tdisp := e.dispatch(a, 0)
 	if m != nil {
 		tw = time.Now()
 	}
-	// The k-NN goroutines run on the caller's side of the deadline fence
-	// — incremental visits from this goroutine's plan, never abandoned —
-	// so they are always joined first.
-	a.kwg.Wait()
-	degraded := e.await(a, nd, t0, tdisp)
+	degraded := e.await(a, 0, nd, t0, tdisp)
+	if e.cutKNN(a) {
+		nd, tdisp = e.dispatch(a, 1)
+		degraded = e.await(a, 1, nd, t0, tdisp) || degraded
+	}
 	if m != nil {
 		t2 = time.Now()
 	}
@@ -540,7 +572,9 @@ func (e *Engine) runQueries(a *batchArena, qs []Query, results []Result) {
 func (e *Engine) planRun(a *batchArena) {
 	m := e.met
 	if !e.noPlan {
-		e.snapshotSumsInto(a)
+		// An arena only ever serves one engine, so a static engine's live
+		// slice kept here is never mistaken for a mutable engine's buffer.
+		a.sums = e.snapshotSums(a.sums)
 	}
 	for qi := range a.qs {
 		op := a.qs[qi].Op
@@ -556,71 +590,135 @@ func (e *Engine) planRun(a *batchArena) {
 		pi := a.plan(e, qi)
 		a.planOf[qi] = pi
 		a.partOff[qi] = int32(a.nparts)
-		if m != nil && !e.noPlan {
-			// Explain: flush this query's plan verdicts (per shared plan
-			// they repeat — each query visited those shards).
-			e.explainPlan(a, op, &a.plans[pi])
-		}
-		if op == OpKNN && !e.noPlan {
-			// One scratch slot for the shard-sequential visits.
-			a.knn = append(a.knn, int32(qi))
-			a.nparts++
-			continue
-		}
-		pl := &a.plans[pi]
-		for j, si := range pl.Shards {
-			a.jobs[si] = append(a.jobs[si], shardSlot{qi: int32(qi), part: a.partOff[qi] + int32(j)})
-			// Every planned visit feeds the traffic sketch (pure
-			// atomics), so replication decisions see exactly the load the
-			// planner routed, pruned shards excluded.
-			e.traffic.Touch(uint64(si))
-			if m != nil {
-				m.shardVisits.Inc(si)
-			}
-		}
-		a.nparts += len(pl.Shards)
+		e.queue(a, 0, qi)
+		a.nparts += len(a.plans[pi].Shards)
 	}
 	for len(a.parts) < a.nparts {
 		a.parts = append(a.parts, partial{})
 	}
 }
 
-// dispatch wakes each shard with work once, routed to the shard's
-// least-loaded routable replica, and returns how many shards it woke
-// and the dispatch instant a hedging engine measures its hedge delay
+// queue adds query qi's share of wave w to the wave's shard job lists —
+// the first wave's prefix of its plan (firstWave), or the second wave's
+// rest — and reports whether that share was non-empty. Every dispatched
+// (query, shard) job, in either wave, feeds the traffic sketch here (pure
+// atomics), so replication decisions see exactly the load the run routed,
+// pruned and cut-off shards excluded.
+func (e *Engine) queue(a *batchArena, w, qi int) bool {
+	pl := &a.plans[a.planOf[qi]]
+	lo, hi := 0, firstWave(pl)
+	if w == 1 {
+		lo, hi = hi, len(pl.Shards)
+	}
+	jobs := a.waves[w].jobs
+	for j := lo; j < hi; j++ {
+		si := pl.Shards[j]
+		jobs[si] = append(jobs[si], shardSlot{qi: int32(qi), part: a.partOff[qi] + int32(j)})
+		e.traffic.Touch(uint64(si))
+		if m := e.met; m != nil {
+			m.shardVisits.Inc(si)
+		}
+	}
+	return lo < hi
+}
+
+// cutKNN closes the first wave of the run's planned k-NN queries. Each
+// plan whose first wave left shards unvisited takes the kth distance of
+// its first-wave answers, merged, and keeps the remaining shards whose
+// box is not strictly farther than it: no point of a farther box can
+// displace a held candidate (box distance lower-bounds every member's
+// distance, exactly, even in floats), while a tied point with a smaller
+// id could still win the merge's tie-break. With fewer than K candidates,
+// or K <= 0, every remaining shard stays. The plan is truncated there,
+// the cut shards marked VerdictPrunedKNNCutoff — once per shared plan,
+// identically for every query that shares it — and the survivors are
+// queued as the second wave. Reports whether it queued anything. The
+// answers are byte-identical to full fan-out.
+func (e *Engine) cutKNN(a *batchArena) (more bool) {
+	for pi := 0; pi < a.nplans; pi++ {
+		pl := &a.plans[pi]
+		qi, lo := int(a.planRep[pi]), firstWave(pl)
+		k := a.qs[qi].K
+		if lo == len(pl.Shards) || k <= 0 {
+			continue
+		}
+		// The representative's result is merge scratch here; mergeRun
+		// refills it.
+		nb := mergeSlots(a, qi, lo, &a.nbRuns, answerNeighbors, a.res[qi].Neighbors[:0], neighborLess, k)
+		if a.res[qi].Neighbors = nb; len(nb) < k {
+			continue
+		}
+		end := lo
+		for end < len(pl.Shards) && pl.MinDist2[end] <= nb[k-1].Dist2 {
+			end++
+		}
+		for _, si := range pl.Shards[end:] {
+			pl.Verdicts[si] = planner.VerdictPrunedKNNCutoff
+		}
+		pl.Pruned += len(pl.Shards) - end
+		pl.Shards, pl.MinDist2 = pl.Shards[:end], pl.MinDist2[:end]
+	}
+	for qi, pi := range a.planOf {
+		if pi >= 0 && e.queue(a, 1, qi) {
+			more = true
+		}
+	}
+	return more
+}
+
+// dispatch wakes each shard with work in wave w once, routed to the
+// shard's least-loaded routable replica, and returns how many shards it
+// woke and the dispatch instant a hedging engine measures its hedge delay
 // from (zero otherwise). left is stored before the first send — a worker
 // that finishes before the later shards dispatch must not see the count
 // hit zero early.
 //
-// A run with work for exactly one shard has nothing to overlap, so it
-// skips the hand-off: runInline answers it on this goroutine and no
-// shard is woken (nd = 0, await returns at once). Only an engine that
-// arms no timer takes that route — a hedge or a deadline must be able to
-// walk away from the visit, which takes a worker to leave it with.
-func (e *Engine) dispatch(a *batchArena) (nd int32, tdisp time.Time) {
-	only := -1
-	for si := range a.jobs {
-		if len(a.jobs[si]) > 0 {
+// A wave with work for exactly one shard has nothing to overlap, so it
+// skips the hand-off: this goroutine does the worker's half — the visit
+// under the Options.Workers cap, inflight bracketing it so concurrent
+// dispatch sees it, the shard decided for the merge — and no shard is
+// woken (nd = 0, await returns at once; no arena reference, no left, no
+// token). Only an engine that arms no timer takes that route — a hedge or
+// a deadline must be able to walk away from the visit, which takes a
+// worker to leave it with.
+//
+// Every shard with work starts out abandoned. A wave whose run a spent
+// deadline has already degraded leaves it so and sends nothing — the
+// merge reports those shards missing; otherwise the send or the inline
+// visit overwrites the cell before anything reads it.
+func (e *Engine) dispatch(a *batchArena, w int) (nd int32, tdisp time.Time) {
+	wv := &a.waves[w]
+	for si := range wv.jobs {
+		if len(wv.jobs[si]) > 0 {
 			nd++
-			only = si
+			wv.sdone[si].Store(sdAbandoned)
 		}
 	}
-	if nd == 1 && !e.hedging && e.deadlineNs == 0 {
-		e.runInline(a, only)
+	if a.missed && !e.strict {
 		return 0, tdisp
 	}
+	inline := nd == 1 && !e.hedging && e.deadlineNs == 0
 	a.left.Store(nd)
-	for si := range a.jobs {
-		if len(a.jobs[si]) == 0 {
+	for si := range wv.jobs {
+		if len(wv.jobs[si]) == 0 {
 			continue
 		}
 		rep, ri := e.pickReplica(si)
 		if a.capture {
 			a.caps[si].replica.Store(int32(ri))
 		}
-		a.sdone[si].Store(sdPending)
-		a.prim[si] = int32(ri)
-		a.send(rep, false)
+		wv.prim[si] = int32(ri)
+		if inline {
+			rep.inflight.Add(1)
+			e.acquireWorker()
+			e.visit(a, si, rep, wv.jobs[si], a.parts)
+			e.releaseWorker()
+			rep.inflight.Add(-1)
+			wv.sdone[si].Store(sdPrimary)
+			return 0, tdisp
+		}
+		wv.sdone[si].Store(sdPending)
+		a.send(rep, w, false)
 	}
 	if e.hedging {
 		tdisp = time.Now()
@@ -628,72 +726,33 @@ func (e *Engine) dispatch(a *batchArena) (nd int32, tdisp time.Time) {
 	return nd, tdisp
 }
 
-// runInline is a replica worker's half of a run done by the caller:
-// pick the copy, answer shard si's whole sub-batch into parts under the
-// Options.Workers cap, and mark the shard decided for the merge. The run
-// holds migMu shared, so the replica set is stable; inflight brackets the
-// visit so concurrent dispatch sees it. No arena reference, no left, no
-// token — there is no second goroutine to hand anything to.
-func (e *Engine) runInline(a *batchArena, si int) {
-	rep, ri := e.pickReplica(si)
-	if a.capture {
-		a.caps[si].replica.Store(int32(ri))
-	}
-	a.prim[si] = int32(ri)
-	rep.inflight.Add(1)
-	e.acquireWorker()
-	e.visit(a, si, rep, a.jobs[si], a.parts)
-	e.releaseWorker()
-	rep.inflight.Add(-1)
-	a.sdone[si].Store(sdPrimary)
-}
-
-// send hands the run's sub-batch for rep's shard to rep's worker, which
+// send hands wave w's sub-batch for rep's shard to rep's worker, which
 // holds a reference on the arena until it has finished. inflight is
 // bumped before the send so a second run dispatching concurrently sees
 // this sub-batch and spreads to another copy.
-func (a *batchArena) send(rep *replica, hedge bool) {
+func (a *batchArena) send(rep *replica, w int, hedge bool) {
 	a.refs.Add(1)
 	rep.inflight.Add(1)
-	rep.work <- workItem{a: a, hedge: hedge}
+	rep.work <- workItem{a: a, wave: uint8(w), hedge: hedge}
 }
 
-// runKNN starts the run's incremental k-NN queries, overlapping the
-// workers. A lone k-NN query runs inline on this goroutine (the scalar
-// path, kept allocation-free); several spawn one goroutine each (joined
-// through kwg) so the queries of the run overlap, as the shard-fanned
-// ops do — each has private knnScratch, its own answer slot, and its own
-// result, so they share nothing but the shard locks.
-func (e *Engine) runKNN(a *batchArena) {
-	for len(a.knnBufs) < len(a.knn) {
-		a.knnBufs = append(a.knnBufs, knnScratch{})
-	}
-	if len(a.knn) == 1 {
-		e.runKNNPlanned(a, int(a.knn[0]), &a.knnBufs[0])
-		return
-	}
-	for ki, qi := range a.knn {
-		a.kwg.Add(1)
-		go func(qi, ki int) {
-			defer a.kwg.Done()
-			e.runKNNPlanned(a, qi, &a.knnBufs[ki])
-		}(int(qi), ki)
-	}
-}
-
-// mergeRun merges every fanned-out query's per-shard answers into its
-// result and accounts the plan outcomes (the k-NN incremental path did
-// both for its queries already).
+// mergeRun merges every planned query's per-shard answers into its
+// result and accounts the plan outcomes.
 func (e *Engine) mergeRun(a *batchArena) {
 	m := e.met
 	for qi := range a.qs {
 		op := a.qs[qi].Op
 		r := &a.res[qi]
-		if r.Err != nil || (op == OpKNN && !e.noPlan) {
+		if r.Err != nil {
 			continue
 		}
 		pl := &a.plans[a.planOf[qi]]
-		e.mergeInto(a, a.qs[qi], pl, int(a.partOff[qi]), r)
+		if m != nil && !e.noPlan {
+			// Explain: flush this query's plan verdicts (per shared plan
+			// they repeat — each query visited those shards).
+			e.explainPlan(a, op, pl)
+		}
+		e.mergeInto(a, qi, r)
 		r.ShardsVisited = len(pl.Shards)
 		r.ShardsPruned = pl.Pruned
 		e.visited.Add(int64(r.ShardsVisited))
@@ -787,21 +846,22 @@ func (e *Engine) recordRun(a *batchArena, degraded bool, t0, t1, tw, t2 time.Tim
 	}
 }
 
-// execReplica is a replica worker's half of a run: answer the shard's
-// sub-batch against this copy, then race for the shard's finish line. A
-// hedge dispatch answers into the shadow hparts slots, so the primary
-// and the hedge never share memory; the first finisher CASes the finish
-// line and the loser's answers are simply never read. Reports whether
-// this finisher won — the worker then owes the run one decrement of
-// left (replicaWorker).
-func (e *Engine) execReplica(a *batchArena, si int, rep *replica, hedge bool) (won bool) {
+// execReplica is a replica worker's half of a wave: answer the shard's
+// sub-batch against this copy, then race for the shard's finish line in
+// the wave that dispatched it. A hedge dispatch answers into the shadow
+// hparts slots, so the primary and the hedge never share memory; the
+// first finisher CASes the finish line and the loser's answers are
+// simply never read. Reports whether this finisher won — the worker then
+// owes the run one decrement of left (replicaWorker).
+func (e *Engine) execReplica(si int, rep *replica, w workItem) (won bool) {
+	a, wv := w.a, &w.a.waves[w.wave]
 	dst, win := a.parts, sdPrimary
-	if hedge {
+	if w.hedge {
 		dst, win = a.hparts, sdHedge
 	}
-	e.visit(a, si, rep, a.jobs[si], dst)
-	won = a.sdone[si].CompareAndSwap(sdPending, win)
-	if won && hedge {
+	e.visit(a, si, rep, wv.jobs[si], dst)
+	won = wv.sdone[si].CompareAndSwap(sdPending, win)
+	if won && w.hedge {
 		if m := e.met; m != nil {
 			m.hedgeWins.Inc()
 		}
@@ -870,18 +930,19 @@ func stopDrain(t *time.Timer) {
 	}
 }
 
-// await is the run's one wait: it blocks until every one of the nd
-// dispatched shards is decided, on a select over the completion token
-// and the hedge and deadline timer channels — which stay nil, and so
-// never fire, on an engine with no hedge delay or deadline. The hedge
-// timer (measured from the dispatch instant) fires the run's one hedge
-// round; the deadline timer (measured from the run's start) either
-// abandons the still-pending shards (Strict=false) or just counts the
-// miss and waits on (Strict=true). It returns only after taking the
-// token of a run a worker closed, so no token outlives its run. Reports
-// whether the run degraded. Timers are per-arena and reused, so the
-// steady state allocates nothing.
-func (e *Engine) await(a *batchArena, nd int32, t0, tdisp time.Time) bool {
+// await is the wave's one wait: it blocks until every one of the nd
+// shards wave w dispatched is decided, on a select over the completion
+// token and the hedge and deadline timer channels — which stay nil, and
+// so never fire, on an engine with no hedge delay or deadline. The hedge
+// timer (measured from the dispatch instant) fires the wave's one hedge
+// round; the deadline timer (measured from the run's start, and armed
+// until it has fired once in the run) either abandons the still-pending
+// shards (Strict=false) or just counts the miss and waits on
+// (Strict=true). It returns only after taking the token of a wave a
+// worker closed, so no token outlives its wave. Reports whether the wave
+// degraded. Timers are per-arena and reused, so the steady state
+// allocates nothing.
+func (e *Engine) await(a *batchArena, w int, nd int32, t0, tdisp time.Time) bool {
 	if nd == 0 {
 		return false
 	}
@@ -894,13 +955,13 @@ func (e *Engine) await(a *batchArena, nd int32, t0, tdisp time.Time) bool {
 				a.hedgeTimer = resetTimer(a.hedgeTimer, rem)
 				hedgeC = a.hedgeTimer.C
 			} else {
-				e.dispatchHedges(a)
+				e.dispatchHedges(a, w)
 			}
 		}
 	}
-	if e.deadlineNs > 0 {
-		// Already past the deadline (planning or k-NN ate it all) arms a
-		// timer that fires at once.
+	if e.deadlineNs > 0 && !a.missed {
+		// Already past the deadline (planning or the first wave ate it
+		// all) arms a timer that fires at once.
 		a.dlTimer = resetTimer(a.dlTimer, time.Duration(e.deadlineNs)-time.Since(t0))
 		dlC = a.dlTimer.C
 	}
@@ -913,14 +974,14 @@ func (e *Engine) await(a *batchArena, nd int32, t0, tdisp time.Time) bool {
 			// A nil channel never fires, so a spent (or unarmed) timer
 			// case simply drops out of the race.
 			hedgeC = nil
-			e.dispatchHedges(a)
+			e.dispatchHedges(a, w)
 		case <-dlC:
-			dlC = nil
+			dlC, a.missed = nil, true
 			if m != nil {
 				m.deadlineMisses.Inc()
 			}
 			if !e.strict {
-				if !e.abandonPending(a) {
+				if !e.abandonPending(a, w) {
 					// A winning worker closes the run instead: its token
 					// is posted or nanoseconds away.
 					<-a.allDone
@@ -938,19 +999,20 @@ func (e *Engine) await(a *batchArena, nd int32, t0, tdisp time.Time) bool {
 	return degraded
 }
 
-// dispatchHedges issues the run's single hedge round: every shard still
+// dispatchHedges issues wave w's single hedge round: every shard still
 // pending has its whole sub-batch re-dispatched to the next-best
 // replica — never the copy already serving it — and the first answer
 // wins, byte-identical either way (replicas hold identical multisets).
 // Runs on the waiting goroutine under the run's shared migMu, so the
 // replica set is stable and work channels cannot close mid-send.
-func (e *Engine) dispatchHedges(a *batchArena) {
+func (e *Engine) dispatchHedges(a *batchArena, w int) {
 	m := e.met
-	for si := range a.jobs {
-		if len(a.jobs[si]) == 0 || a.sdone[si].Load() != sdPending {
+	wv := &a.waves[w]
+	for si := range wv.jobs {
+		if len(wv.jobs[si]) == 0 || wv.sdone[si].Load() != sdPending {
 			continue
 		}
-		rep, _ := e.pickReplicaNot(si, int(a.prim[si]))
+		rep, _ := e.pickReplicaNot(si, int(wv.prim[si]))
 		if rep == nil {
 			continue // unreplicated shard, or breakers rule the rest out
 		}
@@ -966,28 +1028,28 @@ func (e *Engine) dispatchHedges(a *batchArena) {
 		for len(a.hparts) < a.nparts {
 			a.hparts = append(a.hparts, partial{})
 		}
-		a.send(rep, true)
+		a.send(rep, w, true)
 	}
 }
 
-// abandonPending marks every still-pending shard abandoned at the
-// deadline and reports whether that closed the run. A lost CAS means the
-// shard answered concurrently (its finisher decrements left); a won CAS
-// decrements here, so if the count is not zero when the loop ends, a
-// winning worker is about to close the run and the caller takes its
-// token. The run
-// returns without waiting for the abandoned sub-batches, its stragglers
-// drain in the background, and the primary copy that sat on the
-// sub-batch is charged breaker evidence (a deadline miss is a fault from
-// the router's point of view).
-func (e *Engine) abandonPending(a *batchArena) (closed bool) {
-	for si := range a.jobs {
-		if len(a.jobs[si]) == 0 {
+// abandonPending marks every still-pending shard of wave w abandoned at
+// the deadline and reports whether that closed the wave. A lost CAS
+// means the shard answered concurrently (its finisher decrements left);
+// a won CAS decrements here, so if the count is not zero when the loop
+// ends, a winning worker is about to close the wave and the caller takes
+// its token. The run returns without waiting for the abandoned
+// sub-batches, its stragglers drain in the background, and the primary
+// copy that sat on the sub-batch is charged breaker evidence (a deadline
+// miss is a fault from the router's point of view).
+func (e *Engine) abandonPending(a *batchArena, w int) (closed bool) {
+	wv := &a.waves[w]
+	for si := range wv.jobs {
+		if len(wv.jobs[si]) == 0 {
 			continue
 		}
-		if a.sdone[si].CompareAndSwap(sdPending, sdAbandoned) {
+		if wv.sdone[si].CompareAndSwap(sdPending, sdAbandoned) {
 			closed = a.left.Add(-1) == 0
-			e.replicaOutcome(si, e.shards[si].reps[a.prim[si]], true)
+			e.replicaOutcome(si, e.shards[si].reps[wv.prim[si]], true)
 		}
 	}
 	return closed
@@ -1034,116 +1096,37 @@ func (e *Engine) toGlobal(si int, ans *index.Answer) {
 	}
 }
 
-// runLocalInto answers query qi on shard si into arena slot part from
-// the caller's goroutine: a one-slot sub-batch through the same visit
-// the replica workers run (the k-NN incremental path's visits interleave
-// with them under the same mutexes). inflight brackets the call so
-// concurrent dispatch sees this visit too.
-func (e *Engine) runLocalInto(a *batchArena, si int, qi, part int32) {
-	rep, ri := e.pickReplica(si)
-	if a.capture {
-		a.caps[si].replica.Store(int32(ri))
+// slotFor resolves which side of its shard's race holds query qi's
+// answer from the ith shard of its plan, in the wave that dispatched it
+// (the plan's first-wave prefix, or the second wave's rest): the
+// primary's parts slot, the hedge's hparts shadow, or nil when the
+// deadline abandoned the shard (the caller records it as missing).
+func (a *batchArena) slotFor(qi, i int) *partial {
+	pi, off := a.planOf[qi], int(a.partOff[qi])+i
+	wv := &a.waves[0]
+	if i >= firstWave(&a.plans[pi]) {
+		wv = &a.waves[1]
 	}
-	rep.inflight.Add(1)
-	defer rep.inflight.Add(-1)
-	job := [1]shardSlot{{qi: qi, part: part}}
-	e.visit(a, si, rep, job[:], a.parts)
-}
-
-// runKNNPlanned answers one k-NN query incrementally: shards are
-// visited in increasing distance from the query point to their boxes,
-// and once k candidates are in hand a shard whose box is strictly
-// farther than the current kth distance is skipped — no point of it
-// can displace a held candidate (box distance lower-bounds every
-// member's distance, exactly, even in floats; ties must still be
-// visited because a tied point with a smaller global id would win the
-// merge's tie-break). The result is byte-identical to full fan-out.
-func (e *Engine) runKNNPlanned(a *batchArena, qi int, ks *knnScratch) {
-	q := a.qs[qi]
-	r := &a.res[qi]
-	pl := &a.plans[a.planOf[qi]]
-	p := &a.parts[a.partOff[qi]] // this query's visit scratch
-	cur, spare := ks.cur[:0], ks.spare[:0]
-	visited := 0
-	var runs [2][]chan3d.Neighbor
-	for i, si := range pl.Shards {
-		if q.K > 0 && len(cur) >= q.K && pl.MinDist2[i] > cur[q.K-1].Dist2 {
-			break
-		}
-		e.runLocalInto(a, si, int32(qi), a.partOff[qi])
-		if p.err != nil {
-			r.Err = p.err
-			break
-		}
-		e.traffic.Touch(uint64(si))
-		if m := e.met; m != nil {
-			m.shardVisits.Inc(si)
-		}
-		runs[0], runs[1] = cur, p.ans.Neighbors
-		next := loserMerge(spare[:0], runs[:], &ks.heads, &ks.loser, neighborLess, q.K)
-		cur, spare = next, cur
-		visited++
-	}
-	ks.cur, ks.spare = cur, spare
-	if r.Err != nil {
-		return
-	}
-	r.Neighbors = append(r.Neighbors[:0], cur...)
-	r.ShardsVisited = visited
-	r.ShardsPruned = len(e.shards) - visited
-	e.visited.Add(int64(visited))
-	e.pruned.Add(int64(r.ShardsPruned))
-	if m := e.met; m != nil {
-		k := planner.OpIndex(q.Op)
-		m.planVisited.AddAt(k, int64(visited))
-		m.planPruned.AddAt(k, int64(r.ShardsPruned))
-		m.visitedWin.Observe(int64(visited))
-		// Explain: the plan's k-NN "visited" list was provisional —
-		// attribute the runtime decision (visited vs kth-distance
-		// cutoff) per candidate shard. explainPlan already flushed the
-		// plan-time prunes (empty shards).
-		if visited > 0 {
-			m.planVerdicts.Add(k, int(planner.VerdictVisited), int64(visited))
-		}
-		if cut := len(pl.Shards) - visited; cut > 0 {
-			m.planVerdicts.Add(k, int(planner.VerdictPrunedKNNCutoff), int64(cut))
-		}
-	}
-	if a.capture {
-		for i, si := range pl.Shards {
-			v := planner.VerdictVisited
-			if i >= visited {
-				v = planner.VerdictPrunedKNNCutoff
-			}
-			a.caps[si].verdicts[v].Add(1)
-		}
-	}
-}
-
-// slotFor resolves which side of the shard's race holds shard
-// pl.Shards[i]'s answer for the query at slot offset off: the primary's
-// parts slot, the hedge's hparts shadow, or nil when the deadline
-// abandoned the shard (the caller records it as missing).
-func (a *batchArena) slotFor(pl *planner.Plan, off, i int) *partial {
-	switch a.sdone[pl.Shards[i]].Load() {
+	switch wv.sdone[a.plans[pi].Shards[i]].Load() {
 	case sdHedge:
-		return &a.hparts[off+i]
+		return &a.hparts[off]
 	case sdAbandoned:
 		return nil
 	}
-	return &a.parts[off+i]
+	return &a.parts[off]
 }
 
-// mergeInto combines one query's per-shard answers (the slots at
-// off...off+len(pl.Shards), each read from whichever replica won its
-// shard's race) into r with the loser-tree merge. Any shard error (an
-// unsupported op — every shard runs the same family, so all agree)
-// becomes the query's error; a shard abandoned at the deadline marks
-// the result Degraded and joins its Missing set instead of merging.
-func (e *Engine) mergeInto(a *batchArena, q Query, pl *planner.Plan, off int, r *Result) {
+// mergeInto combines query qi's per-shard answers (one per shard of its
+// plan, each read from whichever replica won its shard's race) into r
+// with the loser-tree merge. Any shard error (an unsupported op or a
+// rejected operand — every shard runs the same family, so all agree)
+// becomes the query's error; a shard abandoned at the deadline marks the
+// result Degraded and joins its Missing set instead of merging.
+func (e *Engine) mergeInto(a *batchArena, qi int, r *Result) {
+	q, pl := a.qs[qi], &a.plans[a.planOf[qi]]
 	n := len(pl.Shards)
 	for i := 0; i < n; i++ {
-		p := a.slotFor(pl, off, i)
+		p := a.slotFor(qi, i)
 		if p == nil {
 			r.Degraded = true
 			r.Missing = append(r.Missing, pl.Shards[i])
@@ -1157,30 +1140,26 @@ func (e *Engine) mergeInto(a *batchArena, q Query, pl *planner.Plan, off int, r 
 	}
 	switch {
 	case q.Op == OpKNN:
-		a.nbRuns = a.nbRuns[:0]
-		for i := 0; i < n; i++ {
-			if p := a.slotFor(pl, off, i); p != nil {
-				a.nbRuns = append(a.nbRuns, p.ans.Neighbors)
-			}
-		}
-		r.Neighbors = loserMerge(r.Neighbors[:0], a.nbRuns, &a.heads, &a.loser, neighborLess, q.K)
+		r.Neighbors = mergeSlots(a, qi, n, &a.nbRuns, answerNeighbors, r.Neighbors[:0], neighborLess, q.K)
 	case e.mutable:
-		a.recRuns = a.recRuns[:0]
-		for i := 0; i < n; i++ {
-			if p := a.slotFor(pl, off, i); p != nil {
-				a.recRuns = append(a.recRuns, p.ans.Recs)
-			}
-		}
-		r.Recs = loserMerge(r.Recs[:0], a.recRuns, &a.heads, &a.loser, recLess, -1)
+		r.Recs = mergeSlots(a, qi, n, &a.recRuns, answerRecs, r.Recs[:0], recLess, -1)
 	default:
-		a.idRuns = a.idRuns[:0]
-		for i := 0; i < n; i++ {
-			if p := a.slotFor(pl, off, i); p != nil {
-				a.idRuns = append(a.idRuns, p.ans.IDs)
-			}
-		}
-		r.IDs = loserMerge(r.IDs[:0], a.idRuns, &a.heads, &a.loser, intLess, -1)
+		r.IDs = mergeSlots(a, qi, n, &a.idRuns, answerIDs, r.IDs[:0], intLess, -1)
 	}
+}
+
+// mergeSlots loser-tree-merges one answer field of the first n shards of
+// query qi's plan — those that reported; abandoned ones are skipped —
+// into dst, keeping at most limit elements (limit < 0: all). runs is the
+// field's reused run table.
+func mergeSlots[T any](a *batchArena, qi, n int, runs *[][]T, field func(*index.Answer) []T, dst []T, less func(x, y T) bool, limit int) []T {
+	*runs = (*runs)[:0]
+	for i := 0; i < n; i++ {
+		if p := a.slotFor(qi, i); p != nil {
+			*runs = append(*runs, field(&p.ans))
+		}
+	}
+	return loserMerge(dst, *runs, &a.heads, &a.loser, less, limit)
 }
 
 // --- scalar conveniences (each is a one-op batch) --------------------------

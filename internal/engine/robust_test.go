@@ -1065,3 +1065,171 @@ func TestStragglerDoesNotPinOtherArenas(t *testing.T) {
 		t.Errorf("%d arenas on the free list after the parked straggler finished, want 2", freeArenas())
 	}
 }
+
+// TestKNNDeadlineDegrades: a planned k-NN query runs through the same
+// dispatch → await as every other op, so the deadline bounds it too. With
+// the shard that holds the query point stalled, the run returns Degraded
+// within a small multiple of the deadline and names that shard missing
+// (its second wave, which needed the first wave's kth distance, is
+// abandoned unsent and reported missing as well).
+func TestKNNDeadlineDegrades(t *testing.T) {
+	const deadline, stall = 2 * time.Millisecond, 100 * time.Millisecond
+	rng := rand.New(rand.NewSource(92))
+	pts := workload.Uniform2(rng, 8_000)
+	reg := metrics.NewRegistry()
+	e := NewKNN(pts, Options{
+		Shards: 4, BlockSize: 32, Seed: 6, Partitioner: partition.NewKDCut(),
+		Deadline: deadline, Metrics: reg,
+	})
+	defer e.Close()
+	qs := []Query{{Op: OpKNN, K: 16, Pt: geom.Point2{X: 0.3, Y: 0.7}}}
+	var ex Explain
+	e.ExplainInto(qs[0], &ex)
+	near := slices.Index(ex.MinDist2, 0)
+	if near < 0 {
+		t.Fatalf("no shard's box holds the query point: MinDist2 %v", ex.MinDist2)
+	}
+	// A healthy run beats 2ms by orders of magnitude; retry past the odd
+	// scheduler hiccup, as TestDeadlineDegradedAndStrict does.
+	for attempt := 0; ; attempt++ {
+		res := e.Batch(qs)
+		if res[0].Err != nil {
+			t.Fatal(res[0].Err)
+		}
+		if !res[0].Degraded && len(res[0].Neighbors) == 16 {
+			break
+		}
+		if attempt == 50 {
+			t.Fatalf("healthy k-NN run degraded %d times in a row", attempt)
+		}
+	}
+
+	if err := e.InjectFaults(near, 0, eio.FaultPlan{FailStall: stall}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.FailReplica(near, 0); err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	res := e.Batch(qs)
+	took := time.Since(t0)
+	// Heal at once so the abandoned straggler drains before Close.
+	if err := e.HealReplica(near, 0); err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	if !res[0].Degraded || !slices.Contains(res[0].Missing, near) {
+		t.Fatalf("run behind the stalled shard %d: degraded=%v missing=%v", near, res[0].Degraded, res[0].Missing)
+	}
+	if took >= stall/2 {
+		t.Fatalf("degraded k-NN run took %v against a %v deadline — the stalled visit was waited out", took, deadline)
+	}
+	if got, _ := reg.Snapshot().Value("engine_degraded_runs_total", ""); got < 1 {
+		t.Errorf("engine_degraded_runs_total = %v, want >= 1", got)
+	}
+}
+
+// TestHedgedKNNBatchesByteIdentical: k-NN batches on a hedged,
+// replicated engine with every primary browned out answer byte-
+// identically to an unhedged engine. The queries sit around the middle
+// of the kd layout with a k large enough to reach every tile, so each
+// batch's first wave sends every shard the queries it holds and the
+// second wave sends the same shards the others' queries: a hedge loser
+// of one wave is still running when the next wave races on the same
+// shard, which only per-wave cells keep apart.
+func TestHedgedKNNBatchesByteIdentical(t *testing.T) {
+	const shards, k = 4, 100
+	rng := rand.New(rand.NewSource(93))
+	pts := workload.Uniform2(rng, 3_000)
+	build := func(opt Options) *Engine {
+		opt.Shards, opt.BlockSize, opt.Seed, opt.Partitioner = shards, 32, 8, partition.NewKDCut()
+		e := NewKNN(pts, opt)
+		t.Cleanup(e.Close)
+		return e
+	}
+	var qs []Query
+	for _, x := range []float64{0.47, 0.53} {
+		for _, y := range []float64{0.47, 0.53} {
+			qs = append(qs, Query{Op: OpKNN, K: k, Pt: geom.Point2{X: x, Y: y}},
+				Query{Op: OpKNN, K: k, Pt: geom.Point2{X: x + (x-0.5)/3, Y: y + (y-0.5)*2}})
+		}
+	}
+	want := build(Options{}).Batch(qs)
+
+	reg := metrics.NewRegistry()
+	e := build(Options{HedgeAfter: 20 * time.Microsecond, Metrics: reg})
+	firstWave := map[int]bool{}
+	var ex Explain
+	for i, q := range qs {
+		e.ExplainInto(q, &ex)
+		firstWave[slices.Index(ex.MinDist2, 0)] = true
+		if want[i].Err != nil || want[i].ShardsVisited != shards {
+			t.Fatalf("query %d visits %d shards (err %v), want all %d", i, want[i].ShardsVisited, want[i].Err, shards)
+		}
+	}
+	if len(firstWave) < 2 {
+		t.Fatalf("every query's first wave is shard %v — no shard serves both waves", firstWave)
+	}
+	for si := 0; si < shards; si++ {
+		if err := e.Replicate(si, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.InjectFaults(si, 0, eio.FaultPlan{Seed: int64(si + 1), BrownoutProb: 1, BrownoutStall: time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := make([]Result, 0, len(qs))
+	for b := 0; b < 6; b++ {
+		res = e.BatchInto(qs, res[:0])
+		for i := range qs {
+			if res[i].Err != nil || res[i].Degraded || !slices.Equal(res[i].Neighbors, want[i].Neighbors) ||
+				res[i].ShardsVisited != want[i].ShardsVisited {
+				t.Fatalf("batch %d query %d: hedged answer diverged (err %v, degraded %v, %d vs %d neighbors)",
+					b, i, res[i].Err, res[i].Degraded, len(res[i].Neighbors), len(want[i].Neighbors))
+			}
+		}
+	}
+	if hedges, _ := reg.Snapshot().Value("engine_hedges_total", ""); hedges == 0 {
+		t.Fatal("browned-out primaries never triggered a hedge")
+	}
+}
+
+// TestDegradedRunOwnsItsOperands: a straggler a degraded run leaves
+// behind reads the run's operands from the arena's own copy, never from
+// the caller's slices, which the caller may rewrite as soon as BatchInto
+// returns. The straggler is parked on its replica's mutex (as in
+// TestStragglerDoesNotPinOtherArenas); the caller unparks it and at once
+// overwrites its coefficients in place. Were the straggler still reading
+// the caller's memory, the race detector would report it.
+func TestDegradedRunOwnsItsOperands(t *testing.T) {
+	rng := rand.New(rand.NewSource(94))
+	pts := workload.CubeD(rng, 2_000, 3)
+	e := NewPartition(pts, Options{
+		Shards: 2, BlockSize: 32, Partitioner: partition.NewKDCut(), Deadline: time.Millisecond,
+	})
+	defer e.Close()
+	coef := []float64{0, 0, 2} // x_3 <= 2 holds on every point of every shard
+	qs := []Query{{Op: OpHalfspaceD, Coef: coef}}
+	e.Batch(qs) // warm: first-run arena growth must not eat the deadline
+
+	rep := e.shards[0].reps[0]
+	var unpark sync.Once
+	rep.mu.Lock()
+	defer unpark.Do(rep.mu.Unlock)
+	res := e.Batch(qs)
+	if !res[0].Degraded || !slices.Contains(res[0].Missing, 0) {
+		t.Fatalf("run behind the parked replica: degraded=%v missing=%v, want shard 0 missing", res[0].Degraded, res[0].Missing)
+	}
+	unpark.Do(rep.mu.Unlock)
+	for i := range coef {
+		coef[i] = -1 - coef[i]
+	}
+	if !waitFor(func() bool { return rep.inflight.Load() == 0 }) {
+		t.Fatal("the parked straggler never finished")
+	}
+	if got := e.Batch(qs); got[0].Err != nil || len(got[0].IDs) != 0 {
+		t.Fatalf("rewritten operand (x_3 <= -1): err %v, %d ids, want none", got[0].Err, len(got[0].IDs))
+	}
+}

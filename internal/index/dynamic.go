@@ -232,8 +232,13 @@ func (d *DynamicPartition) Query(q Query) (Answer, error) { return intoAnswer(d,
 // QueryInto dispatches q appending into ans. The whole path — the
 // logarithmic-method report, the canonical sort, and the record
 // conversion — reuses adapter scratch and ans's capacity, so a warm
-// index answers with zero heap allocations.
+// index answers with zero heap allocations. Once the first insert has
+// pinned the dimension, an operand of another dimension is rejected;
+// before that the index is empty and answers so.
 func (d *DynamicPartition) QueryInto(q Query, ans *Answer) error {
+	if err := checkDim("dynamic partition", d.dim, q); err != nil {
+		return err
+	}
 	switch q.Op {
 	case OpHalfspaceD:
 		d.ptsBuf = d.idx.ReportAppend(geom.HyperplaneD{Coef: q.Coef}, d.ptsBuf[:0])

@@ -138,6 +138,31 @@ func unsupported(family string, op Op) error {
 	return fmt.Errorf("index: %s index: %w %v", family, ErrUnsupported, op)
 }
 
+// checkDim rejects a HalfspaceD or Conjunction operand whose coefficient
+// count is not the dimension d of a partition family's points (d = 0: no
+// dimension yet, nothing to check). The error wraps ErrUnsupported: the
+// index cannot answer an operand of another dimension, and the geometry
+// below it would index past the shorter of the two.
+func checkDim(family string, d int, q Query) error {
+	bad := -1
+	switch q.Op {
+	case OpHalfspaceD:
+		if len(q.Coef) != d {
+			bad = len(q.Coef)
+		}
+	case OpConjunction:
+		for _, c := range q.Constraints {
+			if len(c.Coef) != d {
+				bad = len(c.Coef)
+			}
+		}
+	}
+	if d == 0 || bad < 0 {
+		return nil
+	}
+	return fmt.Errorf("index: %s index is %d-dimensional, got %d coefficients: %w %v", family, d, bad, ErrUnsupported, q.Op)
+}
+
 // Index is the capability every family provides: answer the ops it
 // serves through one dispatch point, and report its size and the I/O
 // counters of the device it owns. Implementations are single-owner,

@@ -107,6 +107,65 @@ func TestUnsupportedOps(t *testing.T) {
 	}
 }
 
+// TestOperandDimensionChecked: the partition adapters reject a
+// halfspace or conjunction operand whose coefficient count is not the
+// index's dimension — too long used to index past the tree's boxes, too
+// short answered wrongly — with an error wrapping ErrUnsupported. An
+// index with no dimension yet (no points, or nothing inserted) answers
+// empty.
+func TestOperandDimensionChecked(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	pts := workload.CubeD(rng, 200, 3)
+	dyn := NewDynamicPartition(eio.NewDevice(16, 0))
+	for _, p := range pts {
+		if err := dyn.Insert(Record{PD: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good := []float64{0.1, 0.2, 0.5}
+	indexes := []struct {
+		name string
+		idx  Index
+		dim  bool // has a dimension to check against
+	}{
+		{"partition", NewPartition(eio.NewDevice(16, 0), pts), true},
+		{"dynpartition", dyn, true},
+		{"empty partition", NewPartition(eio.NewDevice(16, 0), nil), false},
+		{"empty dynpartition", NewDynamicPartition(eio.NewDevice(16, 0)), false},
+	}
+	queries := []struct {
+		name string
+		q    Query
+		ok   bool
+	}{
+		{"halfspace", Query{Op: OpHalfspaceD, Coef: good}, true},
+		{"halfspace too long", Query{Op: OpHalfspaceD, Coef: []float64{1, 2, 3, 4, 5, 6}}, false},
+		{"halfspace too short", Query{Op: OpHalfspaceD, Coef: []float64{0.5, 0.5}}, false},
+		{"halfspace empty", Query{Op: OpHalfspaceD}, false},
+		{"conjunction", Query{Op: OpConjunction, Constraints: []Constraint{{Coef: good, Below: true}}}, true},
+		{"conjunction one bad", Query{Op: OpConjunction, Constraints: []Constraint{
+			{Coef: good, Below: true}, {Coef: []float64{0.1, 0.2, 0.3, 0.4}},
+		}}, false},
+	}
+	for _, x := range indexes {
+		for _, c := range queries {
+			ans, err := x.idx.Query(c.q)
+			if !x.dim {
+				if err != nil || len(ans.IDs)+len(ans.Recs) != 0 {
+					t.Errorf("%s / %s: got %v (%d ids, %d recs), want an empty answer", x.name, c.name, err, len(ans.IDs), len(ans.Recs))
+				}
+				continue
+			}
+			if c.ok && err != nil {
+				t.Errorf("%s / %s: %v", x.name, c.name, err)
+			}
+			if !c.ok && !errors.Is(err, ErrUnsupported) {
+				t.Errorf("%s / %s: got %v, want an error wrapping ErrUnsupported", x.name, c.name, err)
+			}
+		}
+	}
+}
+
 // TestEmptyAdapters: zero-point static adapters answer their ops with
 // empty results and zero Len instead of building (or crashing on) an
 // empty structure.

@@ -231,8 +231,14 @@ func (p *Partition) Supports(op Op) bool { return op == OpHalfspaceD || op == Op
 // Query dispatches the ops the partition family serves.
 func (p *Partition) Query(q Query) (Answer, error) { return intoAnswer(p, q) }
 
-// QueryInto dispatches q appending into ans.
+// QueryInto dispatches q appending into ans. An operand whose
+// coefficient count is not the tree's dimension is rejected.
 func (p *Partition) QueryInto(q Query, ans *Answer) error {
+	if p.tr != nil {
+		if err := checkDim("partition", p.tr.Dim(), q); err != nil {
+			return err
+		}
+	}
 	switch q.Op {
 	case OpHalfspaceD:
 		if p.tr != nil {

@@ -62,7 +62,8 @@ const (
 	// halfspace safely misses the whole box.
 	VerdictPrunedConstraint
 	// VerdictPrunedKNNCutoff: the engine's run-time kth-distance cutoff
-	// stopped before reaching the shard.
+	// (taken from the answers of a k-NN query's first wave) excluded the
+	// shard from the second.
 	VerdictPrunedKNNCutoff
 )
 
@@ -99,8 +100,8 @@ func (v Verdict) Pruned() bool { return v != VerdictVisited }
 type Plan struct {
 	// Shards lists the shards that can contribute, ascending — except
 	// for OpKNN, where they are ordered by increasing distance from the
-	// query point to the shard's bounding box, the visit order of the
-	// engine's incremental cutoff.
+	// query point to the shard's bounding box, the order the engine's
+	// k-NN waves split.
 	Shards []int
 	// MinDist2 is parallel to Shards for OpKNN: the squared distance
 	// from the query point to each shard's box (0 when inside). Empty
@@ -109,12 +110,13 @@ type Plan struct {
 	MinDist2 []float64
 	// Verdicts is indexed by shard (length = number of summaries): the
 	// plan-time decision for every shard, including the ones not in
-	// Shards, with the bound that pruned each. Run-time k-NN cutoffs
-	// are not reflected here — the engine attributes those itself so a
-	// shared plan stays immutable across the batch.
+	// Shards, with the bound that pruned each. The planner never issues
+	// the k-NN cutoff; the engine writes it into a k-NN plan (and
+	// truncates Shards to match) once the plan's first wave has
+	// answered, identically for every query sharing the plan.
 	Verdicts []Verdict
 	// Pruned counts the shards excluded at plan time. For OpKNN the
-	// engine's kth-distance cutoff may prune further at run time.
+	// engine's kth-distance cutoff may add to it at run time.
 	Pruned int
 }
 
@@ -343,9 +345,9 @@ func conjunctionMay(cs []index.Constraint, box geom.Box) bool {
 }
 
 // planKNN orders the candidate shards by distance from the query point
-// to their boxes — the visit order under which the engine's incremental
-// kth-distance cutoff terminates earliest. Only provably empty shards
-// are pruned here; geometry alone cannot drop a populated shard without
+// to their boxes — the order the engine's two waves split (the nearest
+// first, the rest up to the kth-distance cutoff). Only provably empty
+// shards are pruned here; geometry alone cannot drop a populated shard without
 // knowing the kth distance, which emerges as shards answer. The (d2,
 // si)-ordered candidates are built and insertion-sorted directly in
 // pl's parallel slices (S is small and the input near-sorted; no

@@ -83,9 +83,11 @@ const nOps = int(index.OpDelete) + 1
 
 // request is one in-flight query: pooled by the server, alive from
 // admission until the flusher signals done. The operand slices inside
-// q (Coef, Constraints, Rec.PD) must be freshly allocated per request,
-// never pooled: a degraded run's abandoned stragglers may still read
-// them after the response is delivered (engine.Options.Deadline).
+// q (Coef, Constraints, Rec.PD) are freshly allocated per request. An
+// inserted record's Rec.PD is kept by the index, so it must never be
+// pooled; Coef and Constraints are copied into the engine's run arena,
+// so a degraded run's abandoned stragglers never read them after the
+// response is delivered; they are simply not pooled yet.
 type request struct {
 	q      index.Query
 	out    *Response // caller-owned; filled by the flusher before done
@@ -161,9 +163,9 @@ func New(be Backend, cfg Config) *Server {
 // is a thin wrapper over it; a raw-TCP framing would call it the same
 // way). resp is reset and refilled in place, so a caller that reuses
 // it keeps its buffer capacity. On StatusShed or StatusClosed the
-// backend was never touched and resp stays empty. Operand slices in q
-// (Coef, Constraints, Rec.PD) must not be reused by the caller while a
-// degraded run's stragglers may still be draining (see request).
+// backend was never touched and resp stays empty. An inserted record's
+// Rec.PD must not be reused by the caller: the index keeps it (see
+// request).
 func (s *Server) Do(q index.Query, resp *Response) Status {
 	resp.reset()
 	r := s.getReq()

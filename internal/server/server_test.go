@@ -139,6 +139,37 @@ func TestHTTPEquivalenceStatic(t *testing.T) {
 	}
 }
 
+// TestWrongDimensionIs400: a halfspace or conjunction operand of another
+// dimension than the partition engine's points is the client's fault —
+// 400 with the index's error, not a crashed shard worker — and the
+// server keeps answering well-formed queries afterwards.
+func TestWrongDimensionIs400(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	eng := engine.NewPartition(workload.CubeD(rng, 400, 3), engine.Options{Shards: 2, BlockSize: 32})
+	defer eng.Close()
+	srv := New(eng, Config{MaxBatch: 4})
+	defer srv.Close()
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+
+	for _, c := range []struct {
+		name string
+		wq   wireQuery
+		want int
+	}{
+		{"halfspaceD 6 coefs", wireQuery{Op: "halfspaceD", Coef: []float64{1, 2, 3, 4, 5, 6}}, http.StatusBadRequest},
+		{"halfspaceD 2 coefs", wireQuery{Op: "halfspaceD", Coef: []float64{0.5, 0.5}}, http.StatusBadRequest},
+		{"conjunction, one 4-coef constraint", wireQuery{Op: "conjunction", Constraints: []wireConstraint{
+			{Coef: []float64{0.1, 0.2, 0.5}, Below: true}, {Coef: []float64{0.1, 0.2, 0.3, 0.4}},
+		}}, http.StatusBadRequest},
+		{"halfspaceD 3 coefs", wireQuery{Op: "halfspaceD", Coef: []float64{0.1, 0.2, 0.5}}, http.StatusOK},
+	} {
+		if code, resp := postQuery(t, hs.Client(), hs.URL, c.wq); code != c.want {
+			t.Errorf("%s: status %d (%s), want %d", c.name, code, resp.Err, c.want)
+		}
+	}
+}
+
 // TestHTTPEquivalenceMutable interleaves inserts, deletes and
 // conjunction queries from N concurrent HTTP clients on one mutable
 // engine. Each client owns a disjoint y-band, so its op history
