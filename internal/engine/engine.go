@@ -336,9 +336,9 @@ type Engine struct {
 	// the owning shard's mutex; reads are racy by design — a stale
 	// count only skews balance, never correctness.
 	counts []atomic.Int64
-	// mutable records whether the shards implement index.Mutable
-	// (probed once at build; all shards share one family).
-	mutable bool
+	// mutable and ordered: do the shards implement index.Mutable and
+	// index.Ordered (probed once at build; all shards share one family)?
+	mutable, ordered bool
 	// dim pins the PD dimension across the whole engine on the first
 	// successful insert (0 = none yet). Each shard pins its own
 	// dimension too, but shards see disjoint insert streams, so without
@@ -567,6 +567,7 @@ func newEngine(opt Options, build func(si int, dev *eio.Device) index.Index) *En
 	}
 	wg.Wait()
 	_, e.mutable = e.shards[0].reps[0].idx.(index.Mutable)
+	_, e.ordered = e.shards[0].reps[0].idx.(index.Ordered)
 	// Instruments are registered before the workers start, so every
 	// observation site sees a fully built met (or nil) for the engine's
 	// whole lifetime. The registry pointer is not retained in e.opt —

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -136,11 +138,12 @@ type batchArena struct {
 	// distinct plans of the run, planRep[pi] the first query that needed
 	// plans[pi] (the representative whose operand later queries are
 	// compared against), planOf[qi] the plan of query qi (-1: errored,
-	// no plan).
+	// no plan), order the queue order the run plans in (orderRun).
 	plans   []planner.Plan
 	planRep []int32
 	nplans  int
 	planOf  []int32
+	order   []int32
 
 	// sums is the once-per-run snapshot of the shard summaries a mutable
 	// engine plans against (unused for static engines, whose summaries
@@ -149,7 +152,7 @@ type batchArena struct {
 
 	// waves are the run's dispatch rounds (the second is used by k-NN
 	// only); parts[0:nparts] are the answer slots, laid out per query at
-	// partOff[qi] in plan order, a wave's slots disjoint from the other's.
+	// partOff[qi] in queue order, a wave's slots disjoint from the other's.
 	// All slots are allocated before any dispatch: workers index a stable
 	// slice.
 	waves   [2]wave
@@ -564,11 +567,11 @@ func (e *Engine) runQueries(a *batchArena, qs []Query, results []Result) {
 	}
 }
 
-// planRun is the sequential plan phase: plan every query of the run and
-// lay out every answer slot. Workers index a.parts concurrently later,
-// so all of its growth happens here. Ops outside the family's capability
-// (probed on shard 0 — capability is constant per family, so no lock is
-// needed) error without fanning out to any shard.
+// planRun is the sequential plan phase: plan every query of the run in
+// queue order and lay out every answer slot. Workers index a.parts
+// concurrently later, so all of its growth happens here. Ops outside the
+// family's capability (probed on shard 0 — capability is constant per
+// family, so no lock is needed) error without fanning out to any shard.
 func (e *Engine) planRun(a *batchArena) {
 	m := e.met
 	if !e.noPlan {
@@ -576,7 +579,9 @@ func (e *Engine) planRun(a *batchArena) {
 		// slice kept here is never mistaken for a mutable engine's buffer.
 		a.sums = e.snapshotSums(a.sums)
 	}
-	for qi := range a.qs {
+	e.orderRun(a)
+	for _, q := range a.order {
+		qi := int(q)
 		op := a.qs[qi].Op
 		a.res[qi].reset()
 		if m != nil {
@@ -595,6 +600,25 @@ func (e *Engine) planRun(a *batchArena) {
 	}
 	for len(a.parts) < a.nparts {
 		a.parts = append(a.parts, partial{})
+	}
+}
+
+// orderRun fixes the run's queue order: arrival order, or on a family
+// with a locality key (index.Ordered) ascending key, ties in arrival
+// order, so queries that read the same blocks reach each shard back to
+// back and meet them in its cache. It is fixed before any dispatch, as a
+// hedge and the primary read one job list concurrently.
+func (e *Engine) orderRun(a *batchArena) {
+	a.order = a.order[:0]
+	for qi := range a.qs {
+		a.order = append(a.order, int32(qi))
+	}
+	if e.ordered {
+		// The current primary's: a static Rebalance replaces the indexes.
+		loc := e.shards[0].reps[0].idx.(index.Ordered)
+		slices.SortStableFunc(a.order, func(x, y int32) int {
+			return cmp.Compare(loc.Locality(a.qs[x]), loc.Locality(a.qs[y]))
+		})
 	}
 }
 
@@ -658,8 +682,8 @@ func (e *Engine) cutKNN(a *batchArena) (more bool) {
 		pl.Pruned += len(pl.Shards) - end
 		pl.Shards, pl.MinDist2 = pl.Shards[:end], pl.MinDist2[:end]
 	}
-	for qi, pi := range a.planOf {
-		if pi >= 0 && e.queue(a, 1, qi) {
+	for _, qi := range a.order {
+		if a.planOf[qi] >= 0 && e.queue(a, 1, int(qi)) {
 			more = true
 		}
 	}

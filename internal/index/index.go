@@ -215,6 +215,14 @@ type Enumerable interface {
 	AppendRecords(dst []Record) []Record
 }
 
+// Ordered is the optional capability of a family whose queries with
+// close Locality keys read mostly the same blocks. The engine answers
+// each sub-batch in ascending key (ties in arrival order) and never
+// interprets the key, which must be a pure function of q.
+type Ordered interface {
+	Locality(q Query) float64
+}
+
 func devStats(dev *eio.Device) Stats {
 	return Stats{IO: dev.Stats(), SpaceBlocks: dev.SpaceBlocks()}
 }

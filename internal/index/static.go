@@ -69,6 +69,11 @@ func (p *Planar) QueryInto(q Query, ans *Answer) error {
 	return nil
 }
 
+// Locality keys a halfplane by its slope A. The §3 query finds its
+// relevant cluster through a B-tree keyed by the dual point's abscissa,
+// which is A, so queries with close slopes read the same cluster blocks.
+func (p *Planar) Locality(q Query) float64 { return q.A }
+
 // Spatial3 adapts the §4 3D structure (Theorem 4.4).
 type Spatial3 struct {
 	dev *eio.Device
@@ -263,8 +268,9 @@ func intoAnswer(x Index, q Query) (Answer, error) {
 }
 
 var (
-	_ Index = (*Planar)(nil)
-	_ Index = (*Spatial3)(nil)
-	_ Index = (*KNN)(nil)
-	_ Index = (*Partition)(nil)
+	_ Index   = (*Planar)(nil)
+	_ Index   = (*Spatial3)(nil)
+	_ Index   = (*KNN)(nil)
+	_ Index   = (*Partition)(nil)
+	_ Ordered = (*Planar)(nil)
 )

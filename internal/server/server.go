@@ -112,6 +112,15 @@ type stripe struct {
 
 // Server is the batching front-end. Create with New, serve via Do or
 // the http.Handler in http.go, stop with Close.
+//
+// The handler sets no connection timeouts: those belong to the
+// http.Server it is mounted on. A caller mounting it on its own server
+// should set ReadHeaderTimeout, ReadTimeout and IdleTimeout, as
+// cmd/lcserve/serve.go does, so a slow or silent client cannot hold a
+// connection open. WriteTimeout is left to the caller because it covers
+// every handler on that server: a query reply is small, but a streaming
+// handler beside it (cmd/lcserve mounts /debug/pprof/profile, which
+// streams for as long as the client asks) would be cut off.
 type Server struct {
 	be        Backend
 	cfg       Config

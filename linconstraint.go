@@ -655,4 +655,11 @@ const (
 
 // Serve starts a batching front-end over eng. The server does not own
 // the engine: call Server.Close first, Engine.Close after.
+//
+// The returned handler sets no connection timeouts. Mount it on an
+// http.Server with ReadHeaderTimeout, ReadTimeout and IdleTimeout set,
+// as cmd/lcserve/serve.go does, or a slow client can hold a connection
+// open indefinitely. WriteTimeout is left to the caller: it applies to
+// every handler on that http.Server, and a streaming handler mounted
+// beside this one (such as /debug/pprof/profile) would be cut off by it.
 func Serve(eng *Engine, cfg ServerConfig) *Server { return server.New(eng, cfg) }
