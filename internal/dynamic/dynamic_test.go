@@ -7,6 +7,7 @@ import (
 
 	"linconstraint/internal/eio"
 	"linconstraint/internal/geom"
+	"linconstraint/internal/workload"
 )
 
 // TestHalfplane2DAgainstModel drives random inserts/deletes/queries and
@@ -49,6 +50,44 @@ func TestHalfplane2DAgainstModel(t *testing.T) {
 		if idx.Len() != len(model) {
 			t.Fatalf("op %d: Len %d, want %d", op, idx.Len(), len(model))
 		}
+	}
+}
+
+// TestQueryReadsEachBlockOnce extends the §3 query's read-once
+// accounting to the logarithmic method: a query on the dynamized planar
+// index runs the §3 walk in every bucket, and no bucket shares a block
+// with another, so no block is read twice. The device caches more than
+// the structure owns and is emptied before each query, so any hit is a
+// re-read; the total read count is pinned as well.
+func TestQueryReadsEachBlockOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	dev := eio.NewDevice(16, 1<<20)
+	idx := NewHalfplane2D(dev, 4)
+	pts := workload.Uniform2(rng, 5000)
+	for _, p := range pts {
+		idx.Insert(p)
+	}
+	if b := idx.set.Buckets(); b != 5 {
+		t.Fatalf("%d buckets, want 5 (5000 = 0b1001110001000)", b)
+	}
+	var out []geom.Point2
+	var reads int64
+	for _, sel := range []float64{0.0005, 0.01, 0.1, 0.5, 1} {
+		for i := 0; i < 40; i++ {
+			h := workload.HalfplaneWithSelectivity(rng, pts, sel)
+			dev.DropCache()
+			before := dev.Stats()
+			out = idx.ReportAppend(h.A, h.B, out[:0])
+			d := dev.Stats().Sub(before)
+			if d.Hits != 0 {
+				t.Fatalf("selectivity %v query %d: %d of its %d block touches re-read a block", sel, i, d.Hits, d.Reads+d.Hits)
+			}
+			reads += d.Reads
+		}
+	}
+	const golden = 41_967
+	if reads != golden {
+		t.Fatalf("200 queries read %d blocks, want %d", reads, golden)
 	}
 }
 

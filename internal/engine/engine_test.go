@@ -231,6 +231,11 @@ func TestStatsAggregation(t *testing.T) {
 		h := workload.HalfplaneWithSelectivity(rng, pts, 0.2)
 		e.Halfplane(h.A, h.B)
 	}
+	// A query reads each block once, so the hits come from repeating a
+	// small query whose blocks fit in the 8-block caches.
+	h := workload.HalfplaneWithSelectivity(rng, pts, 0.01)
+	e.Halfplane(h.A, h.B)
+	e.Halfplane(h.A, h.B)
 	st := e.Stats()
 	if st.Shards != 4 || len(st.PerShard) != 4 {
 		t.Fatalf("bad shard count in %+v", st)

@@ -177,10 +177,8 @@ func (x *Index) BelowAppend(q geom.Point2, out []int) []int {
 		if pr, ok := p.bounds.Predecessor(q.X); ok {
 			j = int(pr.Value)
 		}
-		// Scan it, counting lines below q, then report them.
-		below := countBelow(p.clusters[j], q)
-		x.markBelow(p.clusters[j], q)
-		if below < p.lambda {
+		// Scan it once, reporting its lines below q and counting them.
+		if x.markBelow(p.clusters[j], q) < p.lambda {
 			// Lemma 3.1: the relevant cluster contains every line of H_i
 			// below q; stop.
 			break
@@ -202,32 +200,20 @@ func (x *Index) BelowAppend(q geom.Point2, out []int) []int {
 	return x.ans.AppendSortedAndClear(out)
 }
 
-// countBelow scans cluster c and returns how many of its lines lie on
-// or below q.
-func countBelow(c *eio.Array[rec], q geom.Point2) int {
+// markBelow scans cluster c, adding its lines on or below q to the
+// answer set, and returns how many it found.
+func (x *Index) markBelow(c *eio.Array[rec], q geom.Point2) int {
 	n := 0
 	for k, nb := 0, c.Blocks(); k < nb; k++ {
 		blk := c.Block(k)
 		for i := range blk {
 			if belowOrOn(&blk[i], q) {
+				x.ans.Add(blk[i].ID)
 				n++
 			}
 		}
 	}
 	return n
-}
-
-// markBelow scans cluster c, adding its lines on or below q to the
-// answer set.
-func (x *Index) markBelow(c *eio.Array[rec], q geom.Point2) {
-	for k, nb := 0, c.Blocks(); k < nb; k++ {
-		blk := c.Block(k)
-		for i := range blk {
-			if belowOrOn(&blk[i], q) {
-				x.ans.Add(blk[i].ID)
-			}
-		}
-	}
 }
 
 // expand scans cluster c during a Lemma 3.4 expansion: lines on or

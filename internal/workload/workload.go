@@ -2,9 +2,10 @@
 // by the experiments: uniform and clustered data, the paper's §1.1
 // Companies(PricePerShare, EarningsPerShare) relation, and the §1.2
 // adversarial near-diagonal set on which quadtree-style structures
-// degrade to Ω(n) I/Os. Query generators can target a requested output
-// selectivity so experiments can separate the search term (log_B n or
-// n^(1-1/d)) from the output term t.
+// degrade to Ω(n) I/Os, and degenerate planar sets (lattice, repeated,
+// concurrent, collinear) for correctness oracles. Query generators can
+// target a requested output selectivity so experiments can separate the
+// search term (log_B n or n^(1-1/d)) from the output term t.
 package workload
 
 import (
@@ -43,6 +44,51 @@ func Diagonal2(rng *rand.Rand, n int, jitter float64) []geom.Point2 {
 	for i := range pts {
 		x := rng.Float64()
 		pts[i] = geom.Point2{X: x, Y: x + rng.NormFloat64()*jitter}
+	}
+	return pts
+}
+
+// The degenerate planar sets below are what integer GIS coordinates and
+// constraint-database relations look like, and what a construction that
+// assumes general position gets wrong. Their coordinates are small
+// dyadic rationals, so every coincidence they plant is exact in float64.
+
+// Lattice2 returns n points drawn from the side×side integer grid: many
+// points share an x (parallel dual lines) or lie on a common grid line
+// (concurrent dual lines), and points repeat once n nears side².
+func Lattice2(rng *rand.Rand, n, side int) []geom.Point2 {
+	pts := make([]geom.Point2, n)
+	for i := range pts {
+		pts[i] = geom.Point2{X: float64(rng.Intn(side)), Y: float64(rng.Intn(side))}
+	}
+	return pts
+}
+
+// Duplicated2 returns n points drawn with repetition from distinct
+// uniform points, so dual lines coincide.
+func Duplicated2(rng *rand.Rand, n, distinct int) []geom.Point2 {
+	base := Uniform2(rng, distinct)
+	pts := make([]geom.Point2, n)
+	for i := range pts {
+		pts[i] = base[rng.Intn(distinct)]
+	}
+	return pts
+}
+
+// Concurrent2 returns n points on k random lines, so the dual lines form
+// k pencils, each concurrent through one point. k = 1 is the
+// all-collinear set.
+func Concurrent2(rng *rand.Rand, n, k int) []geom.Point2 {
+	type line struct{ m, c float64 }
+	ls := make([]line, k)
+	for i := range ls {
+		ls[i] = line{m: float64(rng.Intn(33)-16) / 8, c: float64(rng.Intn(1<<10)) / (1 << 10)}
+	}
+	pts := make([]geom.Point2, n)
+	for i := range pts {
+		l := ls[rng.Intn(k)]
+		x := float64(rng.Intn(1<<12)) / (1 << 12)
+		pts[i] = geom.Point2{X: x, Y: l.m*x + l.c}
 	}
 	return pts
 }

@@ -123,6 +123,33 @@ func TestDiagonalAdversarialQueryEmptyOutput(t *testing.T) {
 	}
 }
 
+// TestDegenerateGeneratorsAreExact checks that the degeneracies the
+// planar generators plant survive float64: Concurrent2's points lie
+// exactly on their lines (so the dual lines are exactly concurrent), and
+// the lattice and duplicated sets really repeat points.
+func TestDegenerateGeneratorsAreExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	pts := Concurrent2(rng, 300, 1)
+	for _, p := range pts[2:] {
+		if geom.Orient2D(pts[0], pts[1], p) != 0 {
+			t.Fatalf("Concurrent2(k=1): %v is off the line through %v and %v", p, pts[0], pts[1])
+		}
+	}
+	distinct := func(pts []geom.Point2) int {
+		seen := map[geom.Point2]bool{}
+		for _, p := range pts {
+			seen[p] = true
+		}
+		return len(seen)
+	}
+	if d := distinct(Lattice2(rng, 400, 16)); d >= 400 || d > 16*16 {
+		t.Fatalf("Lattice2 gave %d distinct points of 400 on a 16×16 grid", d)
+	}
+	if d := distinct(Duplicated2(rng, 400, 50)); d > 50 {
+		t.Fatalf("Duplicated2 gave %d distinct points, want ≤ 50", d)
+	}
+}
+
 func TestClampIdx(t *testing.T) {
 	if clampIdx(-1, 5) != 0 || clampIdx(7, 5) != 4 || clampIdx(3, 5) != 3 {
 		t.Fatal("clampIdx")
