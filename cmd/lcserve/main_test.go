@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,9 +15,15 @@ import (
 )
 
 // TestMalformedSpecsExit2 pins the spec parsers: a malformed -faults,
-// -slo or -breaker value exits 2 before any engine is built.
+// -slo, -breaker or -replicas value, or a missing -listen, exits 2
+// before any engine is built. Every row is otherwise a valid small
+// server run under an already-cancelled context, so a row that parses
+// by mistake builds, drains and exits 0 instead of serving forever.
 func TestMalformedSpecsExit2(t *testing.T) {
-	for _, args := range [][]string{
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	valid := []string{"-n", "1000", "-listen", "127.0.0.1:0"}
+	for _, spec := range [][]string{
 		{"-faults", "0:1"},
 		{"-faults", "x:1:fail"},
 		{"-faults", "0:y:fail"},
@@ -31,10 +38,18 @@ func TestMalformedSpecsExit2(t *testing.T) {
 		{"-breaker", "3"},
 		{"-breaker", "x:100ms"},
 		{"-breaker", "3:soon"},
+		{"-replicas", "0:2x"},
+		{"-replicas", "0:2:9"},
+		{"-replicas", ":2"},
+		{"-replicas", "0:"},
 	} {
-		if code := run(context.Background(), args, io.Discard); code != 2 {
+		args := append(slices.Clip(valid), spec...)
+		if code := run(ctx, args, io.Discard); code != 2 {
 			t.Errorf("run %q: exit %d, want 2", args, code)
 		}
+	}
+	if code := run(ctx, []string{"-n", "1000"}, io.Discard); code != 2 {
+		t.Errorf("run without -listen: exit %d, want 2", code)
 	}
 }
 
@@ -70,9 +85,9 @@ func TestHalfHeaderIsCut(t *testing.T) {
 	}
 }
 
-// TestListenLifecycle drives one -listen process: queries, metrics and
-// plan explain answer on the one port, and cancelling ctx (the signal)
-// drains everything and exits 0.
+// TestListenLifecycle drives one process: queries, metrics (text and
+// JSON) and plan explain answer on the one port, and cancelling ctx
+// (the signal) drains everything and exits 0.
 func TestListenLifecycle(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -80,14 +95,14 @@ func TestListenLifecycle(t *testing.T) {
 	exit := make(chan int, 1)
 	go func() {
 		exit <- run(ctx, []string{"-kind", "planar", "-n", "2000", "-shards", "2", "-layout", "kd",
-			"-queries", "0", "-listen", "127.0.0.1:0"}, pw)
+			"-listen", "127.0.0.1:0"}, pw)
 		pw.Close()
 	}()
 	addrc := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(pr)
 		for sc.Scan() {
-			if rest, ok := strings.CutPrefix(sc.Text(), "serving on http://"); ok {
+			if _, rest, ok := strings.Cut(sc.Text(), " msg=serving addr="); ok {
 				addrc <- strings.Fields(rest)[0]
 			}
 		}
@@ -105,6 +120,7 @@ func TestListenLifecycle(t *testing.T) {
 	for _, tc := range []struct{ path, want string }{
 		{"/query?op=halfplane&a=0.2&b=0.3", `"lat"`},
 		{"/metrics", "engine_run_total_ns_bucket{"},
+		{"/metrics.json", `"engine_run_total_ns"`},
 		{"/debug/explain?op=halfplane&a=0.25&b=0.1", `"verdict"`},
 	} {
 		resp, err := http.Get(base + tc.path)

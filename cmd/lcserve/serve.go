@@ -1,18 +1,15 @@
 package main
 
-// The one serving lifecycle. With -listen, right after the build a
-// single http.Server mounts the batching query front-end
-// (linconstraint.Serve, DESIGN.md §13) beside the telemetry surface,
-// and serves through the profile, load and report phases. Every run,
-// served or not, leaves through drain in the §13 order — stop
-// accepting and drain in-flight handlers, close the front-end (which
-// answers everything already admitted), then close the engine — all
-// raced against the grace period.
+// The one serving lifecycle. Right after the build a single
+// http.Server mounts the batching query front-end (linconstraint.Serve,
+// DESIGN.md §13) beside the telemetry surface. Every run leaves through
+// drain in the §13 order — stop accepting and drain in-flight handlers,
+// close the front-end (which answers everything already admitted), then
+// close the engine — all raced against the grace period.
 
 import (
 	"context"
-	"fmt"
-	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"time"
@@ -20,12 +17,12 @@ import (
 	"linconstraint"
 )
 
-// service is a -listen process's HTTP server and front-end; a nil
-// *service is a run without -listen.
+// service is the process's HTTP server and front-end.
 type service struct {
 	srv   *http.Server
 	front *linconstraint.Server
-	errc  chan error // Serve's exit
+	errc  chan error   // Serve's exit
+	log   *slog.Logger // lifecycle records; run points it at its stream
 }
 
 // The server's connection bounds. A client gets readHeaderTimeout to send
@@ -44,7 +41,7 @@ const (
 // serve mounts /query and /healthz (the front-end) and /metrics plus
 // /debug/* (DebugHandler) on one server over ln and starts it.
 func serve(ln net.Listener, eng *linconstraint.Engine, reg *linconstraint.Metrics, scfg linconstraint.ServerConfig) *service {
-	sv := &service{front: linconstraint.Serve(eng, scfg), errc: make(chan error, 1)}
+	sv := &service{front: linconstraint.Serve(eng, scfg), errc: make(chan error, 1), log: slog.Default()}
 	mux := http.NewServeMux()
 	mux.Handle("/query", sv.front)
 	mux.Handle("/healthz", sv.front)
@@ -59,19 +56,14 @@ func serve(ln net.Listener, eng *linconstraint.Engine, reg *linconstraint.Metric
 	return sv
 }
 
-// wait serves until ctx is cancelled (a signal) or the listener dies;
-// without -listen it returns at once.
-func (sv *service) wait(ctx context.Context, stdout io.Writer) int {
-	if sv == nil {
-		return 0
-	}
-	fmt.Fprintln(stdout, "serving until SIGINT/SIGTERM")
+// wait serves until ctx is cancelled (a signal) or the listener dies.
+func (sv *service) wait(ctx context.Context) int {
 	select {
 	case <-ctx.Done():
-		fmt.Fprintln(stdout, "signal: draining HTTP server, front-end, then engine")
+		sv.log.Info("draining", "order", "HTTP server, front-end, engine")
 		return 0
 	case err := <-sv.errc:
-		return fail(1, "%v", err)
+		return fail(sv.log, 1, "%v", err)
 	}
 }
 
@@ -81,20 +73,18 @@ func (sv *service) drain(eng *linconstraint.Engine, grace time.Duration, code in
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
-		if sv != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), grace)
-			defer cancel()
-			if sv.srv.Shutdown(ctx) != nil {
-				sv.srv.Close() // grace blown on handler drain: cut the connections
-			}
-			sv.front.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), grace)
+		defer cancel()
+		if sv.srv.Shutdown(ctx) != nil {
+			sv.srv.Close() // grace blown on handler drain: cut the connections
 		}
+		sv.front.Close()
 		eng.Close()
 	}()
 	select {
 	case <-drained:
 		return code
 	case <-time.After(grace):
-		return fail(1, "drain did not complete within %v", grace)
+		return fail(sv.log, 1, "drain did not complete within %v", grace)
 	}
 }

@@ -583,8 +583,8 @@ type seriesKey struct {
 // instantaneous and pass through at their current value. Series absent
 // from prev keep their current value (they started at zero). Negative
 // deltas (a restarted counter) clamp to zero. This is the one interval
-// implementation shared by lcserve's progress probes and any consumer
-// that wants "what happened since the last scrape".
+// implementation shared by bench's report (bench/report.go) and any
+// consumer that wants "what happened since the last scrape".
 func (s *Snapshot) Sub(prev *Snapshot) *Snapshot {
 	out := &Snapshot{}
 	prevC := make(map[seriesKey]float64, len(prev.Counters))
