@@ -124,29 +124,22 @@ type Options struct {
 	// the layout anyway).
 	PretrainSample []geom.PointD
 	// Metrics, when non-nil, receives the engine's instruments (run
-	// timings, plan verdicts, per-shard visit counters, rebalance
-	// events) and a scrape-time collector for the per-shard device
+	// timings, plan verdicts, per-shard visit counters, rebalance phase
+	// durations) and a scrape-time collector for the per-shard device
 	// rollups. Instruments are registered once at construction and
 	// observed with single atomic operations, so enabling metrics keeps
 	// the steady-state query path allocation-free. Give each engine its
 	// own registry: the per-shard counter vectors are sized to the
 	// engine's shard count.
 	Metrics *metrics.Registry
-	// TraceEvery, when positive, samples one query run in every
-	// TraceEvery into a fixed ring of Trace records (Engine.Traces).
-	// Sampling decisions are one atomic; a sampled run additionally
-	// captures its per-shard I/O delta. Zero disables tracing.
-	TraceEvery int
-	// TraceBuf is the trace ring capacity (default 256).
-	TraceBuf int
 	// FlightRecorder configures threshold-triggered capture of
 	// anomalous runs (flight.go): any run whose end-to-end latency,
 	// worst-shard I/O, or total shard visits exceeds a configured
 	// bound is recorded — with per-shard verdicts, replica routing and
-	// I/O deltas — into a dedicated ring read by Engine.SlowQueries,
-	// independent of the TraceEvery sampler. The zero value disables
-	// it. Enabling it (like Metrics or tracing) keeps the steady-state
-	// query path allocation-free.
+	// I/O deltas — into the slow ring read by Engine.SlowQueries, the
+	// engine's only run capture. The zero value disables it. Enabling
+	// it (like Metrics) keeps the steady-state query path
+	// allocation-free.
 	FlightRecorder FlightRecorderConfig
 	// Watchdog, when non-nil, runs a background health sampler
 	// (watchdog.go) that watches runtime pressure, layout skew, traffic

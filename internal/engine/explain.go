@@ -64,8 +64,8 @@ func (e *Engine) ExplainInto(q Query, ex *Explain) {
 }
 
 // explainPlan flushes one planned query's verdicts into the explain
-// counters and, when the run is captured (sampled, or the flight
-// recorder is armed), the arena's per-shard verdict captures. It runs
+// counters and, when the run is captured (the flight recorder is
+// armed), the arena's per-shard verdict captures. It runs
 // after the run's last wave, so a k-NN plan already carries its
 // kth-distance cutoffs (cutKNN).
 func (e *Engine) explainPlan(a *batchArena, op Op, pl *planner.Plan) {

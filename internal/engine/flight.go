@@ -1,10 +1,10 @@
 package engine
 
-// Flight recorder (DESIGN.md §11). The trace sampler (Options.TraceEvery)
-// answers "what does a typical run look like"; the flight recorder
-// answers the other question an operator has — "what did the *bad* runs
-// do" — by capturing every run that crosses a configured anomaly bound,
-// no matter how rare. A slow run can only be recognized after it has
+// Flight recorder (DESIGN.md §11), the engine's only run capture. The
+// aggregate instruments (metrics.go) answer "what does a typical run
+// look like"; the flight recorder answers the other question an
+// operator has — "what did the *bad* runs do" — by capturing every run
+// that crosses a configured anomaly bound, no matter how rare. A slow run can only be recognized after it has
 // finished, so a flight-enabled engine records per-shard evidence on
 // every run: each shard's block-I/O delta, the replica index its visits
 // were routed to, and how many of the run's queries reached each plan
@@ -12,8 +12,8 @@ package engine
 // batch arena (shard workers write their own shard's cells
 // concurrently), so the always-on capture keeps the
 // steady-state query path allocation-free. When the finished run trips
-// a bound, the accumulated evidence is copied into a dedicated ring —
-// independent of the 1-in-N sampler — read by Engine.SlowQueries.
+// a bound, the accumulated evidence is copied into the slow ring, read
+// by Engine.SlowQueries.
 
 import (
 	"sync"
@@ -118,8 +118,8 @@ type ShardTrace struct {
 	IO eio.Stats
 }
 
-// SlowTrace is one anomalous run: the same phase/plan breakdown a
-// sampled Trace carries, plus when it started, which bounds it tripped,
+// SlowTrace is one anomalous run: its Trace (phase timings, plan
+// verdicts, summed I/O), plus when it started, which bounds it tripped,
 // and the complete per-shard evidence.
 type SlowTrace struct {
 	Trace

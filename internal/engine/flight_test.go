@@ -14,10 +14,9 @@ import (
 )
 
 // fullyInstrumented builds a planar engine with every observability
-// subsystem on: metrics, 1-in-1 trace sampling, flight recorder, the
-// windowed views, and a fast-ticking watchdog whose thresholds are set
-// to trip constantly — the harshest instrumentation load the engine
-// supports. The robustness guards are armed too (deadline, hedge timer,
+// subsystem on: metrics, the flight recorder, the windowed views, and a
+// fast-ticking watchdog whose thresholds are set to trip constantly —
+// the harshest instrumentation load the engine supports. The robustness guards are armed too (deadline, hedge timer,
 // per-replica breakers) at bounds that never fire, so every run arms
 // both await timers and feeds the breakers evidence without changing
 // behavior.
@@ -28,9 +27,8 @@ func fullyInstrumented(t *testing.T, flight FlightRecorderConfig) (*Engine, []Qu
 	reg := metrics.NewRegistry()
 	e := NewPlanar(pts, Options{
 		Shards: 8, BlockSize: 128, Seed: 1, Partitioner: partition.NewKDCut(),
-		Metrics: reg, TraceEvery: 1, TraceBuf: 16,
-		FlightRecorder: flight,
-		WindowSlots:    4, WindowInterval: 100 * time.Millisecond,
+		Metrics: reg, FlightRecorder: flight,
+		WindowSlots: 4, WindowInterval: 100 * time.Millisecond,
 		Deadline: time.Hour, HedgeAfter: time.Hour,
 		Breaker: &BreakerConfig{},
 		Watchdog: &WatchdogConfig{
@@ -340,7 +338,7 @@ func TestWatchdogHealthAndShutdown(t *testing.T) {
 
 // TestConcurrentScrapeWhileQuerying races queries against every
 // consumer surface at once — prom scrapes (which run the shard-IO
-// collector), trace/slow/health polling with reused buffers — under
+// collector), slow/health polling with reused buffers — under
 // the race detector.
 func TestConcurrentScrapeWhileQuerying(t *testing.T) {
 	e, qs, reg := fullyInstrumented(t, FlightRecorderConfig{TotalNs: 1, Buf: 8})
@@ -362,7 +360,6 @@ func TestConcurrentScrapeWhileQuerying(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		var sb strings.Builder
-		var traces []Trace
 		var slow []SlowTrace
 		var health []HealthEvent
 		for {
@@ -377,7 +374,6 @@ func TestConcurrentScrapeWhileQuerying(t *testing.T) {
 				t.Errorf("exposition invalid under load: %v", err)
 				return
 			}
-			traces = e.Traces(traces[:0])
 			slow = e.SlowQueries(slow[:0])
 			health = e.Health(health[:0])
 		}

@@ -5,15 +5,13 @@ package engine
 // (newEngineMetrics), so a steady-state query run records its timings,
 // plan verdicts and per-shard visit counts with nothing but atomic
 // operations — no label formatting, no map lookups, no allocation. The
-// zero-alloc regression tests run with metrics and trace sampling
+// zero-alloc regression tests run with metrics and the flight recorder
 // enabled, so instrumentation can never quietly re-introduce a heap
 // allocation on the query path.
 //
-// Two record streams ride along in fixed rings: sampled per-run query
-// traces (Options.TraceEvery) and rebalance phase events. Both are
-// value structs put into metrics.Ring buffers — a Put is a mutex-guarded
-// struct copy, and Traces/RebalanceEvents snapshot them out into
-// caller-owned slices.
+// Runs are captured by one mechanism only: the flight recorder
+// (flight.go), whose slow ring keeps the runs that tripped an anomaly
+// bound, read out into caller-owned slices by Engine.SlowQueries.
 //
 // Per-shard device rollups (reads/writes/hits/stall per shard) are
 // deliberately NOT hot-path instruments: they are a scrape-time
@@ -30,17 +28,16 @@ import (
 	"linconstraint/internal/planner"
 )
 
-// Trace is one sampled query-run record: where the run's wall-clock
-// went (plan / fan-out / wait / merge), what the planner decided, and
-// the block I/O the run caused across every shard it visited (the sum
-// of the run's per-shard capture — the same before/after device-counter
-// deltas the flight recorder keeps per shard; a per-shard breakdown here
-// would need a slice per trace, which the zero-alloc contract forbids). A batch of scalar queries yields one Trace per
-// run of consecutive query ops, so single-query batches trace per
+// Trace is one query-run record, the body of a flight-recorder
+// SlowTrace: where the run's wall-clock went (plan / fan-out / wait /
+// merge), what the planner decided, and the block I/O the run caused
+// summed over every shard it visited (SlowTrace.PerShard holds the
+// per-shard deltas). A batch of scalar queries yields one Trace per
+// run of consecutive query ops, so single-query batches record per
 // query.
 type Trace struct {
-	// Seq numbers the sampled traces (1, 2, ...), so a consumer polling
-	// the ring can tell new records from ones it has already seen.
+	// Seq numbers the captured runs (1, 2, ...), so a consumer polling
+	// the slow ring can tell new records from ones it has already seen.
 	Seq int64
 	// Queries is the number of query ops in the run; Op is the op of
 	// the run's first query (runs are usually homogeneous).
@@ -62,36 +59,11 @@ type Trace struct {
 	IO eio.Stats
 }
 
-// RebalanceEvent is one phase of a Rebalance/Retrain call, captured
-// into a fixed ring whenever the engine is instrumented.
-type RebalanceEvent struct {
-	// Phase is one of the Rebal* constants.
-	Phase string
-	// StartUnixNano is the phase's wall-clock start.
-	StartUnixNano int64
-	// DurNs is the phase duration.
-	DurNs int64
-	// Moves counts records moved in this phase (move-batch and rebuild
-	// phases; zero otherwise). Deferred is the backlog beyond MaxMoves
-	// known at this phase.
-	Moves    int
-	Deferred int
-}
-
-// Rebalance phase names (RebalanceEvent.Phase). Constants so event
-// construction never builds a string.
-const (
-	RebalSnapshot  = "snapshot"
-	RebalRetrain   = "retrain"
-	RebalMoveBatch = "move-batch"
-	RebalShrink    = "shrink"
-	RebalRebuild   = "rebuild"
-)
-
 // engineMetrics is the engine's pre-registered instrument set plus the
-// trace machinery. nil when the engine is built without Options.Metrics
-// and without tracing — every hot-path site guards with one nil check,
-// so an uninstrumented engine pays nothing at all.
+// flight recorder and watchdog state. nil when the engine is built
+// without Options.Metrics, FlightRecorder and Watchdog — every hot-path
+// site guards with one nil check, so an uninstrumented engine pays
+// nothing at all.
 type engineMetrics struct {
 	reg *metrics.Registry
 
@@ -158,31 +130,22 @@ type engineMetrics struct {
 	slowTotal *metrics.Counter
 
 	// Watchdog instruments (watchdog.go): nil unless Options.Watchdog.
-	health                          *metrics.Ring[HealthEvent]
-	healthTotal                     *metrics.CounterVec
-	slo                             *metrics.SLO
-	wdTicks                         *metrics.Counter
-	wdGoroutines, wdHeap, wdGCPause *metrics.Gauge
-	wdSkewMilli, wdSpreadMilli      *metrics.Gauge
-
-	// Trace sampling: sampler is nil when tracing is off (a nil Sampler
-	// admits nothing, so call sites need no extra guard).
-	sampler *metrics.Sampler
-	seq     atomic.Int64
-	traces  *metrics.Ring[Trace]
-	events  *metrics.Ring[RebalanceEvent]
+	health                     *metrics.Ring[HealthEvent]
+	healthTotal                *metrics.CounterVec
+	slo                        *metrics.SLO
+	wdTicks                    *metrics.Counter
+	wdSkewMilli, wdSpreadMilli *metrics.Gauge
 
 	// shardLabels caches the per-shard label values for the collector.
 	shardLabels []string
 }
 
 // newEngineMetrics builds the instrument set, or returns nil when the
-// options ask for no instrumentation. With tracing on but no registry,
-// instruments land in a private registry — tracing alone must not force
-// the caller to provide one.
+// options ask for no instrumentation. With the flight recorder or the
+// watchdog on but no registry, instruments land in a private registry —
+// neither must force the caller to provide one.
 func newEngineMetrics(opt Options, shards int) *engineMetrics {
-	if opt.Metrics == nil && opt.TraceEvery <= 0 &&
-		!opt.FlightRecorder.enabled() && opt.Watchdog == nil {
+	if opt.Metrics == nil && !opt.FlightRecorder.enabled() && opt.Watchdog == nil {
 		return nil
 	}
 	reg := opt.Metrics
@@ -227,7 +190,6 @@ func newEngineMetrics(opt Options, shards int) *engineMetrics {
 		breakerTrips:   reg.Counter("engine_breaker_trips_total", "replica circuit breakers opened"),
 		repairs:        reg.Counter("engine_repairs_total", "replicas rebuilt or healed by Engine.Repair"),
 
-		events:      metrics.NewRing[RebalanceEvent](64),
 		shardLabels: metrics.ShardLabels(shards),
 	}
 	m.planVerdicts = reg.CounterVec2("engine_plan_verdicts_total",
@@ -264,40 +226,23 @@ func newEngineMetrics(opt Options, shards int) *engineMetrics {
 		m.healthTotal = reg.CounterVec("engine_health_events_total",
 			"watchdog health events by kind", "kind", HealthKindLabels())
 		m.wdTicks = reg.Counter("engine_watchdog_ticks_total", "watchdog sampling rounds")
-		m.wdGoroutines = reg.Gauge("engine_watchdog_goroutines", "goroutines at the last watchdog tick")
-		m.wdHeap = reg.Gauge("engine_watchdog_heap_bytes", "heap bytes in use at the last watchdog tick")
-		m.wdGCPause = reg.Gauge("engine_watchdog_gc_pause_ns", "cumulative GC pause ns at the last watchdog tick")
 		m.wdSkewMilli = reg.Gauge("engine_watchdog_skew_milli", "live-count skew (max/mean) in thousandths at the last tick")
 		m.wdSpreadMilli = reg.Gauge("engine_watchdog_spread_milli", "summary-box spread in thousandths at the last tick")
 		if objs := sloObjectives(opt.Watchdog); objs != nil {
 			m.slo = metrics.NewSLO(reg, "engine_slo", objs)
 		}
 	}
-	if opt.TraceEvery > 0 {
-		buf := opt.TraceBuf
-		if buf <= 0 {
-			buf = 256
-		}
-		m.sampler = metrics.NewSampler(opt.TraceEvery)
-		m.traces = metrics.NewRing[Trace](buf)
-	}
 	return m
 }
 
-// phaseDone records one rebalance phase: a duration observation plus
-// an event-ring record. Safe on a nil receiver so rebalance code calls
-// it unconditionally (that path is cold; the clock reads cost nothing
-// worth guarding).
-func (m *engineMetrics) phaseDone(phase string, start time.Time, moves, deferred int) {
+// phaseDone observes one rebalance phase that began at start. Safe on a
+// nil receiver so rebalance code calls it unconditionally (that path is
+// cold; the clock reads cost nothing worth guarding).
+func (m *engineMetrics) phaseDone(start time.Time) {
 	if m == nil {
 		return
 	}
-	d := int64(time.Since(start))
-	m.rebalPhaseNs.Observe(d)
-	m.events.Put(RebalanceEvent{
-		Phase: phase, StartUnixNano: start.UnixNano(), DurNs: d,
-		Moves: moves, Deferred: deferred,
-	})
+	m.rebalPhaseNs.Observe(int64(time.Since(start)))
 }
 
 // holdDone records one exclusive migration-lock hold that began at
@@ -309,12 +254,13 @@ func (m *engineMetrics) holdDone(start time.Time) {
 	m.migHoldNs.Observe(int64(time.Since(start)))
 }
 
-// healthEvent records a non-watchdog health observation (breaker trips,
-// Repair actuations) through the same ring and counter vector the
-// watchdog's emits use, so Engine.Health interleaves the actuator's
-// story with the sampler's. Safe on a nil receiver and on engines built
-// without a watchdog — the event ring then doesn't exist and the event
-// is dropped (the dedicated breaker/repair counters still record it).
+// healthEvent records one health observation — a watchdog rule that
+// crossed its bound, a breaker trip, a Repair actuation — into the
+// event ring and its kind's counter, so Engine.Health interleaves the
+// actuators' story with the watchdog's. Safe on a nil receiver and on
+// engines built without a watchdog — the event ring then doesn't exist
+// and the event is dropped (the dedicated breaker/repair counters still
+// record it).
 func (m *engineMetrics) healthEvent(kind HealthKind, now int64, shard int, value, bound float64) {
 	if m == nil || m.health == nil {
 		return
@@ -347,8 +293,6 @@ func (e *Engine) collectShardIO(emit func(kind metrics.Kind, name, labelKey, lab
 		}
 		emit(metrics.KindCounter, "engine_shard_replica_reads_total", "shard", lbl, float64(rr))
 	}
-	emit(metrics.KindGauge, "engine_shards_visited_cum", "", "", float64(st.ShardsVisited))
-	emit(metrics.KindGauge, "engine_shards_pruned_cum", "", "", float64(st.ShardsPruned))
 	if e.brkCfg != nil {
 		// Per-shard count of open breakers (half-open copies are
 		// routable, so they count as healthy here): non-zero means the
@@ -369,29 +313,11 @@ func (e *Engine) collectShardIO(emit func(kind metrics.Kind, name, labelKey, lab
 
 // Metrics returns the registry holding the engine's instruments: the
 // one passed in Options.Metrics, or the engine's private registry when
-// only tracing was enabled. Nil for an uninstrumented engine.
+// only the flight recorder or watchdog is enabled. Nil for an
+// uninstrumented engine.
 func (e *Engine) Metrics() *metrics.Registry {
 	if e.met == nil {
 		return nil
 	}
 	return e.met.reg
-}
-
-// Traces appends the sampled query traces to dst, oldest first, and
-// returns it. Empty unless the engine was built with Options.TraceEvery
-// > 0. Pass a reused dst[:0] to keep polling allocation-free.
-func (e *Engine) Traces(dst []Trace) []Trace {
-	if e.met == nil || e.met.traces == nil {
-		return dst
-	}
-	return e.met.traces.Snapshot(dst)
-}
-
-// RebalanceEvents appends the recorded rebalance phase events to dst,
-// oldest first, and returns it. Empty for an uninstrumented engine.
-func (e *Engine) RebalanceEvents(dst []RebalanceEvent) []RebalanceEvent {
-	if e.met == nil {
-		return dst
-	}
-	return e.met.events.Snapshot(dst)
 }

@@ -11,10 +11,10 @@ import (
 	"linconstraint/internal/workload"
 )
 
-// TestInstrumentedQueryZeroAllocs is the observability contract of this
-// PR: with metrics AND trace sampling enabled (TraceEvery 1 — every
-// run sampled, the worst case, since a sampled run additionally
-// captures its I/O delta and puts a Trace), the steady-state query path
+// TestInstrumentedQueryZeroAllocs is the observability contract: with
+// metrics AND the flight recorder enabled at a 1ns bound (every run
+// captured, the worst case, since a captured run additionally copies its
+// per-shard evidence into the slow ring), the steady-state query path
 // still performs zero heap allocations.
 func TestInstrumentedQueryZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -22,7 +22,7 @@ func TestInstrumentedQueryZeroAllocs(t *testing.T) {
 	reg := metrics.NewRegistry()
 	e := NewPlanar(pts, Options{
 		Shards: 8, BlockSize: 128, Seed: 1, Partitioner: partition.NewKDCut(),
-		Metrics: reg, TraceEvery: 1, TraceBuf: 16,
+		Metrics: reg, FlightRecorder: FlightRecorderConfig{TotalNs: 1, Buf: 16},
 	})
 	t.Cleanup(e.Close)
 	qs := make([]Query, 8)
@@ -51,14 +51,14 @@ func TestInstrumentedQueryZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "instrumented batch BatchInto", func() {
 		bres = e.BatchInto(batch, bres[:0])
 	})
-	// Polling the trace ring into a reused buffer is allocation-free
+	// Polling the slow ring into a reused buffer is allocation-free
 	// too, so a telemetry loop does not perturb what it measures.
-	traces := make([]Trace, 0, 16)
-	assertZeroAllocs(t, "Traces into reused dst", func() {
-		traces = e.Traces(traces[:0])
+	var slow []SlowTrace
+	assertZeroAllocs(t, "SlowQueries into reused dst", func() {
+		slow = e.SlowQueries(slow[:0])
 	})
-	if len(traces) == 0 {
-		t.Fatal("no traces captured at TraceEvery=1")
+	if len(slow) == 0 {
+		t.Fatal("no runs captured under a 1ns bound")
 	}
 }
 
@@ -71,7 +71,7 @@ func TestEngineMetricsContent(t *testing.T) {
 	reg := metrics.NewRegistry()
 	e := NewPlanar(pts, Options{
 		Shards: 4, BlockSize: 64, Seed: 1, Partitioner: partition.NewKDCut(),
-		Metrics: reg, TraceEvery: 2,
+		Metrics: reg, FlightRecorder: FlightRecorderConfig{TotalNs: 1},
 	})
 	defer e.Close()
 	const runs = 10
@@ -115,10 +115,10 @@ func TestEngineMetricsContent(t *testing.T) {
 	if _, ok := snap.Value("engine_shard_io_reads_total", "0"); !ok {
 		t.Fatal("collector did not export engine_shard_io_reads_total{shard=0}")
 	}
-	// Traces carry the run's I/O and plan stats.
-	traces := e.Traces(nil)
-	if len(traces) == 0 {
-		t.Fatal("no traces at TraceEvery=2")
+	// Captured runs carry the run's I/O and plan stats.
+	traces := e.SlowQueries(nil)
+	if len(traces) != runs {
+		t.Fatalf("%d captures under a 1ns bound, want %d", len(traces), runs)
 	}
 	last := traces[len(traces)-1]
 	if last.Op != OpHalfplane || last.Queries != 1 {
@@ -140,45 +140,47 @@ func TestEngineMetricsContent(t *testing.T) {
 	}
 }
 
-// TestTraceWithoutRegistry pins that tracing alone (no caller registry)
-// works — instruments land in a private registry.
-func TestTraceWithoutRegistry(t *testing.T) {
+// TestFlightRecorderWithoutRegistry pins that the flight recorder alone
+// (no caller registry) works — instruments land in a private registry,
+// and every run over the bound is captured once.
+func TestFlightRecorderWithoutRegistry(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := workload.Uniform2(rng, 1_000)
-	e := NewPlanar(pts, Options{Shards: 2, Seed: 1, TraceEvery: 1})
+	e := NewPlanar(pts, Options{Shards: 2, Seed: 1, FlightRecorder: FlightRecorderConfig{TotalNs: 1}})
 	defer e.Close()
 	e.Halfplane(0.3, 0.1)
-	if got := e.Traces(nil); len(got) != 1 {
-		t.Fatalf("got %d traces, want 1", len(got))
+	if got := e.SlowQueries(nil); len(got) != 1 {
+		t.Fatalf("got %d captures, want 1", len(got))
+	}
+	e.Halfplane(0.2, 0.4)
+	if got := e.SlowQueries(nil); len(got) != 2 {
+		t.Fatalf("got %d captures after two runs, want 2", len(got))
 	}
 	if e.Metrics() == nil {
-		t.Fatal("tracing engine reports no registry")
+		t.Fatal("flight-only engine reports no registry")
 	}
 }
 
-// TestUninstrumentedEngineNoTraces pins the nil path: no Options.Metrics
-// and no TraceEvery means no instruments, no traces, no events.
+// TestUninstrumentedEngineNoTraces pins the nil path: no Options.Metrics,
+// FlightRecorder or Watchdog means no instruments and no captures.
 func TestUninstrumentedEngineNoTraces(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := workload.Uniform2(rng, 500)
 	e := NewPlanar(pts, Options{Shards: 2, Seed: 1})
 	defer e.Close()
 	e.Halfplane(0.3, 0.1)
-	if got := e.Traces(nil); len(got) != 0 {
-		t.Fatalf("uninstrumented engine produced %d traces", len(got))
-	}
-	if got := e.RebalanceEvents(nil); len(got) != 0 {
-		t.Fatalf("uninstrumented engine produced %d rebalance events", len(got))
+	if got := e.SlowQueries(nil); len(got) != 0 {
+		t.Fatalf("uninstrumented engine captured %d runs", len(got))
 	}
 	if e.Metrics() != nil {
 		t.Fatal("uninstrumented engine reports a registry")
 	}
 }
 
-// TestRebalanceEvents checks the phase-event stream of a mutable
-// rebalance: snapshot, retrain, move batches, shrink — in order — plus
-// the migration-lock hold and move counters.
-func TestRebalanceEvents(t *testing.T) {
+// TestRebalanceMetrics checks the instruments a mutable rebalance
+// moves: the phase histogram (snapshot, retrain, move batches, shrink),
+// the migration-lock hold and the run and move counters.
+func TestRebalanceMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	e := NewDynamicPlanar(Options{Shards: 4, Seed: 1, Partitioner: partition.NewKDCut(), Metrics: reg})
 	defer e.Close()
@@ -193,28 +195,10 @@ func TestRebalanceEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := e.RebalanceEvents(nil)
-	if len(events) < 3 {
-		t.Fatalf("got %d events, want at least snapshot+retrain+shrink: %+v", len(events), events)
-	}
-	seen := map[string]int{}
-	moves := 0
-	for _, ev := range events {
-		seen[ev.Phase]++
-		moves += ev.Moves
-		if ev.DurNs < 0 || ev.StartUnixNano <= 0 {
-			t.Fatalf("bad event %+v", ev)
-		}
-	}
-	for _, phase := range []string{RebalSnapshot, RebalRetrain, RebalShrink} {
-		if seen[phase] == 0 {
-			t.Fatalf("missing %s event: %+v", phase, events)
-		}
-	}
-	if moves != st.Moved {
-		t.Fatalf("event moves %d != stats moved %d", moves, st.Moved)
-	}
 	snap := reg.Snapshot()
+	if h := snap.Histogram("engine_rebalance_phase_ns"); h == nil || h.Count < 3 {
+		t.Fatalf("engine_rebalance_phase_ns: %+v, want at least snapshot+retrain+shrink", h)
+	}
 	if v, ok := snap.Value("engine_rebalance_runs_total", ""); !ok || v != 1 {
 		t.Fatalf("engine_rebalance_runs_total = %v", v)
 	}

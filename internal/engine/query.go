@@ -167,18 +167,16 @@ type batchArena struct {
 	recRuns      [][]Record
 	nbRuns       [][]chan3d.Neighbor
 
-	// Run capture (metrics.go, flight.go). capture is set when the run
-	// was picked by the trace sampler (sampled) or the flight recorder is
-	// armed — whether a run was anomalous is only known once it has
+	// Run capture (flight.go). capture is set when the flight recorder
+	// is armed — whether a run was anomalous is only known once it has
 	// finished: every shard visit then accumulates its device-counter
 	// delta, replica routing and verdict counts into caps (one
 	// preallocated atomic cell block per shard; shard workers write their
-	// own shard's cells concurrently). The one capture feeds both rings.
-	// plansShared counts operand-dedup hits for the run (caller goroutine
-	// only).
-	capture, sampled bool
-	plansShared      int
-	caps             []shardCapture
+	// own shard's cells concurrently). plansShared counts operand-dedup
+	// hits for the run (caller goroutine only).
+	capture     bool
+	plansShared int
+	caps        []shardCapture
 
 	// The await machinery. A primary dispatch answers into parts, a hedge
 	// re-dispatch into the shadow hparts (grown when a hedge is first
@@ -262,11 +260,7 @@ func (a *batchArena) beginRun(e *Engine, qs []Query, res []Result) {
 	for w := range a.waves {
 		a.waves[w].reset(len(e.shards))
 	}
-	// A nil sampler admits nothing, so sampled is false whenever tracing
-	// is off.
-	m := e.met
-	a.sampled = m != nil && m.sampler.Hit()
-	a.capture = a.sampled || (m != nil && m.slow != nil)
+	a.capture = e.met != nil && e.met.slow != nil
 	if a.capture {
 		if a.caps == nil {
 			a.caps = make([]shardCapture, len(e.shards))
@@ -791,11 +785,8 @@ func (e *Engine) mergeRun(a *batchArena) {
 }
 
 // recordRun observes one finished run's stage timings (instrumented
-// engines only) and, when the run was captured, offers it to the two
-// rings: a sampled run goes to the trace ring, and any run of a
-// flight-armed engine that tripped an anomaly bound goes to the slow
-// ring — one per-shard capture feeds both, and because the rings stay
-// separate, sampled traffic never evicts the rare slow runs.
+// engines only) and, when the run was captured, puts it into the slow
+// ring if it tripped an anomaly bound.
 func (e *Engine) recordRun(a *batchArena, degraded bool, t0, t1, tw, t2 time.Time) {
 	m := e.met
 	t3 := time.Now()
@@ -836,13 +827,6 @@ func (e *Engine) recordRun(a *batchArena, degraded bool, t0, t1, tw, t2 time.Tim
 		d := a.caps[si].io()
 		tr.IO = tr.IO.Add(d)
 		worstIOs = max(worstIOs, d.IOs())
-	}
-	if a.sampled {
-		tr.Seq = m.seq.Add(1)
-		m.traces.Put(tr)
-	}
-	if m.slow == nil {
-		return
 	}
 	var reason SlowReason
 	if m.flight.TotalNs > 0 && tr.TotalNs > m.flight.TotalNs {

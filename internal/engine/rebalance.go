@@ -132,14 +132,14 @@ func (e *Engine) Rebalance(opt RebalanceOptions) (RebalanceStats, error) {
 	for i, r := range recs {
 		pts[i] = recPoint(r)
 	}
-	e.met.phaseDone(RebalSnapshot, tSnap, 0, 0)
+	e.met.phaseDone(tSnap)
 	tTrain := time.Now()
 	e.migMu.Lock()
 	th := time.Now()
 	want := e.part.Split(pts, len(e.shards))
 	e.migMu.Unlock()
 	e.met.holdDone(th)
-	e.met.phaseDone(RebalRetrain, tTrain, 0, 0)
+	e.met.phaseDone(tTrain)
 
 	plan := partition.PlanRebalance(cur, want, len(e.shards), opt.MaxMoves)
 	st.Planned = len(plan.Moves)
@@ -173,7 +173,7 @@ func (e *Engine) Rebalance(opt RebalanceOptions) (RebalanceStats, error) {
 		}
 		e.migMu.Unlock()
 		e.met.holdDone(th)
-		e.met.phaseDone(RebalMoveBatch, th, applied, st.Deferred)
+		e.met.phaseDone(th)
 		st.Moved += applied
 	}
 
@@ -186,7 +186,7 @@ func (e *Engine) Rebalance(opt RebalanceOptions) (RebalanceStats, error) {
 	e.sumsMu.RUnlock()
 	e.migMu.Unlock()
 	e.met.holdDone(th)
-	e.met.phaseDone(RebalShrink, th, 0, st.Deferred)
+	e.met.phaseDone(th)
 	if m := e.met; m != nil {
 		m.rebalMoves.Add(int64(st.Moved))
 		m.rebalDeferred.Set(int64(st.Deferred))
@@ -230,7 +230,7 @@ func (e *Engine) Retrain(sample []geom.PointD) error {
 	e.part.Split(sample, len(e.shards))
 	e.migMu.Unlock()
 	e.met.holdDone(th)
-	e.met.phaseDone(RebalRetrain, th, 0, 0)
+	e.met.phaseDone(th)
 	return nil
 }
 
@@ -398,7 +398,7 @@ func (e *Engine) rebuildStatic() (RebalanceStats, error) {
 	e.met.holdDone(th)
 	st.Moved = st.Planned
 	st.After = partition.MeasureSkew(sums)
-	e.met.phaseDone(RebalRebuild, tBuild, st.Moved, 0)
+	e.met.phaseDone(tBuild)
 	if m := e.met; m != nil {
 		m.rebalMoves.Add(int64(st.Moved))
 	}

@@ -2,12 +2,13 @@ package engine
 
 // Health watchdog (DESIGN.md §11). A background goroutine — strictly
 // off the hot path — samples the signals an operator would otherwise
-// poll by hand: runtime pressure (GC pause, heap, goroutines), layout
+// poll by hand: runtime pressure (the GC pause clock), layout
 // health (partition.MeasureSkew over the live summaries), traffic
 // concentration (the always-on shard sketch), replica balance, and the
 // SLO burn rates over the windowed histograms. A signal crossing its
 // configured bound becomes a typed HealthEvent in a fixed ring
-// (Engine.Health) and a bump of engine_health_events_total{kind=...}.
+// (Engine.Health) and a bump of engine_health_events_total{kind=...},
+// both through engineMetrics.healthEvent.
 //
 // Every tick is allocation-free at steady state (reused MemStats and
 // skew scratch, atomic reads, stack-buffer quantiles), because the
@@ -176,29 +177,19 @@ func (w *watchdog) loop() {
 	}
 }
 
-// emit records one crossed bound.
-func (w *watchdog) emit(kind HealthKind, now int64, shard int, value, bound float64) {
-	m := w.e.met
-	m.healthTotal.Inc(int(kind))
-	m.health.Put(HealthEvent{Kind: kind, UnixNano: now, Shard: shard, Value: value, Bound: bound})
-}
-
 // tick samples every signal once. Allocation-free at steady state.
 func (w *watchdog) tick() {
 	e, m, cfg := w.e, w.e.met, &w.cfg
 	now := time.Now().UnixNano()
 	m.wdTicks.Inc()
 
-	// Runtime pressure. ReadMemStats stops the world briefly; at the
-	// default 1s interval that is noise, and it is the only way to see
-	// the GC pause clock.
+	// GC pressure. ReadMemStats stops the world briefly; at the default
+	// 1s interval that is noise, and it is the only way to see the GC
+	// pause clock.
 	runtime.ReadMemStats(&w.mem)
-	m.wdGoroutines.Set(int64(runtime.NumGoroutine()))
-	m.wdHeap.Set(int64(w.mem.HeapAlloc))
-	m.wdGCPause.Set(int64(w.mem.PauseTotalNs))
 	if w.gcSeen && cfg.GCPauseNs > 0 {
 		if d := int64(w.mem.PauseTotalNs - w.lastGCPause); d > cfg.GCPauseNs {
-			w.emit(HealthGCStall, now, -1, float64(d), float64(cfg.GCPauseNs))
+			m.healthEvent(HealthGCStall, now, -1, float64(d), float64(cfg.GCPauseNs))
 		}
 	}
 	w.lastGCPause, w.gcSeen = w.mem.PauseTotalNs, true
@@ -221,7 +212,7 @@ func (w *watchdog) tick() {
 	m.wdSpreadMilli.Set(int64(st.Spread * 1000))
 	if (cfg.MaxSkew > 0 && st.Skew > cfg.MaxSkew) ||
 		(cfg.MaxSpread > 0 && st.Spread > cfg.MaxSpread) {
-		w.emit(HealthSkew, now, maxSi, st.Skew, cfg.MaxSkew)
+		m.healthEvent(HealthSkew, now, maxSi, st.Skew, cfg.MaxSkew)
 	}
 
 	// Traffic concentration, from the always-on sketch.
@@ -237,7 +228,7 @@ func (w *watchdog) tick() {
 		}
 		if tot > 0 {
 			if share := float64(max) / float64(tot); share > cfg.HotShardShare {
-				w.emit(HealthHotShard, now, hotSi, share, cfg.HotShardShare)
+				m.healthEvent(HealthHotShard, now, hotSi, share, cfg.HotShardShare)
 			}
 		}
 	}
@@ -270,7 +261,7 @@ func (w *watchdog) tick() {
 			if len(reps) > 1 && sum > 0 {
 				ratio := float64(max) * float64(len(reps)) / float64(sum)
 				if ratio > cfg.ReplicaImbalance {
-					w.emit(HealthReplicaImbalance, now, si, ratio, cfg.ReplicaImbalance)
+					m.healthEvent(HealthReplicaImbalance, now, si, ratio, cfg.ReplicaImbalance)
 				}
 			}
 		}
@@ -282,12 +273,12 @@ func (w *watchdog) tick() {
 		m.slo.BeginEval()
 		if cfg.LatencyP99Ns > 0 {
 			if p99, n := m.totalNsWin.Quantile(0.99); n > 0 && m.slo.Eval(sloLatency, p99) {
-				w.emit(HealthLatencyBurn, now, -1, p99, float64(cfg.LatencyP99Ns))
+				m.healthEvent(HealthLatencyBurn, now, -1, p99, float64(cfg.LatencyP99Ns))
 			}
 		}
 		if cfg.MeanShardsVisited > 0 {
 			if mean, n := m.visitedWin.Mean(); n > 0 && m.slo.Eval(sloVisited, mean) {
-				w.emit(HealthVisitedBurn, now, -1, mean, cfg.MeanShardsVisited)
+				m.healthEvent(HealthVisitedBurn, now, -1, mean, cfg.MeanShardsVisited)
 			}
 		}
 	}

@@ -5,7 +5,7 @@
 // (never per query), carry no labels at observe time, and allocate
 // only when built or scraped. That is what lets the engine's
 // steady-state query path stay at zero heap allocations with metrics
-// and trace sampling enabled (the TestInstrumentedQueryZeroAllocs
+// and the flight recorder enabled (the TestInstrumentedQueryZeroAllocs
 // regression pins it).
 //
 // The histogram is fixed-bucket and log-scale: 8 sub-buckets per

@@ -266,42 +266,16 @@ func TestRing(t *testing.T) {
 	}
 }
 
-func TestSampler(t *testing.T) {
-	var nilS *Sampler
-	if nilS.Hit() {
-		t.Fatal("nil sampler admitted an event")
-	}
-	if NewSampler(0).Hit() {
-		t.Fatal("every=0 sampler admitted an event")
-	}
-	s := NewSampler(4)
-	admitted := 0
-	for i := 0; i < 16; i++ {
-		if s.Hit() {
-			admitted++
-		}
-	}
-	if admitted != 4 {
-		t.Fatalf("admitted %d of 16 at 1-in-4, want 4", admitted)
-	}
-	// First event always sampled.
-	if !NewSampler(1000).Hit() {
-		t.Fatal("first event not admitted")
-	}
-}
-
 func TestObserveZeroAllocs(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h_ns", "h")
 	c := r.Counter("c_total", "c")
 	v := r.CounterVec("v_total", "v", "shard", ShardLabels(8))
-	s := NewSampler(2)
 	i := int64(0)
 	if n := testing.AllocsPerRun(100, func() {
 		h.Observe(i)
 		c.Inc()
 		v.Inc(int(i % 8))
-		s.Hit()
 		i += 37
 	}); n != 0 {
 		t.Fatalf("observe path: %.1f allocs/op, want 0", n)

@@ -1,18 +1,15 @@
 package metrics
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Ring is a fixed-capacity overwrite ring of value records — the
-// storage behind the engine's sampled query traces and rebalance
-// events. Put copies the record into the next slot (overwriting the
-// oldest once full) and never allocates after construction; Snapshot
-// copies the live records out oldest-first. A short critical section
-// around a struct copy is the whole synchronization story: traces are
-// sampled, so the lock is uncontended in practice, and a mutex (unlike
-// a clever lock-free scheme) keeps the records tear-free.
+// storage behind the engine watchdog's health events. Put copies the
+// record into the next slot (overwriting the oldest once full) and
+// never allocates after construction; Snapshot copies the live records
+// out oldest-first. A short critical section around a struct copy is
+// the whole synchronization story: events are rare, so the lock is
+// uncontended in practice, and a mutex (unlike a clever lock-free
+// scheme) keeps the records tear-free.
 type Ring[T any] struct {
 	mu   sync.Mutex
 	buf  []T
@@ -63,27 +60,4 @@ func (r *Ring[T]) Snapshot(dst []T) []T {
 		dst = append(dst, r.buf[(start+i)%n])
 	}
 	return dst
-}
-
-// Sampler admits one in every N events, atomically, so concurrent
-// callers agree on the sample without a lock. The zero Sampler (or
-// every <= 0) admits nothing.
-type Sampler struct {
-	every int64
-	n     atomic.Int64
-}
-
-// NewSampler returns a sampler admitting one event in every `every`.
-func NewSampler(every int) *Sampler {
-	return &Sampler{every: int64(every)}
-}
-
-// Hit reports whether this event is sampled. The first event is always
-// admitted (so a sampling rate larger than the run still yields one
-// trace), then every `every`-th after it.
-func (s *Sampler) Hit() bool {
-	if s == nil || s.every <= 0 {
-		return false
-	}
-	return (s.n.Add(1)-1)%s.every == 0
 }

@@ -360,7 +360,7 @@ func KDCutLayout() Partitioner { return partition.NewKDCut() }
 // EngineConfig tunes a sharded engine: shard and worker counts, every
 // shard's device (BlockSize, CacheBlocks, IOLatency), the layout
 // (Partitioner, NoPlanner, PretrainSample), telemetry (Metrics,
-// TraceEvery, FlightRecorder, Watchdog, WindowSlots/WindowInterval) and
+// FlightRecorder, Watchdog, WindowSlots/WindowInterval) and
 // robustness (Deadline, Strict, HedgeAfter, Breaker); Window bounds
 // NewEngine3D's queries. The zero value means one shard, one worker,
 // the default block size, no cache, no simulated disk latency, and
@@ -445,14 +445,10 @@ type MetricsSnapshot = metrics.Snapshot
 // lcserve -listen serves both next to /query on one port.
 func MetricsHandler(reg *Metrics) http.Handler { return metrics.Mux(reg) }
 
-// Trace is one sampled query-run record (EngineConfig.TraceEvery):
-// phase timings, plan verdicts and the run's block-I/O delta. Read
-// them with Engine.Traces.
+// Trace is one query-run record, the body of a flight-recorder
+// SlowTrace: phase timings, plan verdicts and the run's block-I/O
+// delta summed over its shards.
 type Trace = engine.Trace
-
-// RebalanceEvent is one recorded phase of a Rebalance/Retrain call on
-// an instrumented engine; read them with Engine.RebalanceEvents.
-type RebalanceEvent = engine.RebalanceEvent
 
 // FlightRecorderConfig bounds what the flight recorder considers an
 // anomalous run (EngineConfig.FlightRecorder): end-to-end latency,
@@ -474,8 +470,8 @@ const (
 	SlowDegraded = engine.SlowDegraded
 )
 
-// SlowTrace is one run the flight recorder captured: the same
-// phase/plan breakdown a sampled Trace carries, plus the run's
+// SlowTrace is one run the flight recorder captured: its Trace (phase
+// timings, plan verdicts, summed I/O), plus the run's
 // wall-clock start, which bounds it tripped, and per-shard evidence
 // (plan verdicts, replica routing, block-I/O deltas) for every shard.
 // Read them with Engine.SlowQueries or the /debug/slow endpoint.
