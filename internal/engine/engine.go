@@ -911,12 +911,16 @@ func (e *Engine) Insert(r index.Record) error {
 }
 
 // Delete removes one record equal to r, reporting whether one was
-// present. A record may live in any shard (inserts route by load, not
-// by value), so Delete probes the shards in order, locking one at a
-// time, and stops at the first shard that held a copy — exactly one
-// copy is removed even when several shards hold equal records. It
-// returns ErrImmutable when the engine's family is static, and the
-// index's validation error for a record of the wrong shape.
+// present. Under a trained layout it probes the record's home shard
+// first — the one the layout's Place routes r to, where Insert put it
+// unless a later Rebalance or retraining moved it or its home — and
+// then sweeps the other shards in index order; under an untrained or
+// round-robin layout (Place < 0) it sweeps every shard in index order.
+// It locks one shard at a time and stops at the first shard that held
+// a copy, so exactly one copy is removed even when several shards hold
+// equal records. It returns ErrImmutable when the engine's family is
+// static, and the index's validation error for a record of the wrong
+// shape.
 func (e *Engine) Delete(r index.Record) (bool, error) {
 	if !e.mutable {
 		return false, ErrImmutable
@@ -926,31 +930,49 @@ func (e *Engine) Delete(r index.Record) (bool, error) {
 	}
 	// Shared against migration, like Insert: the shard probe can never
 	// race a record mid-move (absent from its source, not yet at its
-	// destination) and miss it.
+	// destination) and miss it, nor a layout swap mid-Place.
 	e.migMu.RLock()
 	defer e.migMu.RUnlock()
-	for si, sh := range e.shards {
-		sh.lockAll()
-		ok, err := sh.deleteLocked(r)
-		if ok {
-			e.counts[si].Add(-1)
+	home := e.part.Place(recPoint(r), len(e.shards))
+	if home >= 0 && home < len(e.shards) {
+		if ok, err := e.deleteFrom(home, r); ok || err != nil {
+			return ok, err
 		}
-		sh.unlockAll()
-		if err != nil {
-			// All shards share one family: a shape error from one would
-			// come from every other too.
-			return false, err
+	}
+	for si := range e.shards {
+		if si == home {
+			continue
 		}
-		if ok {
-			// Count down but keep the region: a too-large box only
-			// costs an unpruned shard. Count 0 prunes exactly.
-			e.sumsMu.Lock()
-			e.sums[si].Count--
-			e.sumsMu.Unlock()
-			return true, nil
+		if ok, err := e.deleteFrom(si, r); ok || err != nil {
+			return ok, err
 		}
 	}
 	return false, nil
+}
+
+// deleteFrom removes one record equal to r from shard si, if it holds
+// one, and counts it down. Caller holds migMu shared.
+func (e *Engine) deleteFrom(si int, r index.Record) (bool, error) {
+	sh := e.shards[si]
+	sh.lockAll()
+	ok, err := sh.deleteLocked(r)
+	if ok {
+		e.counts[si].Add(-1)
+	}
+	sh.unlockAll()
+	if err != nil {
+		// All shards share one family: a shape error from one would
+		// come from every other too.
+		return false, err
+	}
+	if ok {
+		// Count down but keep the region: a too-large box only costs an
+		// unpruned shard. Count 0 prunes exactly.
+		e.sumsMu.Lock()
+		e.sums[si].Count--
+		e.sumsMu.Unlock()
+	}
+	return ok, nil
 }
 
 // Len returns the total number of live records across shards.

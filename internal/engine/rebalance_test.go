@@ -505,3 +505,92 @@ func TestRebalanceErrors(t *testing.T) {
 		t.Fatal("Retrain on a static engine must error, not silently no-op")
 	}
 }
+
+// TestDeleteProbesHomeShardFirst pins Delete's routing under a trained
+// layout. Every preloaded record sits on the shard Place routes it to,
+// so each delete counts down exactly that shard. After a budgeted
+// Rebalance that moved records and retrained the layout, many live
+// records sit off their (new) home; deleting all of them still
+// succeeds, through the sweep, one shard count at a time.
+func TestDeleteProbesHomeShardFirst(t *testing.T) {
+	const shards, n = 8, 3000
+	rng := rand.New(rand.NewSource(29))
+	pd := workload.CubeD(rng, n, 3)
+	e := NewDynamicPartition(Options{
+		Shards: shards, BlockSize: 32, Seed: 5,
+		Partitioner: partition.NewKDCut(), PretrainSample: pd,
+	})
+	defer e.Close()
+	for _, p := range pd {
+		if err := e.Insert(index.Record{PD: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counts := func() []int64 {
+		c := make([]int64, shards)
+		for i := range c {
+			c[i] = e.counts[i].Load()
+		}
+		return c
+	}
+	// del deletes p and returns the one shard whose count went down.
+	del := func(p geom.PointD) int {
+		t.Helper()
+		before := counts()
+		if ok, err := e.Delete(index.Record{PD: p}); err != nil || !ok {
+			t.Fatalf("delete %v: %v %v", p, ok, err)
+		}
+		after, down := counts(), -1
+		for i := range after {
+			switch after[i] - before[i] {
+			case 0:
+			case -1:
+				if down >= 0 {
+					t.Fatalf("delete %v counted down shards %d and %d", p, down, i)
+				}
+				down = i
+			default:
+				t.Fatalf("delete %v moved shard %d's count by %d", p, i, after[i]-before[i])
+			}
+		}
+		if down < 0 {
+			t.Fatalf("delete %v counted down no shard", p)
+		}
+		return down
+	}
+
+	// Hollow x > 0.4, keeping every 10th record: each delete lands on
+	// its home shard.
+	var live []geom.PointD
+	for i, p := range pd {
+		if p[0] > 0.4 && i%10 != 0 {
+			if si, home := del(p), e.part.Place(p, shards); si != home {
+				t.Fatalf("delete %v counted down shard %d, home %d", p, si, home)
+			}
+		} else {
+			live = append(live, p)
+		}
+	}
+
+	st, err := e.Rebalance(RebalanceOptions{MaxMoves: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Moved == 0 || st.Deferred == 0 {
+		t.Fatalf("want a partial rebalance that moved records: %+v", st)
+	}
+	offHome := 0
+	for _, p := range live {
+		if del(p) != e.part.Place(p, shards) {
+			offHome++
+		}
+	}
+	if offHome == 0 {
+		t.Fatal("no delete needed the sweep: the test exercises only the home probe")
+	}
+	if e.Len() != 0 {
+		t.Fatalf("Len %d after deleting every record", e.Len())
+	}
+	t.Logf("rebalance moved %d, deferred %d; %d of %d later deletes found their record off home",
+		st.Moved, st.Deferred, offHome, len(live))
+}

@@ -118,6 +118,26 @@ func SideOfHyperplane(h HyperplaneD, p PointD) int {
 	return e.Sign()
 }
 
+// SideOfHyperplaneBound returns a bound that SideOfHyperplane's filter
+// bound never exceeds for any point p with |p[i]| <= amax[i]: the same
+// expression with |p[i]| replaced by amax[i], evaluated in the same order
+// (rounding is monotone, so every partial sum is at least the point's),
+// then raised by a 2^-40 relative margin. A det computed in
+// SideOfHyperplane's order that exceeds the bound is therefore +1, and
+// one below its negation is -1, exactly as SideOfHyperplane would say;
+// anything in between — NaN included — must go to SideOfHyperplane. An
+// amax holding NaN or ±Inf yields a NaN or +Inf bound, which decides
+// nothing.
+func SideOfHyperplaneBound(h HyperplaneD, amax []float64) float64 {
+	d := len(h.Coef)
+	mag := amax[d-1] + abs(h.Coef[d-1])
+	for i := 0; i < d-1; i++ {
+		mag += abs(h.Coef[i]) * amax[i]
+	}
+	bound := filterEps * 2 * float64(d+1) * mag
+	return bound + bound*0x1p-40
+}
+
 // Orient2D returns the sign of the signed area of triangle (a, b, c):
 // +1 if counterclockwise, -1 if clockwise, 0 if collinear.
 func Orient2D(a, b, c Point2) int {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -188,16 +189,27 @@ func (d *DynamicPartition) Conjunction(cs []Constraint) []geom.PointD {
 
 // sortPD orders points canonically (lexicographic, the Record order).
 func sortPD(pts []geom.PointD) []geom.PointD {
-	slices.SortFunc(pts, func(p, q geom.PointD) int {
-		switch {
-		case Record{PD: p}.Less(Record{PD: q}):
-			return -1
-		case Record{PD: q}.Less(Record{PD: p}):
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(pts, comparePD)
 	return pts
+}
+
+// comparePD is Record.Less as a three-way comparison in one pass: the
+// first differing coordinate decides, and a shorter prefix sorts first.
+// A NaN there is neither less nor greater, so it makes the points equal,
+// as Less does.
+func comparePD(p, q geom.PointD) int {
+	for i := range min(len(p), len(q)) {
+		if p[i] != q[i] {
+			switch {
+			case p[i] < q[i]:
+				return -1
+			case p[i] > q[i]:
+				return 1
+			}
+			return 0
+		}
+	}
+	return cmp.Compare(len(p), len(q))
 }
 
 // AppendRecords appends every live record to dst (the Enumerable

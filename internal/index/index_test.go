@@ -2,6 +2,7 @@ package index
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -247,5 +248,45 @@ func TestDynamicAdapterCanonicalOrder(t *testing.T) {
 	d.ResetStats()
 	if d.Stats().IO != (eio.Stats{}) {
 		t.Fatal("ResetStats left counters")
+	}
+}
+
+// TestComparePDMatchesTwoLess: sortPD's one-pass comparison has the
+// sign of the two-Less form it replaced, for random points, NaN, ±0,
+// ±Inf, shared prefixes and unequal lengths.
+func TestComparePDMatchesTwoLess(t *testing.T) {
+	twoLess := func(p, q geom.PointD) int {
+		switch {
+		case Record{PD: p}.Less(Record{PD: q}):
+			return -1
+		case Record{PD: q}.Less(Record{PD: p}):
+			return 1
+		}
+		return 0
+	}
+	vals := []float64{math.NaN(), math.Copysign(0, -1), 0, 1, -1, 0.5, math.Inf(1), math.Inf(-1), 5e-324}
+	rng := rand.New(rand.NewSource(5))
+	point := func() geom.PointD {
+		p := make(geom.PointD, 1+rng.Intn(4))
+		for i := range p {
+			if rng.Intn(3) == 0 {
+				p[i] = rng.Float64()
+			} else {
+				p[i] = vals[rng.Intn(len(vals))]
+			}
+		}
+		return p
+	}
+	for i := 0; i < 200_000; i++ {
+		p, q := point(), point()
+		if rng.Intn(4) == 0 { // q shares a prefix of p
+			q = append(geom.PointD(nil), p[:rng.Intn(len(p)+1)]...)
+			if rng.Intn(2) == 0 {
+				q = append(q, vals[rng.Intn(len(vals))])
+			}
+		}
+		if got, want := comparePD(p, q), twoLess(p, q); got != want {
+			t.Fatalf("comparePD(%v, %v) = %d, two-Less form %d", p, q, got, want)
+		}
 	}
 }

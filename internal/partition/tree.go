@@ -15,6 +15,8 @@
 package partition
 
 import (
+	"math"
+
 	"linconstraint/internal/eio"
 	"linconstraint/internal/geom"
 	"linconstraint/internal/idset"
@@ -32,7 +34,8 @@ type Options struct {
 	Degree int
 }
 
-// ptRec is a blocked point record.
+// ptRec is a point record as the build partitions it (and as the §6
+// and hybrid trees store it in their leaves).
 type ptRec struct {
 	ID int32
 	P  geom.PointD
@@ -44,7 +47,13 @@ type node struct {
 	box      geom.Box
 	count    int
 	children []*node
-	leaf     *eio.Array[ptRec]
+	// A leaf is one flat block: the ids, B per block on the device, and
+	// from t.flat[at] on the same records' coordinates record-major
+	// (coordinate i of the record with id leaf[j] is flat[at+j·d+i]),
+	// followed by amax, the per-axis max |coordinate| over the leaf (NaN
+	// or +Inf if any coordinate is), which bounds scanLeaf's filter.
+	leaf *eio.Array[int32]
+	at   int
 }
 
 // Tree is the §5 partition tree over a point set in R^d.
@@ -63,6 +72,10 @@ type Tree struct {
 	// nothing.
 	ans       idset.Set
 	halfPlane [1]geom.HyperplaneD
+
+	// flat holds every leaf's coordinates and amax (see node.at), so a
+	// leaf costs the device array's one allocation, as a ptRec leaf did.
+	flat []float64
 }
 
 // belowOnly is the side vector of a one-constraint lower halfspace
@@ -86,6 +99,10 @@ func New(dev *eio.Device, points []geom.PointD, opt Options) *Tree {
 	for i, p := range points {
 		recs[i] = ptRec{ID: int32(i), P: p}
 	}
+	// Room for the coordinates and the amax of about 2n/LeafSize leaves
+	// (a leaf is at least half full unless the input is tiny); append
+	// grows it past that, and leaves address it by offset.
+	t.flat = make([]float64, 0, (len(points)+2*len(points)/opt.LeafSize+2)*t.d)
 	t.root = t.build(recs, geom.BoundingBox(points), 0)
 	return t
 }
@@ -94,8 +111,7 @@ func New(dev *eio.Device, points []geom.PointD, opt Options) *Tree {
 func (t *Tree) build(recs []ptRec, box geom.Box, axis int) *node {
 	v := &node{box: box, count: len(recs)}
 	if len(recs) <= t.opt.LeafSize {
-		v.leaf = eio.NewArray(t.dev, recs)
-		v.nblocks = 0 // leaf blocks are owned by the array
+		t.buildLeaf(v, recs)
 		return v
 	}
 	// Degree r_v = min(C·B, 2·n_v) (§5), realized as a balanced kd split
@@ -142,6 +158,34 @@ func (t *Tree) build(recs []ptRec, box geom.Box, axis int) *node {
 		t.dev.Write(v.blk + eio.BlockID(i))
 	}
 	return v
+}
+
+// buildLeaf lays out v's records as one flat leaf block (see node).
+// Leaf blocks are owned by the id array, so v.nblocks stays 0.
+func (t *Tree) buildLeaf(v *node, recs []ptRec) {
+	d := t.d
+	var scratch [256]int32 // ids of a leaf of up to 256 records stay off the heap; NewArray copies them
+	ids := scratch[:0]
+	v.at = len(t.flat)
+	t.flat = append(t.flat, make([]float64, (len(recs)+1)*d)...)
+	xs, amax := t.flat[v.at:v.at+len(recs)*d], t.leafAmax(v, len(recs))
+	for j, r := range recs {
+		ids = append(ids, r.ID)
+		for i, c := range r.P[:d] {
+			xs[j*d+i] = c
+			// NaN is sticky: nothing compares greater than it.
+			if a := math.Abs(c); a > amax[i] || a != a {
+				amax[i] = a
+			}
+		}
+	}
+	v.leaf = eio.NewArray(t.dev, ids)
+}
+
+// leafAmax returns the amax of leaf v, which holds n records.
+func (t *Tree) leafAmax(v *node, n int) []float64 {
+	at := v.at + n*t.d
+	return t.flat[at : at+t.d : at+t.d]
 }
 
 type cell struct {
@@ -265,14 +309,7 @@ func (t *Tree) SimplexAppend(s geom.Simplex, out []int) []int {
 // outside → skip, crossing → recurse / filter at leaves.
 func (t *Tree) query(v *node, s *geom.Simplex) {
 	if v.leaf != nil {
-		for k, nb := 0, v.leaf.Blocks(); k < nb; k++ {
-			blk := v.leaf.Block(k)
-			for i := range blk {
-				if s.Contains(blk[i].P) {
-					t.ans.Add(blk[i].ID)
-				}
-			}
-		}
+		t.scanLeaf(v, s)
 		return
 	}
 	t.readNode(v)
@@ -288,15 +325,129 @@ func (t *Tree) query(v *node, s *geom.Simplex) {
 	}
 }
 
+// maxLeafPlanes is the most constraints scanLeaf's filter hoists: the
+// engine issues one (a halfspace) or two (a slab).
+const maxLeafPlanes = 4
+
+// exactHook, when set (by tests), sees every record scanLeaf sends to
+// the exact path; returning true reports the record outside without
+// asking the exact predicate.
+var exactHook func(p geom.PointD) bool
+
+// leafExact is scanLeaf's exact path.
+func leafExact(s *geom.Simplex, p geom.PointD) bool {
+	if exactHook != nil && exactHook(p) {
+		return false
+	}
+	return s.Contains(p)
+}
+
+// leafFilter is scanLeaf's hoisted form of at most maxLeafPlanes
+// constraints over one leaf. With det evaluated as SideOfHyperplane
+// does, constraint c decides a record inside when flip[c]·det <
+// -bound[c] and outside when flip[c]·det > bound[c], bound being the
+// leaf bound; flip is -1 for an upper halfspace (negation is exact).
+type leafFilter struct {
+	coef        [maxLeafPlanes][]float64
+	bound, flip [maxLeafPlanes]float64
+}
+
+// scanLeaf adds every record of leaf v inside s to the answer set,
+// reading v's blocks in order. Each constraint's coefficients are
+// hoisted with its leaf bound, geom.SideOfHyperplaneBound over amax,
+// and a det beyond ±bound has the sign SideOfHyperplane would return,
+// so the record is decided without it. Every constraint is tested,
+// without an early exit. A record that no constraint excludes and some
+// constraint leaves undecided (NaN det included) takes the exact
+// s.Contains, as does every record of a query with more than
+// maxLeafPlanes constraints.
+func (t *Tree) scanLeaf(v *node, s *geom.Simplex) {
+	d, k, n := t.d, len(s.Planes), v.leaf.Len()
+	if k > maxLeafPlanes {
+		k = 0 // filter nothing: no record is decided
+	}
+	amax := t.leafAmax(v, n)
+	var f leafFilter
+	for c, h := range s.Planes[:k] {
+		f.coef[c], f.bound[c], f.flip[c] = h.Coef[:d], geom.SideOfHyperplaneBound(h, amax), 1
+		if !s.Below[c] {
+			f.flip[c] = -1
+		}
+	}
+	flat := t.flat[v.at : v.at+n*d]
+	if d == 3 {
+		t.scanLeaf3(v, flat, s, k, &f)
+		return
+	}
+	for blk, nb, b := 0, v.leaf.Blocks(), t.dev.B(); blk < nb; blk++ {
+		xs := flat[blk*b*d:]
+		for j, id := range v.leaf.Block(blk) {
+			p := xs[j*d : (j+1)*d : (j+1)*d]
+			in, out := 0, 0
+			for c := 0; c < k; c++ {
+				h := f.coef[c]
+				det := p[d-1] - h[d-1]
+				for i := 0; i < d-1; i++ {
+					det -= h[i] * p[i]
+				}
+				det *= f.flip[c]
+				in += b2i(det < -f.bound[c])
+				out += b2i(det > f.bound[c])
+			}
+			if out == 0 && (in == len(s.Planes) || leafExact(s, p)) {
+				t.ans.Add(id)
+			}
+		}
+	}
+}
+
+// scanLeaf3 is scanLeaf's record loop for d = 3 (the engine's
+// dimension) over the leaf's coordinates flat, with the k filtered
+// constraints' coefficients unpacked.
+func (t *Tree) scanLeaf3(v *node, flat []float64, s *geom.Simplex, k int, f *leafFilter) {
+	var a0, a1, a2, lo [maxLeafPlanes]float64
+	for c := 0; c < k; c++ {
+		h := f.coef[c][:3]
+		a0[c], a1[c], a2[c], lo[c] = h[0], h[1], h[2], -f.bound[c]
+	}
+	hi, flip := f.bound, f.flip
+	for blk, nb, b := 0, v.leaf.Blocks(), t.dev.B(); blk < nb; blk++ {
+		xs := flat[blk*b*3:]
+		for j, id := range v.leaf.Block(blk) {
+			p := xs[j*3 : j*3+3 : j*3+3]
+			x, y, z := p[0], p[1], p[2]
+			in, out := 0, 0
+			for c := 0; c < k; c++ {
+				det := z - a2[c]
+				det -= a0[c] * x
+				det -= a1[c] * y
+				det *= flip[c]
+				in += b2i(det < lo[c])
+				out += b2i(det > hi[c])
+			}
+			if out == 0 && (in == len(s.Planes) || leafExact(s, p)) {
+				t.ans.Add(id)
+			}
+		}
+	}
+}
+
+// b2i is 1 for true: the filter counts verdicts without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // reportSubtree adds every point below v to the answer set; cost
 // O(count/B) I/Os because leaves hold Θ(B) points and internal nodes
 // have degree ≥ 2.
 func (t *Tree) reportSubtree(v *node) {
 	if v.leaf != nil {
 		for k, nb := 0, v.leaf.Blocks(); k < nb; k++ {
-			blk := v.leaf.Block(k)
-			for i := range blk {
-				t.ans.Add(blk[i].ID)
+			for _, id := range v.leaf.Block(k) {
+				t.ans.Add(id)
 			}
 		}
 		return
