@@ -508,10 +508,14 @@ func TestRebalanceErrors(t *testing.T) {
 
 // TestDeleteProbesHomeShardFirst pins Delete's routing under a trained
 // layout. Every preloaded record sits on the shard Place routes it to,
-// so each delete counts down exactly that shard. After a budgeted
-// Rebalance that moved records and retrained the layout, many live
-// records sit off their (new) home; deleting all of them still
-// succeeds, through the sweep, one shard count at a time.
+// so each delete counts down exactly that shard. A budgeted Rebalance
+// then moves some records and retrains the layout, leaving many live
+// records off their new home. For each of them an equal copy is
+// inserted (Insert puts it on the home shard) and the record deleted
+// once: the home shard's count must go down, even where the original
+// sits on a lower-index shard that a sweep in index order would reach
+// first. A second delete then finds the original off home, through the
+// sweep, until the engine is empty.
 func TestDeleteProbesHomeShardFirst(t *testing.T) {
 	const shards, n = 8, 3000
 	rng := rand.New(rand.NewSource(29))
@@ -579,18 +583,28 @@ func TestDeleteProbesHomeShardFirst(t *testing.T) {
 	if st.Moved == 0 || st.Deferred == 0 {
 		t.Fatalf("want a partial rebalance that moved records: %+v", st)
 	}
-	offHome := 0
+	offHome, lower := 0, 0
 	for _, p := range live {
-		if del(p) != e.part.Place(p, shards) {
+		home := e.part.Place(p, shards)
+		if err := e.Insert(index.Record{PD: p}); err != nil {
+			t.Fatal(err)
+		}
+		if si := del(p); si != home {
+			t.Fatalf("delete %v with a copy on its home shard %d counted down shard %d", p, home, si)
+		}
+		if si := del(p); si != home {
 			offHome++
+			if si < home {
+				lower++
+			}
 		}
 	}
-	if offHome == 0 {
-		t.Fatal("no delete needed the sweep: the test exercises only the home probe")
+	if lower == 0 {
+		t.Fatal("no original sat on a lower-index shard than its home: an index-order sweep would pass too")
 	}
 	if e.Len() != 0 {
 		t.Fatalf("Len %d after deleting every record", e.Len())
 	}
-	t.Logf("rebalance moved %d, deferred %d; %d of %d later deletes found their record off home",
-		st.Moved, st.Deferred, offHome, len(live))
+	t.Logf("rebalance moved %d, deferred %d; %d of %d originals found off home, %d of them below it",
+		st.Moved, st.Deferred, offHome, len(live), lower)
 }

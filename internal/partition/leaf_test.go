@@ -209,10 +209,10 @@ func (f *fuzzFloats) next() float64 {
 	}
 }
 
-// FuzzLeafFilter: for a leaf of fuzzed finite coordinates — ±0,
-// subnormals, ±1e300, lattice points, points exactly on a constraint —
-// and 1–3 fuzzed constraints, SimplexAppend reports exactly the records
-// the exact Simplex.Contains accepts.
+// FuzzLeafFilter: for a 3-d leaf (the filter's one dimension) of fuzzed
+// finite coordinates — ±0, subnormals, ±1e300, lattice points, points
+// exactly on a constraint — and 1–3 fuzzed constraints, SimplexAppend
+// reports exactly the records the exact Simplex.Contains accepts.
 func FuzzLeafFilter(f *testing.F) {
 	f.Add([]byte{0x05, 4, 2, 4, 3, 4, 1, 4, 1, 4, 1, 4, 1})
 	f.Add([]byte{0x16, 2, 0x82, 3, 1, 0, 0x80, 4, 7, 5, 9, 4, 250, 2, 3})
@@ -223,7 +223,7 @@ func FuzzLeafFilter(f *testing.F) {
 		}
 		hdr := raw[0]
 		in := &fuzzFloats{raw: raw[1:]}
-		d := 2 + int(hdr%3)
+		const d = 3
 		k := 1 + int(hdr>>2)%3
 		s := geom.Simplex{}
 		for c := 0; c < k; c++ {
@@ -266,8 +266,8 @@ func FuzzLeafFilter(f *testing.F) {
 			}
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("%d-d, %d planes %v below %v over %d points:\n got %v\nwant %v",
-				d, k, s.Planes, s.Below, len(pts), got, want)
+			t.Fatalf("%d planes %v below %v over %d points:\n got %v\nwant %v",
+				k, s.Planes, s.Below, len(pts), got, want)
 		}
 	})
 }

@@ -329,9 +329,9 @@ func (t *Tree) query(v *node, s *geom.Simplex) {
 // engine issues one (a halfspace) or two (a slab).
 const maxLeafPlanes = 4
 
-// exactHook, when set (by tests), sees every record scanLeaf sends to
-// the exact path; returning true reports the record outside without
-// asking the exact predicate.
+// exactHook, when set (by tests), sees every record scanLeaf's filter
+// sends to the exact path; returning true reports the record outside
+// without asking the exact predicate.
 var exactHook func(p geom.PointD) bool
 
 // leafExact is scanLeaf's exact path.
@@ -342,76 +342,44 @@ func leafExact(s *geom.Simplex, p geom.PointD) bool {
 	return s.Contains(p)
 }
 
-// leafFilter is scanLeaf's hoisted form of at most maxLeafPlanes
-// constraints over one leaf. With det evaluated as SideOfHyperplane
-// does, constraint c decides a record inside when flip[c]·det <
-// -bound[c] and outside when flip[c]·det > bound[c], bound being the
-// leaf bound; flip is -1 for an upper halfspace (negation is exact).
-type leafFilter struct {
-	coef        [maxLeafPlanes][]float64
-	bound, flip [maxLeafPlanes]float64
-}
-
 // scanLeaf adds every record of leaf v inside s to the answer set,
-// reading v's blocks in order. Each constraint's coefficients are
-// hoisted with its leaf bound, geom.SideOfHyperplaneBound over amax,
-// and a det beyond ±bound has the sign SideOfHyperplane would return,
-// so the record is decided without it. Every constraint is tested,
-// without an early exit. A record that no constraint excludes and some
-// constraint leaves undecided (NaN det included) takes the exact
-// s.Contains, as does every record of a query with more than
-// maxLeafPlanes constraints.
+// reading v's blocks in order. For d = 3 (the engine's dimension) and
+// at most maxLeafPlanes constraints it filters: each constraint's
+// coefficients are hoisted with its leaf bound,
+// geom.SideOfHyperplaneBound over amax, and det is evaluated in
+// SideOfHyperplane's own order, so a det beyond ±bound has the sign
+// SideOfHyperplane would return and decides the record without it;
+// flip is -1 for an upper halfspace (negation is exact). Every
+// constraint is tested, without an early exit. A record that no
+// constraint excludes and some constraint leaves undecided (NaN det
+// included) takes the exact s.Contains. Any other query — another
+// dimension, or more constraints — asks s.Contains of every record.
 func (t *Tree) scanLeaf(v *node, s *geom.Simplex) {
 	d, k, n := t.d, len(s.Planes), v.leaf.Len()
-	if k > maxLeafPlanes {
-		k = 0 // filter nothing: no record is decided
-	}
-	amax := t.leafAmax(v, n)
-	var f leafFilter
-	for c, h := range s.Planes[:k] {
-		f.coef[c], f.bound[c], f.flip[c] = h.Coef[:d], geom.SideOfHyperplaneBound(h, amax), 1
-		if !s.Below[c] {
-			f.flip[c] = -1
-		}
-	}
 	flat := t.flat[v.at : v.at+n*d]
-	if d == 3 {
-		t.scanLeaf3(v, flat, s, k, &f)
+	b := t.dev.B()
+	if d != 3 || k > maxLeafPlanes {
+		for blk, nb := 0, v.leaf.Blocks(); blk < nb; blk++ {
+			xs := flat[blk*b*d:]
+			for j, id := range v.leaf.Block(blk) {
+				if s.Contains(xs[j*d : (j+1)*d : (j+1)*d]) {
+					t.ans.Add(id)
+				}
+			}
+		}
 		return
 	}
-	for blk, nb, b := 0, v.leaf.Blocks(), t.dev.B(); blk < nb; blk++ {
-		xs := flat[blk*b*d:]
-		for j, id := range v.leaf.Block(blk) {
-			p := xs[j*d : (j+1)*d : (j+1)*d]
-			in, out := 0, 0
-			for c := 0; c < k; c++ {
-				h := f.coef[c]
-				det := p[d-1] - h[d-1]
-				for i := 0; i < d-1; i++ {
-					det -= h[i] * p[i]
-				}
-				det *= f.flip[c]
-				in += b2i(det < -f.bound[c])
-				out += b2i(det > f.bound[c])
-			}
-			if out == 0 && (in == len(s.Planes) || leafExact(s, p)) {
-				t.ans.Add(id)
-			}
+	amax := t.leafAmax(v, n)
+	var a0, a1, a2, lo, hi, flip [maxLeafPlanes]float64
+	for c, h := range s.Planes {
+		a0[c], a1[c], a2[c] = h.Coef[0], h.Coef[1], h.Coef[2]
+		hi[c] = geom.SideOfHyperplaneBound(h, amax)
+		lo[c], flip[c] = -hi[c], 1
+		if !s.Below[c] {
+			flip[c] = -1
 		}
 	}
-}
-
-// scanLeaf3 is scanLeaf's record loop for d = 3 (the engine's
-// dimension) over the leaf's coordinates flat, with the k filtered
-// constraints' coefficients unpacked.
-func (t *Tree) scanLeaf3(v *node, flat []float64, s *geom.Simplex, k int, f *leafFilter) {
-	var a0, a1, a2, lo [maxLeafPlanes]float64
-	for c := 0; c < k; c++ {
-		h := f.coef[c][:3]
-		a0[c], a1[c], a2[c], lo[c] = h[0], h[1], h[2], -f.bound[c]
-	}
-	hi, flip := f.bound, f.flip
-	for blk, nb, b := 0, v.leaf.Blocks(), t.dev.B(); blk < nb; blk++ {
+	for blk, nb := 0, v.leaf.Blocks(); blk < nb; blk++ {
 		xs := flat[blk*b*3:]
 		for j, id := range v.leaf.Block(blk) {
 			p := xs[j*3 : j*3+3 : j*3+3]
@@ -425,7 +393,7 @@ func (t *Tree) scanLeaf3(v *node, flat []float64, s *geom.Simplex, k int, f *lea
 				in += b2i(det < lo[c])
 				out += b2i(det > hi[c])
 			}
-			if out == 0 && (in == len(s.Planes) || leafExact(s, p)) {
+			if out == 0 && (in == k || leafExact(s, p)) {
 				t.ans.Add(id)
 			}
 		}
