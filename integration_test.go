@@ -4,8 +4,8 @@ package linconstraint
 // answer overlapping query classes, so on shared workloads their answers
 // must coincide exactly — a 2D halfplane query can be answered by the §3
 // structure, the §5 partition tree (d=2), and every baseline; a 3D
-// halfspace query by the §4 structure, the §5 tree (d=3), the §6 shallow
-// tree and the §6.1 hybrid. These tests run them side by side.
+// halfspace query by the §4 structure, the §5 tree (d=3) and the
+// Theorem 6.1 hybrid. These tests run them side by side.
 
 import (
 	"math/rand"
@@ -81,7 +81,6 @@ func TestAllThreeDimensionalStructuresAgree(t *testing.T) {
 	dev := eio.NewDevice(16, 0)
 	idx3 := NewIndex3D(pts, Window{XMin: -3, XMax: 3, YMin: -3, YMax: 3}, Config{BlockSize: 16, Seed: 4})
 	tree := partition.New(dev, ptsD, partition.Options{})
-	shallow := partition.NewShallow(dev, ptsD, partition.ShallowOptions{})
 	hybrid := partition.NewHybrid(dev, pts, partition.HybridOptions{A: 1.5, Window: win, Copies: 1})
 
 	for s := 0; s < 20; s++ {
@@ -101,7 +100,6 @@ func TestAllThreeDimensionalStructuresAgree(t *testing.T) {
 			}
 		}
 		check("chan3d", idx3.Halfspace(h.A, h.B, h.C))
-		check("shallow", shallow.Halfspace(hd))
 		check("hybrid", hybrid.Halfspace(h.A, h.B, h.C))
 	}
 }

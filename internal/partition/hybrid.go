@@ -2,7 +2,6 @@ package partition
 
 import (
 	"math"
-	"sort"
 
 	"linconstraint/internal/chan3d"
 	"linconstraint/internal/eio"
@@ -26,160 +25,100 @@ type HybridOptions struct {
 }
 
 // Hybrid is the Theorem 6.1 structure for 3-dimensional halfspace
-// reporting over points: a partition tree with §4 structures at its
-// leaves, using O(n·log2 B) blocks and answering queries in
-// O((n/B^(a-1))^(2/3+ε) + t) expected I/Os.
+// reporting over points: the §5 tree with leaves of up to B^a points,
+// each also indexed by the §4 structure over its points' dual planes,
+// using O(n·log2 B) blocks and answering queries in
+// O((n/B^(a-1))^(2/3+ε) + t) expected I/Os. A crossed leaf asks its §4
+// structure; a leaf inside the query is reported from the tree's own id
+// blocks.
 type Hybrid struct {
-	dev    *eio.Device
-	opt    HybridOptions
-	root   *hybridNode
-	points []geom.Point3
+	t      *Tree
+	leaves map[*node]hybridLeaf
+	below  []int // query scratch: one §4 answer, as positions in its leaf
 }
 
-type hybridNode struct {
-	blk      eio.BlockID
-	nblocks  int
-	box      geom.Box
-	count    int
-	children []*hybridNode
-	leafIdx  *chan3d.Index     // §4 structure over the dual planes
-	leafIDs  []int32           // global ids, parallel to the leaf's plane order
-	raw      *eio.Array[int32] // raw id blocks for whole-subtree reporting
+// hybridLeaf is the §4 structure of one tree leaf: plane j of idx is the
+// dual of the leaf's j-th point, whose id is ids[j].
+type hybridLeaf struct {
+	idx *chan3d.Index
+	ids []int32
 }
 
 // NewHybrid builds the structure over 3D points on dev.
 func NewHybrid(dev *eio.Device, points []geom.Point3, opt HybridOptions) *Hybrid {
-	if opt.C <= 0 {
-		opt.C = 1
-	}
 	if opt.A <= 1 {
 		opt.A = 1.5
 	}
 	if opt.Window == (hull3d.Window{}) {
 		opt.Window = hull3d.Window{XMin: -16, XMax: 16, YMin: -16, YMax: 16}
 	}
-	h := &Hybrid{dev: dev, opt: opt, points: points}
-	if len(points) == 0 {
-		return h
-	}
 	pd := make([]geom.PointD, len(points))
-	recs := make([]ptRec, len(points))
 	for i, p := range points {
 		pd[i] = geom.PointDOf3(p)
-		recs[i] = ptRec{ID: int32(i), P: pd[i]}
 	}
-	h.root = h.build(recs, geom.BoundingBox(pd), 0)
+	tOpt := opt.Options
+	tOpt.LeafSize = max(int(math.Pow(float64(dev.B()), opt.A)), dev.B())
+	h := &Hybrid{t: New(dev, pd, tOpt), leaves: make(map[*node]hybridLeaf)}
+	if h.t.root != nil {
+		h.buildLeaves(h.t.root, points, opt)
+	}
 	return h
 }
 
-func (h *Hybrid) build(recs []ptRec, box geom.Box, axis int) *hybridNode {
-	v := &hybridNode{box: box, count: len(recs)}
-	leafCap := int(math.Pow(float64(h.dev.B()), h.opt.A))
-	if leafCap < h.dev.B() {
-		leafCap = h.dev.B()
-	}
-	if len(recs) <= leafCap {
-		planes := make([]geom.Plane3, len(recs))
-		v.leafIDs = make([]int32, len(recs))
-		for i, r := range recs {
-			planes[i] = geom.DualOfPoint3(geom.Point3{X: r.P[0], Y: r.P[1], Z: r.P[2]})
-			v.leafIDs[i] = r.ID
-		}
-		v.leafIdx = chan3d.New(h.dev, planes, chan3d.Options{
-			Window: h.opt.Window, Copies: h.opt.Copies, Seed: h.opt.Seed + int64(len(recs)),
-		})
-		v.raw = eio.NewArray(h.dev, v.leafIDs)
-		return v
-	}
-	nv := h.dev.Blocks(len(recs))
-	rv := h.opt.C * h.dev.B()
-	if 2*nv < rv {
-		rv = 2 * nv
-	}
-	if rv < 2 {
-		rv = 2
-	}
-	// Do not overshoot the leaf size: splitting into more cells than
-	// needed to reach it makes leaves smaller than intended (this matters
-	// for the B^a leaves of the Theorem 6.1 hybrid).
-	if want := (len(recs) + leafCap - 1) / leafCap; want >= 2 && want < rv {
-		rv = want
-	}
-	depth := 0
-	for 1<<depth < rv {
-		depth++
-	}
-	helper := &Tree{dev: h.dev, d: 3, opt: h.opt.Options}
-	cells := helper.kdSplit(recs, box, axis, depth)
-	for _, c := range cells {
-		if len(c.recs) == 0 {
-			continue
-		}
-		v.children = append(v.children, h.build(c.recs, c.box, (axis+depth)%3))
-	}
-	words := len(v.children) * 8
-	v.nblocks = h.dev.Blocks(words)
-	if v.nblocks < 1 {
-		v.nblocks = 1
-	}
-	v.blk = h.dev.Alloc(v.nblocks)
-	for i := 0; i < v.nblocks; i++ {
-		h.dev.Write(v.blk + eio.BlockID(i))
-	}
-	return v
-}
-
-// Halfspace reports the ids of all points on or below z = a·x + b·y + c.
-func (h *Hybrid) Halfspace(a, b, c float64) []int {
-	var out []int
-	if h.root == nil {
-		return out
-	}
-	hp := geom.HyperplaneD{Coef: []float64{a, b, c}}
-	h.query(h.root, hp, &out)
-	sort.Ints(out)
-	return out
-}
-
-func (h *Hybrid) query(v *hybridNode, hp geom.HyperplaneD, out *[]int) {
-	if v.leafIdx != nil {
-		// §4 leaf: report dual planes below the dual point (Lemma 2.1).
-		for _, id := range v.leafIdx.Below(geom.Point3{X: hp.Coef[0], Y: hp.Coef[1], Z: hp.Coef[2]}) {
-			*out = append(*out, int(v.leafIDs[id]))
+// buildLeaves reads each leaf's id blocks below v and builds the §4
+// structure over the duals of its points (Lemma 2.1).
+func (h *Hybrid) buildLeaves(v *node, points []geom.Point3, opt HybridOptions) {
+	if v.leaf == nil {
+		for _, c := range v.children {
+			h.buildLeaves(c, points, opt)
 		}
 		return
 	}
-	h.readNode(v)
+	ids := make([]int32, 0, v.leaf.Len())
+	for k, nb := 0, v.leaf.Blocks(); k < nb; k++ {
+		ids = append(ids, v.leaf.Block(k)...)
+	}
+	planes := make([]geom.Plane3, len(ids))
+	for j, id := range ids {
+		planes[j] = geom.DualOfPoint3(points[id])
+	}
+	h.leaves[v] = hybridLeaf{ids: ids, idx: chan3d.New(h.t.dev, planes, chan3d.Options{
+		Window: opt.Window, Copies: opt.Copies, Seed: opt.Seed + int64(len(ids)),
+	})}
+}
+
+// Halfspace reports the ids of all points on or below z = a·x + b·y + c,
+// ascending.
+func (h *Hybrid) Halfspace(a, b, c float64) []int {
+	if h.t.root == nil {
+		return nil
+	}
+	h.query(h.t.root, geom.HyperplaneD{Coef: []float64{a, b, c}})
+	return h.t.ans.AppendSortedAndClear(nil)
+}
+
+// query walks the tree like Tree.query, with §4 leaves.
+func (h *Hybrid) query(v *node, hp geom.HyperplaneD) {
+	if v.leaf != nil {
+		// §4 leaf: report dual planes below the dual point (Lemma 2.1).
+		l := h.leaves[v]
+		h.below = l.idx.BelowAppend(geom.Point3{X: hp.Coef[0], Y: hp.Coef[1], Z: hp.Coef[2]}, h.below[:0])
+		for _, j := range h.below {
+			h.t.ans.Add(l.ids[j])
+		}
+		return
+	}
+	h.t.readNode(v)
 	for _, c := range v.children {
 		switch c.box.RegionSide(hp) {
 		case -1:
-			h.reportSubtree(c, out)
+			h.t.reportSubtree(c)
 		case 1:
 		default:
-			h.query(c, hp, out)
+			h.query(c, hp)
 		}
-	}
-}
-
-func (h *Hybrid) reportSubtree(v *hybridNode, out *[]int) {
-	if v.leafIdx != nil {
-		v.raw.All(func(_ int, id int32) bool {
-			*out = append(*out, int(id))
-			return true
-		})
-		return
-	}
-	h.readNode(v)
-	for _, c := range v.children {
-		h.reportSubtree(c, out)
-	}
-}
-
-func (h *Hybrid) readNode(v *hybridNode) {
-	for i := 0; i < v.nblocks; i++ {
-		h.dev.Read(v.blk + eio.BlockID(i))
 	}
 }
 
 // Len returns the number of indexed points.
-func (h *Hybrid) Len() int { return len(h.points) }
+func (h *Hybrid) Len() int { return h.t.Len() }

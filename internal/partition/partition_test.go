@@ -195,34 +195,15 @@ func TestDuplicatePoints(t *testing.T) {
 	}
 }
 
-// TestShallowMatchesBruteForce: Theorem 6.3 structure correctness.
-func TestShallowMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n := 2000
-	pts := randomPointsD(rng, n, 3)
-	dev := eio.NewDevice(16, 0)
-	tr := NewShallow(dev, pts, ShallowOptions{})
-	for s := 0; s < 40; s++ {
-		h := randomHyperplane(rng, 3)
-		got := tr.Halfspace(h)
-		want := bruteHalfspace(pts, h)
-		if !equalInts(got, want) {
-			t.Fatalf("shallow: got %d, want %d", len(got), len(want))
-		}
-	}
-	if tr.Len() != n {
-		t.Fatal("Len")
-	}
-}
-
-// TestShallowQueryCheap: genuinely shallow queries (small output) should
-// cost near-polylog I/Os, much less than the base tree's n^(2/3).
-func TestShallowQueryCheap(t *testing.T) {
+// TestTreeShallowQueryCheap: genuinely shallow queries (small output)
+// on the §5 tree should cost near-polylog I/Os, much less than its
+// n^(2/3) worst case.
+func TestTreeShallowQueryCheap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 1 << 13
 	pts := randomPointsD(rng, n, 3)
 	dev := eio.NewDevice(32, 0)
-	tr := NewShallow(dev, pts, ShallowOptions{})
+	tr := New(dev, pts, Options{})
 	var total int64
 	qs := 30
 	for s := 0; s < qs; s++ {

@@ -1,17 +1,17 @@
 // Package partition implements the paper's linear-size d-dimensional
 // structures: the partition tree of §5 (Theorem 5.2) answering halfspace
 // and simplex reporting queries in O(n^(1-1/d)+ε + t) I/Os with O(n)
-// blocks; the shallow partition tree of §6 (Theorem 6.3) answering
-// 3-dimensional halfspace queries in O(n^ε + t) I/Os with O(n log_B n)
-// blocks; and the hybrid space/query tradeoff of Theorem 6.1 that stops
-// the recursion at subproblems of size B^a and finishes with the §4
-// structure.
+// blocks, and the hybrid space/query tradeoff of Theorem 6.1, the same
+// tree with leaves of B^a points each finished by the §4 structure.
 //
 // Matoušek's simplicial partitions (Theorems 5.1 and 6.2) are replaced by
 // balanced kd-partitions whose cells are boxes: a hyperplane crosses at
 // most O(r^(1-1/d)) cells of a balanced kd-partition into r boxes, which
 // is the crossing property Theorem 5.2's recurrence needs (DESIGN.md
-// substitution 4; experiment E7 measures the constant).
+// substitution 4; experiment E7 measures the constant). Shallow planes
+// cross 6.5–11.4 of r = 64–1 024 kd cells (E8), far below the 4·log2(r)
+// at which §6's shallow tree would switch to a secondary tree, so that
+// tree would read exactly what this one reads (E4) and is not built.
 package partition
 
 import (
@@ -34,8 +34,7 @@ type Options struct {
 	Degree int
 }
 
-// ptRec is a point record as the build partitions it (and as the §6
-// and hybrid trees store it in their leaves).
+// ptRec is a point record as the build partitions it.
 type ptRec struct {
 	ID int32
 	P  geom.PointD
@@ -45,7 +44,6 @@ type node struct {
 	blk      eio.BlockID
 	nblocks  int
 	box      geom.Box
-	count    int
 	children []*node
 	// A leaf is one flat block: the ids, B per block on the device, and
 	// from t.flat[at] on the same records' coordinates record-major
@@ -58,12 +56,11 @@ type node struct {
 
 // Tree is the §5 partition tree over a point set in R^d.
 type Tree struct {
-	dev     *eio.Device
-	d       int
-	opt     Options
-	root    *node
-	points  []geom.PointD
-	relabel []int32 // optional id remapping (used by secondary structures)
+	dev    *eio.Device
+	d      int
+	opt    Options
+	root   *node
+	points []geom.PointD
 
 	// Query scratch (a Tree is single-owner, like its Device): ans is
 	// the answer set over stored ids, drained in id order at the end of
@@ -109,7 +106,7 @@ func New(dev *eio.Device, points []geom.PointD, opt Options) *Tree {
 
 // build constructs the subtree for recs within box.
 func (t *Tree) build(recs []ptRec, box geom.Box, axis int) *node {
-	v := &node{box: box, count: len(recs)}
+	v := &node{box: box}
 	if len(recs) <= t.opt.LeafSize {
 		t.buildLeaf(v, recs)
 		return v
@@ -286,23 +283,13 @@ func (t *Tree) Simplex(s geom.Simplex) []int {
 // SimplexAppend appends the ids of all points inside s to out,
 // ascending, and returns the extended slice. Leaves are scanned a block
 // at a time into the answer set, which is drained in id order — O(points
-// scanned + t) CPU, no comparison sort. A relabelled tree (a secondary
-// structure's) maps the drained ids to its owner's afterwards, so its
-// answer is in stored-id order, not ascending; the owner, which defines
-// that id universe, orders the union it assembles.
+// scanned + t) CPU, no comparison sort.
 func (t *Tree) SimplexAppend(s geom.Simplex, out []int) []int {
 	if t.root == nil {
 		return out
 	}
-	start := len(out)
 	t.query(t.root, &s)
-	out = t.ans.AppendSortedAndClear(out)
-	if t.relabel != nil {
-		for i, id := range out[start:] {
-			out[start+i] = int(t.relabel[id])
-		}
-	}
-	return out
+	return t.ans.AppendSortedAndClear(out)
 }
 
 // query recursively classifies cells against s: inside → report subtree,

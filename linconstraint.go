@@ -16,7 +16,9 @@
 //     queries (Theorems 4.2 and 4.3).
 //   - PartitionTree (any d): O(n^(1-1/d)+ε + t) I/Os with linear space,
 //     also answering simplex and convex-polytope queries (§5, Theorem
-//     5.2), with shallow and hybrid variants from §6.
+//     5.2). On shallow d = 3 queries it keeps §6's O(n^ε + t) growth
+//     (experiment E4); the Theorem 6.1 hybrid is the same tree with §4
+//     leaves.
 //   - DynamicPlanarIndex / DynamicPartitionTree: the logarithmic-method
 //     dynamizations (§5 Remark iii; the engineering answer to §7 open
 //     problem 1) with live Insert/Delete.
