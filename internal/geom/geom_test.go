@@ -103,6 +103,84 @@ func TestSideOfLine2Exactness(t *testing.T) {
 	}
 }
 
+// edgeFloat draws from the values a float filter gets wrong first: ±0,
+// subnormals, ±1e-300, huge and overflowing magnitudes, ordinary
+// normals, and (when nonFinite) NaN and ±Inf.
+func edgeFloat(rng *rand.Rand, nonFinite bool) float64 {
+	neg := float64(1 - 2*rng.Intn(2))
+	switch rng.Intn(9) {
+	case 0:
+		return math.Copysign(0, neg)
+	case 1:
+		return neg * 5e-324 * float64(1+rng.Intn(1<<20))
+	case 2:
+		return neg * 1e-300 * rng.Float64()
+	case 3:
+		return neg * math.MaxFloat64 * rng.Float64()
+	case 4:
+		return neg * 1e150 * rng.Float64()
+	case 5:
+		if nonFinite {
+			if rng.Intn(2) == 0 {
+				return math.NaN()
+			}
+			return math.Inf(int(neg))
+		}
+		fallthrough
+	default:
+		return rng.NormFloat64() * math.Pow(2, float64(rng.Intn(40)-20))
+	}
+}
+
+// TestSideOfLine2BoundCoversEveryLine: on random blocks of lines with
+// ±0, subnormal, huge and non-finite coefficients, the block bound over
+// the lines' max |A| and max |B| is at least SideOfLine2's own bound
+// for every line of the block and every q, and every sign it decides is
+// SideOfLine2's. A non-finite maximum gives a NaN or +Inf bound, which
+// decides nothing.
+func TestSideOfLine2BoundCoversEveryLine(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for trial := 0; trial < 20000; trial++ {
+		lines := make([]Line2, 1+rng.Intn(32))
+		nonFinite := trial%4 == 0
+		var amaxA, amaxB float64
+		for i := range lines {
+			lines[i] = Line2{A: edgeFloat(rng, nonFinite), B: edgeFloat(rng, nonFinite)}
+			if a := math.Abs(lines[i].A); a > amaxA || a != a {
+				amaxA = a
+			}
+			if b := math.Abs(lines[i].B); b > amaxB || b != b {
+				amaxB = b
+			}
+		}
+		for k := 0; k < 8; k++ {
+			q := Point2{X: edgeFloat(rng, k == 0), Y: edgeFloat(rng, k == 0)}
+			if k == 1 { // q exactly or nearly on a line of the block
+				l := lines[rng.Intn(len(lines))]
+				q.Y = l.A*q.X + l.B
+			}
+			h := SideOfLine2Bound(amaxA, amaxB, q)
+			if (!isFinite(amaxA) || !isFinite(amaxB)) && !math.IsNaN(h) && !math.IsInf(h, 1) {
+				t.Fatalf("max |A| %v, max |B| %v, q %v: bound %v, want NaN or +Inf", amaxA, amaxB, q, h)
+			}
+			if math.IsNaN(h) || math.IsInf(h, 1) {
+				continue // decides nothing
+			}
+			for _, l := range lines {
+				tt := l.A * q.X
+				own := line2Bound(math.Abs(q.Y), math.Abs(tt), math.Abs(l.B))
+				if !(h >= own) {
+					t.Fatalf("line %v, q %v: block bound %v below the line's own %v", l, q, h, own)
+				}
+				det := q.Y - tt - l.B
+				if det > h && SideOfLine2(l, q) != 1 || det < -h && SideOfLine2(l, q) != -1 {
+					t.Fatalf("line %v, q %v: det %v decided against bound %v, SideOfLine2 says %d", l, q, det, h, SideOfLine2(l, q))
+				}
+			}
+		}
+	}
+}
+
 func TestOrient2D(t *testing.T) {
 	a, b := Point2{0, 0}, Point2{1, 0}
 	if Orient2D(a, b, Point2{0, 1}) != 1 {

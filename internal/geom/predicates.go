@@ -36,7 +36,7 @@ func rat(x float64) *big.Rat { return new(big.Rat).SetFloat64(x) }
 func SideOfLine2(l Line2, p Point2) int {
 	t := l.A * p.X
 	det := p.Y - t - l.B
-	bound := filterEps * 4 * (abs(p.Y) + abs(t) + abs(l.B))
+	bound := line2Bound(abs(p.Y), abs(t), abs(l.B))
 	if abs(det) > bound {
 		return sign(det)
 	}
@@ -137,6 +137,25 @@ func SideOfHyperplaneBound(h HyperplaneD, amax []float64) float64 {
 	bound := filterEps * 2 * float64(d+1) * mag
 	return bound + bound*0x1p-40
 }
+
+// SideOfLine2Bound returns a bound that SideOfLine2's filter bound never
+// exceeds for any line l with |l.A| <= amaxA and |l.B| <= amaxB: the
+// same expression with |l.A| and |l.B| replaced by the maxima,
+// evaluated in the same order (rounding is monotone, so every partial
+// sum is at least the line's), then raised by a 2^-40 relative margin.
+// A det computed in SideOfLine2's order, q.Y - l.A*q.X - l.B, that
+// exceeds the bound is therefore +1, and one below its negation is -1,
+// exactly as SideOfLine2 would say; anything in between — NaN included
+// — must go to SideOfLine2. A maximum holding NaN or +Inf yields a NaN
+// or +Inf bound, which decides nothing.
+func SideOfLine2Bound(amaxA, amaxB float64, q Point2) float64 {
+	bound := line2Bound(abs(q.Y), amaxA*abs(q.X), amaxB)
+	return bound + bound*0x1p-40
+}
+
+// line2Bound is SideOfLine2's forward error bound on its det, given
+// |p.Y|, |A·p.X| and |B|.
+func line2Bound(y, t, b float64) float64 { return filterEps * 4 * (y + t + b) }
 
 // Orient2D returns the sign of the signed area of triangle (a, b, c):
 // +1 if counterclockwise, -1 if clockwise, 0 if collinear.

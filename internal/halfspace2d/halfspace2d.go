@@ -26,6 +26,7 @@
 package halfspace2d
 
 import (
+	"math"
 	"math/rand"
 
 	"linconstraint/internal/arrangement"
@@ -56,7 +57,6 @@ type Options struct {
 // query.
 type Index struct {
 	dev    *eio.Device
-	lines  []geom.Line2
 	beta   int
 	phases []phase
 
@@ -84,15 +84,24 @@ type rec struct {
 type phase struct {
 	lambda   int
 	clusters []*eio.Array[rec]
-	bounds   *btree.Tree[int32] // boundary x -> index of cluster right of it
-	single   bool               // final layer stored as one cluster
+	// lim holds every cluster block's blockMax, cluster by cluster in
+	// block order; cluster j's block k is lim[first[j]+k].
+	lim    []blockMax
+	first  []int32
+	bounds *btree.Tree[int32] // boundary x -> index of cluster right of it
+	single bool               // final layer stored as one cluster
 }
+
+// blockMax is the largest |A| and |B| over one cluster block's lines
+// (NaN or +Inf if any coefficient is): what the block's filter bound,
+// geom.SideOfLine2Bound, is computed from.
+type blockMax struct{ A, B float64 }
 
 // New builds the structure over lines on dev. The paper's construction
 // uses the Edelsbrunner–Welzl walk per layer; see DESIGN.md substitution 1
 // for how construction cost is accounted.
 func New(dev *eio.Device, lines []geom.Line2, opt Options) *Index {
-	idx := &Index{dev: dev, lines: lines}
+	idx := &Index{dev: dev}
 	idx.ans = idset.New(len(lines))
 	idx.above = make([]uint32, len(lines))
 	b := dev.B()
@@ -116,11 +125,11 @@ func New(dev *eio.Device, lines []geom.Line2, opt Options) *Index {
 		if lambda >= len(live) {
 			// Too few lines to define a λ-level: final single-cluster layer.
 			cl := cluster.Single(lines, live)
-			idx.phases = append(idx.phases, idx.storePhase(cl, lambda, true))
+			idx.phases = append(idx.phases, idx.storePhase(lines, cl, lambda, true))
 			break
 		}
 		cl := cluster.BuildGreedyWalk(lines, live, lambda, walker)
-		idx.phases = append(idx.phases, idx.storePhase(cl, lambda, false))
+		idx.phases = append(idx.phases, idx.storePhase(lines, cl, lambda, false))
 		if len(cl.Members) == len(live) {
 			break // L_i = H_i: the paper's stopping condition
 		}
@@ -129,13 +138,24 @@ func New(dev *eio.Device, lines []geom.Line2, opt Options) *Index {
 	return idx
 }
 
-// storePhase materializes a clustering on the device.
-func (x *Index) storePhase(cl *cluster.Clustering, lambda int, single bool) phase {
-	p := phase{lambda: lambda, single: single}
-	for _, c := range cl.Clusters {
+// storePhase materializes a clustering of lines on the device, with
+// the blockMax of every cluster block.
+func (x *Index) storePhase(lines []geom.Line2, cl *cluster.Clustering, lambda int, single bool) phase {
+	p := phase{lambda: lambda, single: single, first: make([]int32, len(cl.Clusters))}
+	nb := 0
+	for j, c := range cl.Clusters {
+		p.first[j] = int32(nb)
+		nb += x.dev.Blocks(len(c))
+	}
+	p.lim = make([]blockMax, nb)
+	b := x.dev.B()
+	for j, c := range cl.Clusters {
 		rs := make([]rec, len(c))
 		for i, id := range c {
-			rs[i] = rec{ID: int32(id), Line: x.lines[id]}
+			l := lines[id]
+			rs[i] = rec{ID: int32(id), Line: l}
+			m := &p.lim[int(p.first[j])+i/b]
+			m.A, m.B = maxAbs(m.A, l.A), maxAbs(m.B, l.B)
 		}
 		p.clusters = append(p.clusters, eio.NewArray(x.dev, rs))
 	}
@@ -147,6 +167,14 @@ func (x *Index) storePhase(cl *cluster.Clustering, lambda int, single bool) phas
 		p.bounds = btree.BulkLoad(x.dev, pairs)
 	}
 	return p
+}
+
+// maxAbs returns max(m, |v|), and NaN from then on once v is NaN.
+func maxAbs(m, v float64) float64 {
+	if a := math.Abs(v); a > m || a != a {
+		return a
+	}
+	return m
 }
 
 // Phases returns the number of layers m (≤ N/β, see §3.2).
@@ -169,7 +197,7 @@ func (x *Index) BelowAppend(q geom.Point2, out []int) []int {
 	for i := range x.phases {
 		p := &x.phases[i]
 		if p.single {
-			x.markBelow(p.clusters[0], q)
+			x.scan(p, 0, q, false)
 			break
 		}
 		// Locate the relevant cluster via the boundary B-tree.
@@ -178,7 +206,7 @@ func (x *Index) BelowAppend(q geom.Point2, out []int) []int {
 			j = int(pr.Value)
 		}
 		// Scan it once, reporting its lines below q and counting them.
-		if x.markBelow(p.clusters[j], q) < p.lambda {
+		if below, _ := x.scan(p, j, q, false); below < p.lambda {
 			// Lemma 3.1: the relevant cluster contains every line of H_i
 			// below q; stop.
 			break
@@ -193,51 +221,54 @@ func (x *Index) BelowAppend(q geom.Point2, out []int) []int {
 				x.aboveEpoch = 1
 			}
 			for c, above := j+step, 0; c >= 0 && c < len(p.clusters) && above <= p.lambda; c += step {
-				above += x.expand(p.clusters[c], q)
+				_, fresh := x.scan(p, c, q, true)
+				above += fresh
 			}
 		}
 	}
 	return x.ans.AppendSortedAndClear(out)
 }
 
-// markBelow scans cluster c, adding its lines on or below q to the
-// answer set, and returns how many it found.
-func (x *Index) markBelow(c *eio.Array[rec], q geom.Point2) int {
-	n := 0
+// scan scans cluster j of p, adding its lines on or below q to the
+// answer set, and returns how many it added; during a Lemma 3.4
+// expansion (stamp set) it also returns how many lines above q it met
+// for the first time in this direction. Each block gets one filter
+// bound, geom.SideOfLine2Bound over its blockMax, and each line's det
+// is evaluated in SideOfLine2's own order, so a det beyond ±h has the
+// sign SideOfLine2 would return and decides the line without it.
+// Anything else, NaN included, takes lineExact.
+func (x *Index) scan(p *phase, j int, q geom.Point2, stamp bool) (below, fresh int) {
+	c, lim := p.clusters[j], p.lim[p.first[j]:]
 	for k, nb := 0, c.Blocks(); k < nb; k++ {
 		blk := c.Block(k)
-		for i := range blk {
-			if belowOrOn(&blk[i], q) {
-				x.ans.Add(blk[i].ID)
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// expand scans cluster c during a Lemma 3.4 expansion: lines on or
-// below q join the answer set, and the return value is how many lines
-// above q were met for the first time in this direction.
-func (x *Index) expand(c *eio.Array[rec], q geom.Point2) int {
-	fresh := 0
-	for k, nb := 0, c.Blocks(); k < nb; k++ {
-		blk := c.Block(k)
+		h := geom.SideOfLine2Bound(lim[k].A, lim[k].B, q)
 		for i := range blk {
 			r := &blk[i]
-			if belowOrOn(r, q) {
+			t := r.Line.A * q.X
+			det := q.Y - t - r.Line.B
+			if det > h || !(det < -h) && lineExact(r, q) {
 				x.ans.Add(r.ID)
-			} else if x.above[r.ID] != x.aboveEpoch {
+				below++
+			} else if stamp && x.above[r.ID] != x.aboveEpoch {
 				x.above[r.ID] = x.aboveEpoch
 				fresh++
 			}
 		}
 	}
-	return fresh
+	return below, fresh
 }
 
-func belowOrOn(r *rec, q geom.Point2) bool {
-	return geom.SideOfLine2(r.Line, q) >= 0 // q above or on the line
+// exactHook, when set (by tests), sees every line the cluster filter
+// sends to the exact path; returning true reports the line above q
+// without asking SideOfLine2.
+var exactHook func(l geom.Line2) bool
+
+// lineExact is scan's exact path: whether q lies above or on r's line.
+func lineExact(r *rec, q geom.Point2) bool {
+	if exactHook != nil && exactHook(r.Line) {
+		return false
+	}
+	return geom.SideOfLine2(r.Line, q) >= 0
 }
 
 // ceilLogB returns max(1, ceil(log_b n)).
