@@ -5,10 +5,6 @@ import (
 	"linconstraint/internal/geom"
 )
 
-// WalkFunc is the signature shared by the level-walk implementations, so
-// higher layers (the §3 construction) can choose their oracle.
-type WalkFunc func(lines []geom.Line2, live []int, k int, visit func(Vertex) bool) int
-
 // WalkEW traverses the k-level exactly as Walk does, but finds each next
 // vertex with the Edelsbrunner–Welzl two-envelope oracle (§2.3): the
 // lines above the current walk point are kept in a dynamic lower

@@ -40,15 +40,10 @@ func (c *Clustering) Relevant(x float64) int {
 }
 
 // BuildGreedy computes the greedy 3k-clustering of the k-level of the
-// live subset of lines. It requires 1 <= k < len(live).
+// live subset of lines, walking the level with the Edelsbrunner–Welzl
+// oracle (arrangement.WalkEW) the §3 construction runs. It requires
+// 1 <= k < len(live).
 func BuildGreedy(lines []geom.Line2, live []int, k int) *Clustering {
-	return BuildGreedyWalk(lines, live, k, arrangement.Walk)
-}
-
-// BuildGreedyWalk is BuildGreedy with an explicit level-walk oracle
-// (arrangement.Walk or arrangement.WalkEW; both visit identical
-// vertices).
-func BuildGreedyWalk(lines []geom.Line2, live []int, k int, walk arrangement.WalkFunc) *Clustering {
 	if k < 1 || k >= len(live) {
 		panic("cluster: level parameter out of range")
 	}
@@ -79,7 +74,7 @@ func BuildGreedyWalk(lines []geom.Line2, live []int, k int, walk arrangement.Wal
 		}
 	}
 
-	walk(lines, live, k, func(v arrangement.Vertex) bool {
+	arrangement.WalkEW(lines, live, k, func(v arrangement.Vertex) bool {
 		if !v.Convex {
 			// Concave (upward) vertex: the below-set is unchanged (§3.1).
 			return true

@@ -128,11 +128,11 @@ func TestSteadyStateReplicatedZeroAllocs(t *testing.T) {
 }
 
 // TestSteadyStateDynHalfplaneZeroAllocs pins the append-into report
-// path through internal/dynamic: a warmed mutable planar engine
+// path through the logarithmic method: a warmed mutable planar engine
 // answers steady-state halfplane queries with zero heap allocations —
-// the logarithmic-method buckets report through QueryAppend into
-// adapter scratch, the canonical sort runs in place, and the records
-// merge into reused Result storage.
+// the buckets report through QueryInto into adapter scratch, the
+// canonical sort runs in place, and the records merge into reused
+// Result storage.
 func TestSteadyStateDynHalfplaneZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	e := NewDynamicPlanar(Options{Shards: 4, BlockSize: 128, Seed: 1, Partitioner: partition.NewKDCut()})
@@ -152,6 +152,40 @@ func TestSteadyStateDynHalfplaneZeroAllocs(t *testing.T) {
 	res := make([]Result, 0, 1)
 	i := 0
 	assertZeroAllocs(t, "dynamic halfplane via single-query BatchInto", func() {
+		for j := 0; j < len(qs); j++ {
+			one[0] = qs[i%len(qs)]
+			i++
+			res = e.BatchInto(one, res[:0])
+			if res[0].Err != nil {
+				t.Fatal(res[0].Err)
+			}
+		}
+	})
+}
+
+// TestSteadyStateDynConjunctionZeroAllocs is the conjunction case of
+// the test above on a mutable partition engine: every bucket's §5 tree
+// answers the slab through one reused simplex holder, so a warmed
+// engine answers steady-state conjunctions with zero heap allocations.
+func TestSteadyStateDynConjunctionZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	e := NewDynamicPartition(Options{Shards: 4, BlockSize: 128, Seed: 1, Partitioner: partition.NewKDCut()})
+	t.Cleanup(e.Close)
+	for _, p := range workload.CubeD(rng, 4_096, 3) {
+		if err := e.Insert(Record{PD: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qs := make([]Query, 8)
+	for i := range qs {
+		hi := []float64{rng.NormFloat64() * 0.3, rng.NormFloat64() * 0.3, rng.Float64()}
+		lo := []float64{hi[0], hi[1], hi[2] - 0.05}
+		qs[i] = Query{Op: OpConjunction, Constraints: []Constraint{{Coef: hi, Below: true}, {Coef: lo}}}
+	}
+	one := make([]Query, 1)
+	res := make([]Result, 0, 1)
+	i := 0
+	assertZeroAllocs(t, "dynamic conjunction via single-query BatchInto", func() {
 		for j := 0; j < len(qs); j++ {
 			one[0] = qs[i%len(qs)]
 			i++

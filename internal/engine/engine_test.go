@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -119,6 +120,70 @@ func TestWrongDimensionOperandIsAnError(t *testing.T) {
 			if !errors.Is(r.Err, index.ErrUnsupported) {
 				t.Errorf("%s: query %d: err %v, want one wrapping index.ErrUnsupported", name, i+1, r.Err)
 			}
+		}
+	}
+}
+
+// TestNonFiniteRecordIsAnError: a mutable engine rejects a record with
+// a NaN or infinite coordinate with an error wrapping
+// index.ErrNonFinite, under a round-robin and a trained layout. Admitted,
+// a NaN partition record would crash the next halfspace query from a
+// shard worker (the exact predicate's rational fallback has no value
+// for it), and a NaN planar record would panic the §3 bucket rebuild
+// inside the shard lock. No record lands, and the next query answers.
+func TestNonFiniteRecordIsAnError(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	pts2 := workload.Uniform2(rng, 200)
+	ptsD := workload.CubeD(rng, 200, 3)
+	sample := make([]geom.PointD, len(pts2))
+	for i, p := range pts2 {
+		sample[i] = geom.PointD{p.X, p.Y}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, trained := range []bool{false, true} {
+			opt := func(sample []geom.PointD) Options {
+				o := Options{Shards: 3, BlockSize: 32, Seed: 1}
+				if trained {
+					o.Partitioner, o.PretrainSample = partition.NewKDCut(), sample
+				}
+				return o
+			}
+			planar := NewDynamicPlanar(opt(sample))
+			part := NewDynamicPartition(opt(ptsD))
+			for i := range pts2 {
+				if err := planar.Insert(Record{P2: pts2[i]}); err != nil {
+					t.Fatal(err)
+				}
+				if err := part.Insert(Record{PD: ptsD[i]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cases := []struct {
+				e   *Engine
+				rec Record
+				q   Query
+			}{
+				{planar, Record{P2: geom.Point2{X: bad, Y: 0.5}}, Query{Op: OpHalfplane, A: 0.1, B: 2}},
+				{planar, Record{P2: geom.Point2{X: 0.5, Y: bad}}, Query{Op: OpHalfplane, A: 0.1, B: 2}},
+				{part, Record{PD: geom.PointD{bad, 0.5, 0.1}}, Query{Op: OpHalfspaceD, Coef: []float64{0.1, 0.1, 2}}},
+				{part, Record{PD: geom.PointD{0.5, 0.5, bad}}, Query{Op: OpConjunction, Constraints: []Constraint{{Coef: []float64{0.1, 0.1, 2}, Below: true}}}},
+			}
+			for i, c := range cases {
+				if err := c.e.Insert(c.rec); !errors.Is(err, index.ErrNonFinite) {
+					t.Errorf("%v trained=%v case %d: Insert got %v, want index.ErrNonFinite", bad, trained, i, err)
+				}
+				if ok, err := c.e.Delete(c.rec); ok || !errors.Is(err, index.ErrNonFinite) {
+					t.Errorf("%v trained=%v case %d: Delete got %v, %v, want index.ErrNonFinite", bad, trained, i, ok, err)
+				}
+				if c.e.Len() != 200 {
+					t.Errorf("%v trained=%v case %d: Len %d, want 200", bad, trained, i, c.e.Len())
+				}
+				if r := c.e.Batch([]Query{c.q})[0]; r.Err != nil || len(r.Recs) != 200 {
+					t.Errorf("%v trained=%v case %d: next query got %d records, %v; want all 200", bad, trained, i, len(r.Recs), r.Err)
+				}
+			}
+			planar.Close()
+			part.Close()
 		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"math"
 	"math/rand"
 
-	"linconstraint/internal/arrangement"
 	"linconstraint/internal/btree"
 	"linconstraint/internal/cluster"
 	"linconstraint/internal/eio"
@@ -41,11 +40,6 @@ import (
 type Options struct {
 	Beta int   // level scale β; 0 means B·ceil(log_B n) as in the paper
 	Seed int64 // RNG seed for the random levels λ_i
-	// Walker selects the level-walk oracle used during construction;
-	// nil means arrangement.WalkEW (the Edelsbrunner–Welzl traversal on
-	// dynamic envelopes, §2.3). arrangement.Walk is the parallel-scan
-	// alternative; both produce identical structures.
-	Walker arrangement.WalkFunc
 }
 
 // Index is the §3 structure over a set of lines (duals of the input
@@ -111,10 +105,6 @@ func New(dev *eio.Device, lines []geom.Line2, opt Options) *Index {
 		idx.beta = b * ceilLogB(n, b)
 	}
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
-	walker := opt.Walker
-	if walker == nil {
-		walker = arrangement.WalkEW
-	}
 
 	live := make([]int, len(lines))
 	for i := range live {
@@ -128,7 +118,7 @@ func New(dev *eio.Device, lines []geom.Line2, opt Options) *Index {
 			idx.phases = append(idx.phases, idx.storePhase(lines, cl, lambda, true))
 			break
 		}
-		cl := cluster.BuildGreedyWalk(lines, live, lambda, walker)
+		cl := cluster.BuildGreedy(lines, live, lambda)
 		idx.phases = append(idx.phases, idx.storePhase(lines, cl, lambda, false))
 		if len(cl.Members) == len(live) {
 			break // L_i = H_i: the paper's stopping condition

@@ -1,7 +1,7 @@
 // Package index is the uniform interface layer between the paper's
 // index families and everything above them (the sharded engine, the
 // public facade). Each family — planar §3, 3D §4, k-NN Theorem 4.3,
-// partition tree §5/§6, and the two logarithmic-method dynamizations —
+// partition tree §5/§6, and the logarithmic method over §3 and §5 —
 // is wrapped by a thin adapter that owns its eio.Device and implements
 // Index: a single Query dispatch entry point plus Stats/Len. Mutable
 // extends Index with Insert/Delete for the dynamized families.
@@ -16,6 +16,7 @@ package index
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"linconstraint/internal/chan3d"
 	"linconstraint/internal/eio"
@@ -138,6 +139,21 @@ func unsupported(family string, op Op) error {
 	return fmt.Errorf("index: %s index: %w %v", family, ErrUnsupported, op)
 }
 
+// ErrNonFinite is wrapped by the mutable families' Insert and Delete
+// errors for a record with an infinite or NaN coordinate: the exact
+// predicates every family decides with are defined on finite values
+// only.
+var ErrNonFinite = errors.New("non-finite coordinate")
+
+func checkFinite(family string, xs ...float64) error {
+	for _, x := range xs {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return fmt.Errorf("index: %s index: coordinate %v: %w", family, x, ErrNonFinite)
+		}
+	}
+	return nil
+}
+
 // checkDim rejects a HalfspaceD or Conjunction operand whose coefficient
 // count is not the dimension d of a partition family's points (d = 0: no
 // dimension yet, nothing to check). The error wraps ErrUnsupported: the
@@ -227,8 +243,10 @@ func devStats(dev *eio.Device) Stats {
 	return Stats{IO: dev.Stats(), SpaceBlocks: dev.SpaceBlocks()}
 }
 
-func simplex(cs []Constraint) geom.Simplex {
-	var s geom.Simplex
+// simplex returns s refilled with the constraints cs, reusing s's
+// slices.
+func simplex(s geom.Simplex, cs []Constraint) geom.Simplex {
+	s.Planes, s.Below = s.Planes[:0], s.Below[:0]
 	for _, c := range cs {
 		s.Planes = append(s.Planes, geom.HyperplaneD{Coef: c.Coef})
 		s.Below = append(s.Below, c.Below)

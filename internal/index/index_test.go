@@ -71,7 +71,7 @@ func TestAdaptersMatchWrappedStructures(t *testing.T) {
 		{Coef: []float64{0.1, -0.2, 0.6}, Below: true},
 	}
 	ans, err = pt.Query(Query{Op: OpConjunction, Constraints: cs})
-	if err != nil || !reflect.DeepEqual(ans.IDs, refT.Simplex(simplex(cs))) {
+	if err != nil || !reflect.DeepEqual(ans.IDs, refT.Simplex(simplex(geom.Simplex{}, cs))) {
 		t.Fatalf("conjunction dispatch mismatch (err=%v)", err)
 	}
 }

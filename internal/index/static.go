@@ -188,6 +188,9 @@ func (k *KNN) QueryInto(q Query, ans *Answer) error {
 type Partition struct {
 	dev *eio.Device
 	tr  *partition.Tree // nil when built over zero points
+	// sq is QueryInto's reused simplex holder for conjunctions
+	// (single-owner, like the index itself).
+	sq geom.Simplex
 }
 
 // NewPartition builds the §5 structure over points on dev.
@@ -213,7 +216,7 @@ func (p *Partition) Conjunction(cs []Constraint) []int {
 	if p.tr == nil {
 		return nil
 	}
-	return p.tr.Simplex(simplex(cs))
+	return p.tr.Simplex(simplex(geom.Simplex{}, cs))
 }
 
 // Len returns the number of indexed points.
@@ -252,7 +255,8 @@ func (p *Partition) QueryInto(q Query, ans *Answer) error {
 		return nil
 	case OpConjunction:
 		if p.tr != nil {
-			ans.IDs = p.tr.SimplexAppend(simplex(q.Constraints), ans.IDs)
+			p.sq = simplex(p.sq, q.Constraints)
+			ans.IDs = p.tr.SimplexAppend(p.sq, ans.IDs)
 		}
 		return nil
 	}

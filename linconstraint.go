@@ -244,18 +244,19 @@ func NewDynamicPlanarIndex(cfg Config) *DynamicPlanarIndex {
 	return &DynamicPlanarIndex{idx: index.NewDynamicPlanar(cfg.device(), cfg.Seed)}
 }
 
-// Insert adds a point.
+// Insert adds a point. It panics on a NaN or infinite coordinate.
 func (d *DynamicPlanarIndex) Insert(p Point2) {
 	if err := d.idx.Insert(Rec2(p)); err != nil {
-		panic(err) // unreachable: Rec2 records always fit the planar family
+		panic(err) // Rec2 records fit the planar family: only a non-finite coordinate fails
 	}
 }
 
-// Delete removes one copy of p, reporting whether it was present.
+// Delete removes one copy of p, reporting whether it was present. It
+// panics on a NaN or infinite coordinate.
 func (d *DynamicPlanarIndex) Delete(p Point2) bool {
 	ok, err := d.idx.Delete(Rec2(p))
 	if err != nil {
-		panic(err) // unreachable: Rec2 records always fit the planar family
+		panic(err) // Rec2 records fit the planar family: only a non-finite coordinate fails
 	}
 	return ok
 }
@@ -283,8 +284,9 @@ func NewDynamicPartitionTree(cfg Config) *DynamicPartitionTree {
 	return &DynamicPartitionTree{idx: index.NewDynamicPartition(cfg.device())}
 }
 
-// Insert adds a point. It panics on an empty point or a dimension
-// mismatch with earlier inserts (the tree cannot mix dimensions).
+// Insert adds a point. It panics on an empty point, a NaN or infinite
+// coordinate, or a dimension mismatch with earlier inserts (the tree
+// cannot mix dimensions).
 func (d *DynamicPartitionTree) Insert(p PointD) {
 	if err := d.idx.Insert(RecD(p)); err != nil {
 		panic(err)
@@ -292,6 +294,7 @@ func (d *DynamicPartitionTree) Insert(p PointD) {
 }
 
 // Delete removes one point equal to p, reporting whether it was present.
+// It panics on an empty point or a NaN or infinite coordinate.
 func (d *DynamicPartitionTree) Delete(p PointD) bool {
 	ok, err := d.idx.Delete(RecD(p))
 	if err != nil {
