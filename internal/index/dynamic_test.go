@@ -505,3 +505,85 @@ func FuzzDynamicPartition(f *testing.F) {
 		}
 	})
 }
+
+// TestDynamicPartitionReadsGolden pins the I/O of the mutable §5 family
+// on one fixed program: 20 000 uniform 3-d inserts with a delete of a
+// random live record after every tenth, on a cacheless device with
+// B = 128, then 200 halfspaces and 200 slabs at 0.5 % selectivity. The
+// rebuild writes, the bucket count and the queries' read total depend
+// only on which records each bucket holds, not on their order inside
+// it, so a change to how buckets store, merge or search their items
+// must leave all three unchanged.
+func TestDynamicPartitionReadsGolden(t *testing.T) {
+	const (
+		inserts = 20_000
+		sel     = 0.005
+	)
+	rng := rand.New(rand.NewSource(42))
+	dev := eio.NewDevice(128, 0)
+	idx := NewDynamicPartition(dev)
+	var live []geom.PointD
+	for i := 0; i < inserts; i++ {
+		p := geom.PointD{rng.Float64(), rng.Float64(), rng.Float64()}
+		mustInsert(t, idx, Record{PD: p})
+		live = append(live, p)
+		if i%10 == 9 {
+			j := rng.Intn(len(live))
+			if ok, err := idx.Delete(Record{PD: live[j]}); err != nil || !ok {
+				t.Fatalf("delete %v = %v, %v", live[j], ok, err)
+			}
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+	}
+	writes := dev.Stats().Writes
+	buckets := nonEmpty(idx.set.buckets)
+
+	// Query operands: the residual x_3 − a·x_1 − b·x_2 of a random
+	// normal, cut at its sel-quantile (halfspace) or between a random
+	// quantile in [0.1, 0.9] and sel above it (slab).
+	res := make([]float64, len(live))
+	plane := func() (a, b float64) {
+		a, b = rng.NormFloat64()*0.5, rng.NormFloat64()*0.5
+		for i, p := range live {
+			res[i] = p[2] - a*p[0] - b*p[1]
+		}
+		slices.Sort(res)
+		return a, b
+	}
+	n := float64(len(live))
+	var qs []Query
+	for i := 0; i < 200; i++ {
+		a, b := plane()
+		qs = append(qs, Query{Op: OpHalfspaceD, Coef: []float64{a, b, res[int(sel*n)]}})
+	}
+	for i := 0; i < 200; i++ {
+		a, b := plane()
+		lo := int((0.1 + 0.8*rng.Float64()) * n)
+		qs = append(qs, Query{Op: OpConjunction, Constraints: []Constraint{
+			{Coef: []float64{a, b, res[lo+int(sel*n)]}, Below: true},
+			{Coef: []float64{a, b, res[lo]}, Below: false},
+		}})
+	}
+	before := dev.Stats()
+	var ans Answer
+	hits := 0
+	for _, q := range qs {
+		ans.Recs = ans.Recs[:0]
+		if err := idx.QueryInto(q, &ans); err != nil {
+			t.Fatal(err)
+		}
+		hits += len(ans.Recs)
+	}
+	reads := dev.Stats().Sub(before).Reads
+	t.Logf("%d live records in %d buckets; %d rebuild writes; 400 queries read %d blocks for %d records", idx.Len(), buckets, writes, reads, hits)
+	const (
+		goldenBuckets = 5
+		goldenWrites  = 20_586
+		goldenReads   = 20_551
+	)
+	if buckets != goldenBuckets || writes != goldenWrites || reads != goldenReads {
+		t.Fatalf("%d buckets, %d rebuild writes, %d query reads; want %d, %d, %d",
+			buckets, writes, reads, goldenBuckets, goldenWrites, goldenReads)
+	}
+}
