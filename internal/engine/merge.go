@@ -21,8 +21,8 @@ import (
 
 // merger is the loser-tree state over k sorted runs. Internal nodes
 // 1..k-1 of a heap-shaped tree hold the loser of their subtree's
-// play-off; leaves k..2k-1 are the runs. The zero comparisons happen
-// through less; exhausted runs lose to everything.
+// play-off; leaves k..2k-1 are the runs. The comparisons happen
+// through less, one per play-off; exhausted runs lose to everything.
 //
 // merger is a value type used on the caller's stack; its slices come
 // from the caller's arena so a steady-state merge allocates nothing.
@@ -35,7 +35,9 @@ type merger[T any] struct {
 
 // beats reports whether run i's head wins the play-off against run j's:
 // strictly smaller head, or an equal head with the lower run index, or
-// the other run exhausted.
+// the other run exhausted. Because ties go to the lower index, one less
+// call decides: the lower run wins unless the other head is strictly
+// smaller.
 func (m *merger[T]) beats(i, j int32) bool {
 	ei := m.heads[i] >= int32(len(m.runs[i]))
 	ej := m.heads[j] >= int32(len(m.runs[j]))
@@ -46,13 +48,10 @@ func (m *merger[T]) beats(i, j int32) bool {
 		return ej
 	}
 	vi, vj := m.runs[i][m.heads[i]], m.runs[j][m.heads[j]]
-	if m.less(vi, vj) {
-		return true
+	if i < j {
+		return !m.less(vj, vi)
 	}
-	if m.less(vj, vi) {
-		return false
-	}
-	return i < j
+	return m.less(vi, vj)
 }
 
 // build plays the initial tournament below internal node p, storing

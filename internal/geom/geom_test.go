@@ -1,8 +1,10 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -403,5 +405,39 @@ func forEachCorner(b Box, fn func(PointD)) {
 			}
 		}
 		fn(p)
+	}
+}
+
+// TestPredicatesRejectNonFinite: a NaN or infinity in a coefficient or
+// in a coordinate makes SideOfLine2, SideOfPlane3 and SideOfHyperplane
+// panic with the message that names their finiteness precondition, not
+// with a nil dereference inside math/big.
+func TestPredicatesRejectNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		cases := []struct {
+			name string
+			call func() int
+		}{
+			{"SideOfLine2 coefficient", func() int { return SideOfLine2(Line2{A: bad, B: 0.5}, Point2{X: 0.5, Y: 0.5}) }},
+			{"SideOfLine2 coordinate", func() int { return SideOfLine2(Line2{A: 0.5, B: 0.5}, Point2{X: 0.5, Y: bad}) }},
+			{"SideOfPlane3 coefficient", func() int { return SideOfPlane3(Plane3{A: 0.5, B: bad, C: 0.5}, Point3{X: 0.5, Y: 0.5, Z: 0.5}) }},
+			{"SideOfPlane3 coordinate", func() int { return SideOfPlane3(Plane3{A: 0.5, B: 0.5, C: 0.5}, Point3{X: bad, Y: 0.5, Z: 0.5}) }},
+			{"SideOfHyperplane coefficient", func() int {
+				return SideOfHyperplane(HyperplaneD{Coef: []float64{0.5, 0.5, bad}}, PointD{0.5, 0.5, 0.5})
+			}},
+			{"SideOfHyperplane coordinate", func() int {
+				return SideOfHyperplane(HyperplaneD{Coef: []float64{0.5, 0.5, 0.5}}, PointD{0.5, bad, 0.5})
+			}},
+		}
+		for _, c := range cases {
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				c.call()
+				return ""
+			}()
+			if !strings.HasPrefix(msg, nonFinite) {
+				t.Errorf("%s = %v: panic %q, want one starting %q", c.name, bad, msg, nonFinite)
+			}
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package geom
 
-import "math/big"
+import (
+	"fmt"
+	"math/big"
+)
 
 // The predicates below are evaluated with a floating-point filter: the
 // sign is computed in float64 along with a forward error bound, and only
@@ -29,10 +32,23 @@ func abs(x float64) float64 {
 	return x
 }
 
-func rat(x float64) *big.Rat { return new(big.Rat).SetFloat64(x) }
+// nonFinite is the message of the panic an exact fallback raises on a
+// NaN or infinite input, which has no rational value.
+const nonFinite = "geom: exact predicates take finite coordinates and coefficients"
+
+// rat returns x as an exact rational; x must be finite.
+func rat(x float64) *big.Rat {
+	r := new(big.Rat).SetFloat64(x)
+	if r == nil {
+		panic(fmt.Sprintf("%s, got %v", nonFinite, x))
+	}
+	return r
+}
 
 // SideOfLine2 reports whether p is above (+1), on (0), or below (-1) the
-// line l, i.e. the sign of p.Y − (A·p.X + B).
+// line l, i.e. the sign of p.Y − (A·p.X + B). Every coordinate and
+// coefficient must be finite: a NaN or infinity reaches the exact
+// fallback, which panics.
 func SideOfLine2(l Line2, p Point2) int {
 	t := l.A * p.X
 	det := p.Y - t - l.B
@@ -57,7 +73,8 @@ func SideOfLine2(l Line2, p Point2) int {
 }
 
 // SideOfPlane3 reports whether p is above (+1), on (0), or below (-1) the
-// plane h, i.e. the sign of p.Z − (A·p.X + B·p.Y + C).
+// plane h, i.e. the sign of p.Z − (A·p.X + B·p.Y + C). Every coordinate
+// and coefficient must be finite, as for SideOfLine2.
 func SideOfPlane3(h Plane3, p Point3) int {
 	tx, ty := h.A*p.X, h.B*p.Y
 	det := p.Z - tx - ty - h.C
@@ -81,7 +98,8 @@ func SideOfPlane3(h Plane3, p Point3) int {
 }
 
 // SideOfHyperplane reports whether p is above (+1), on (0), or below (-1)
-// the hyperplane h in R^d.
+// the hyperplane h in R^d. Every coordinate and coefficient must be
+// finite, as for SideOfLine2.
 func SideOfHyperplane(h HyperplaneD, p PointD) int {
 	d := len(h.Coef)
 	det := p[d-1] - h.Coef[d-1]

@@ -1,12 +1,12 @@
 package index
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
 	"linconstraint/internal/eio"
 	"linconstraint/internal/geom"
+	"linconstraint/internal/partition"
 )
 
 // The dynamic adapters add insertions and deletions to the static
@@ -16,20 +16,27 @@ import (
 // moves items between buckets on every carry and compaction, positional
 // ids are unstable; answers are therefore the records themselves,
 // reported in canonical Record order so that any sharding of the same
-// multiset of records yields byte-identical answers.
+// multiset of records yields byte-identical answers. Every bucket keeps
+// its items in that order, so a query merges the buckets' sorted runs
+// of hits, a carry merges the carried buckets, and a delete
+// binary-searches each bucket. A carry gives a bucket the items it
+// would hold unsorted, so the order does not change the blocks a query
+// reads; a compaction cuts the sorted live items into buckets.
 
 // logSet is the logarithmic method over one static adapter. Bucket i,
-// when full, holds 2^i items in one static Index built over them. An
-// insertion merges the new item with all full buckets below the first
-// empty one and builds a single static index there, so each item is
-// rebuilt O(log N) times. A deletion marks a tombstone; when half the
-// stored items are dead the whole set is rebuilt. A query runs on every
-// bucket, maps the reported positions back to the bucket's items and
-// skips tombstones, multiplying the static query bound by O(log N).
+// when full, holds 2^i items, sorted by cmp, in one static Index built
+// over them. An insertion merges the new item with all full buckets
+// below the first empty one and builds a single static index there, so
+// each item is rebuilt O(log N) times. A deletion marks a tombstone;
+// when half the stored items are dead the whole set is rebuilt. A query
+// runs on every bucket, maps the reported positions back to the
+// bucket's items and skips tombstones, multiplying the static query
+// bound by O(log N).
 type logSet[T any] struct {
 	dev     *eio.Device
 	build   func(dev *eio.Device, items []T) Index
-	eq      func(a, b T) bool
+	cmp     func(a, b T) int // Record.Compare on items
+	rec     func(T) Record
 	buckets []*bucket[T]
 	live    int
 	dead    int
@@ -41,55 +48,75 @@ type logSet[T any] struct {
 type bucket[T any] struct {
 	items []T
 	dead  []bool
+	live  int
 	idx   Index
 }
 
 // insert adds an item, merging carry-style into the first empty bucket.
 func (s *logSet[T]) insert(item T) {
-	carry := []T{item}
-	for i := 0; ; i++ {
-		if i == len(s.buckets) {
-			s.buckets = append(s.buckets, nil)
-		}
-		b := s.buckets[i]
-		if b == nil {
-			s.buckets[i] = s.newBucket(carry)
-			break
-		}
-		n := len(carry)
-		carry = b.appendLive(carry)
-		s.dead -= len(b.items) - (len(carry) - n)
-		s.buckets[i] = nil
+	i := 0
+	for i < len(s.buckets) && s.buckets[i] != nil {
+		i++
 	}
+	if i == len(s.buckets) {
+		s.buckets = append(s.buckets, nil)
+	}
+	s.buckets[i] = s.newBucket(s.takeLive(i, item))
 	s.live++
 }
 
-func (s *logSet[T]) newBucket(items []T) *bucket[T] {
-	cp := slices.Clone(items)
-	return &bucket[T]{items: cp, dead: make([]bool, len(cp)), idx: s.build(s.dev, cp)}
-}
-
-// appendLive appends the bucket's live items to dst.
-func (b *bucket[T]) appendLive(dst []T) []T {
-	for j, it := range b.items {
-		if !b.dead[j] {
-			dst = append(dst, it)
+// takeLive empties buckets [0, n) and returns their live items and
+// extra, sorted, in one slice of exactly their length. Each bucket is
+// merged in from the back, smallest first.
+func (s *logSet[T]) takeLive(n int, extra ...T) []T {
+	size := len(extra)
+	for _, b := range s.buckets[:n] {
+		if b != nil {
+			size += b.live
 		}
 	}
-	return dst
+	out := append(make([]T, 0, size), extra...)
+	for i, b := range s.buckets[:n] {
+		if b == nil {
+			continue
+		}
+		k, w := len(out)-1, len(out)+b.live-1
+		out = out[:w+1]
+		for j := len(b.items) - 1; j >= 0; j-- {
+			if b.dead[j] {
+				continue
+			}
+			for ; k >= 0 && s.cmp(out[k], b.items[j]) > 0; k-- {
+				out[w] = out[k]
+				w--
+			}
+			out[w] = b.items[j]
+			w--
+		}
+		s.dead -= len(b.items) - b.live
+		s.buckets[i] = nil
+	}
+	return out
 }
 
-// delete removes the first live item equal to item, reporting whether
-// one was found. When half the stored items are dead the whole set is
-// rebuilt.
+// newBucket builds a bucket over items, which it keeps.
+func (s *logSet[T]) newBucket(items []T) *bucket[T] {
+	return &bucket[T]{items: items, dead: make([]bool, len(items)), live: len(items), idx: s.build(s.dev, items)}
+}
+
+// delete tombstones the first live item equal to item, found by binary
+// search in each bucket, reporting whether there was one. When half the
+// stored items are dead the whole set is rebuilt.
 func (s *logSet[T]) delete(item T) bool {
 	for _, b := range s.buckets {
 		if b == nil {
 			continue
 		}
-		for j, it := range b.items {
-			if !b.dead[j] && s.eq(it, item) {
+		j, _ := slices.BinarySearchFunc(b.items, item, s.cmp)
+		for ; j < len(b.items) && s.cmp(b.items[j], item) == 0; j++ {
+			if !b.dead[j] {
 				b.dead[j] = true
+				b.live--
 				s.dead++
 				s.live--
 				if s.dead*2 >= s.live+s.dead {
@@ -102,13 +129,11 @@ func (s *logSet[T]) delete(item T) bool {
 	return false
 }
 
-// compact rebuilds the set from its live items, placing each
-// power-of-two chunk directly in its bucket.
+// compact rebuilds the set from its live items, cut in sorted order
+// into power-of-two chunks placed directly in their buckets.
 func (s *logSet[T]) compact() {
-	all := s.appendLive(nil)
-	s.buckets = nil
-	s.dead = 0
-	s.live = 0
+	all := s.takeLive(len(s.buckets))
+	s.buckets = s.buckets[:0]
 	for len(all) > 0 {
 		i := 0
 		for (1 << (i + 1)) <= len(all) {
@@ -118,31 +143,36 @@ func (s *logSet[T]) compact() {
 		for i >= len(s.buckets) {
 			s.buckets = append(s.buckets, nil)
 		}
-		s.buckets[i] = s.newBucket(all[:size])
-		s.live += size
+		s.buckets[i] = s.newBucket(slices.Clone(all[:size]))
 		all = all[size:]
 	}
 }
 
-// appendLive appends every live item to dst and returns it, in bucket
-// order (largest first): an arbitrary but deterministic order. The
+// appendLive appends every live item to dst and returns it, bucket by
+// bucket (smallest first): an arbitrary but deterministic order. The
 // engine's rebalancer snapshots shard contents through this.
 func (s *logSet[T]) appendLive(dst []T) []T {
 	for _, b := range s.buckets {
-		if b != nil {
-			dst = b.appendLive(dst)
+		for j := 0; b != nil && j < len(b.items); j++ {
+			if !b.dead[j] {
+				dst = append(dst, b.items[j])
+			}
 		}
 	}
 	return dst
 }
 
 // appendMatches runs q on every bucket's static index and appends the
-// live items at the reported positions to dst. With a pre-grown dst the
-// whole report path is allocation-free: the per-bucket answer scratch
-// is reused across calls. All buckets share one family and dimension,
-// so an operand one rejects fails on the first bucket, before any item
-// is appended.
-func (s *logSet[T]) appendMatches(q Query, dst []T) ([]T, error) {
+// live items at the reported positions to dst as records, in canonical
+// order. Positions come ascending, so each bucket's hits are a sorted
+// run, merged from the back into the records before it, smallest bucket
+// first: the largest bucket's run, most of the answer, costs one
+// comparison per record and moves nothing. With a pre-grown dst the
+// path is allocation-free. All buckets share one family and dimension,
+// so an operand one rejects fails on the first bucket, before any
+// record is appended.
+func (s *logSet[T]) appendMatches(q Query, dst []Record) ([]Record, error) {
+	base := len(dst)
 	for _, b := range s.buckets {
 		if b == nil {
 			continue
@@ -151,10 +181,22 @@ func (s *logSet[T]) appendMatches(q Query, dst []T) ([]T, error) {
 		if err := b.idx.QueryInto(q, &s.ans); err != nil {
 			return dst, err
 		}
+		hits := s.ans.IDs[:0]
 		for _, pos := range s.ans.IDs {
 			if !b.dead[pos] {
-				dst = append(dst, b.items[pos])
+				hits = append(hits, pos)
 			}
+		}
+		k, w := len(dst)-1, len(dst)+len(hits)-1
+		dst = slices.Grow(dst, len(hits))[:len(dst)+len(hits)] // every new slot is written below
+		for j := len(hits) - 1; j >= 0; j-- {
+			r := s.rec(b.items[hits[j]])
+			for ; k >= base && dst[k].Compare(r) > 0; k-- {
+				dst[w] = dst[k]
+				w--
+			}
+			dst[w] = r
+			w--
 		}
 	}
 	return dst, nil
@@ -166,19 +208,17 @@ func (s *logSet[T]) appendMatches(q Query, dst []T) ([]T, error) {
 // asks for).
 type DynamicPlanar struct {
 	set *logSet[geom.Point2]
-	// enumBuf is AppendRecords' reused point scratch; ptsBuf is
-	// QueryInto's. Safe as plain fields: indexes are single-owner,
-	// callers serialize all access.
+	// enumBuf is AppendRecords' reused point scratch. Safe as a plain
+	// field: indexes are single-owner, callers serialize all access.
 	enumBuf []geom.Point2
-	ptsBuf  []geom.Point2
 }
 
 // NewDynamicPlanar returns an empty mutable planar index on dev. Every
 // bucket is a Planar built with seed.
 func NewDynamicPlanar(dev *eio.Device, seed int64) *DynamicPlanar {
 	build := func(d *eio.Device, pts []geom.Point2) Index { return NewPlanar(d, pts, seed) }
-	eq := func(p, q geom.Point2) bool { return p == q }
-	return &DynamicPlanar{set: &logSet[geom.Point2]{dev: dev, build: build, eq: eq}}
+	rec := func(p geom.Point2) Record { return Record{P2: p} }
+	return &DynamicPlanar{set: &logSet[geom.Point2]{dev: dev, build: build, cmp: compareP2, rec: rec}}
 }
 
 func (d *DynamicPlanar) check(r Record) error {
@@ -208,16 +248,11 @@ func (d *DynamicPlanar) Delete(r Record) (bool, error) {
 // Halfplane returns the live points with y <= a·x + b in canonical
 // (X, Y) order.
 func (d *DynamicPlanar) Halfplane(a, b float64) []geom.Point2 {
-	pts, _ := d.set.appendMatches(Query{Op: OpHalfplane, A: a, B: b}, nil) // a Planar serves every halfplane
-	return sortP2(pts)
-}
-
-// sortP2 orders points canonically ((X, Y), the Record order; the two
-// agree on the finite coordinates Insert admits).
-func sortP2(pts []geom.Point2) []geom.Point2 {
-	slices.SortFunc(pts, func(p, q geom.Point2) int {
-		return cmp.Or(cmp.Compare(p.X, q.X), cmp.Compare(p.Y, q.Y))
-	})
+	recs, _ := d.set.appendMatches(Query{Op: OpHalfplane, A: a, B: b}, nil) // a Planar serves every halfplane
+	pts := make([]geom.Point2, len(recs))
+	for i, r := range recs {
+		pts[i] = r.P2
+	}
 	return pts
 }
 
@@ -249,21 +284,16 @@ func (d *DynamicPlanar) Supports(op Op) bool { return op == OpHalfplane }
 func (d *DynamicPlanar) Query(q Query) (Answer, error) { return intoAnswer(d, q) }
 
 // QueryInto dispatches q appending into ans. The whole path — the
-// per-bucket reports, the canonical sort, and the record conversion —
-// reuses adapter scratch and ans's capacity, so a warm index answers
-// with zero heap allocations.
+// per-bucket reports and the merge of their sorted runs — reuses
+// adapter scratch and ans's capacity, so a warm index answers with zero
+// heap allocations.
 func (d *DynamicPlanar) QueryInto(q Query, ans *Answer) error {
 	if !d.Supports(q.Op) {
 		return unsupported("dynamic planar", q.Op)
 	}
 	var err error
-	if d.ptsBuf, err = d.set.appendMatches(q, d.ptsBuf[:0]); err != nil {
-		return err
-	}
-	for _, p := range sortP2(d.ptsBuf) {
-		ans.Recs = append(ans.Recs, Record{P2: p})
-	}
-	return nil
+	ans.Recs, err = d.set.appendMatches(q, ans.Recs)
+	return err
 }
 
 // DynamicPartition is the logarithmic method over the §5 partition
@@ -271,17 +301,21 @@ func (d *DynamicPlanar) QueryInto(q Query, ans *Answer) error {
 type DynamicPartition struct {
 	set *logSet[geom.PointD]
 	dim int // dimension pinned by the first insert (0 = none yet)
-	// enumBuf is AppendRecords' reused point scratch and ptsBuf is
-	// QueryInto's (single-owner, like the index itself).
+	// enumBuf is AppendRecords' reused point scratch (single-owner,
+	// like the index itself).
 	enumBuf []geom.PointD
-	ptsBuf  []geom.PointD
 }
 
 // NewDynamicPartition returns an empty mutable d-dimensional index on
 // dev. Every bucket is a Partition.
 func NewDynamicPartition(dev *eio.Device) *DynamicPartition {
-	build := func(d *eio.Device, pts []geom.PointD) Index { return NewPartition(d, pts) }
-	return &DynamicPartition{set: &logSet[geom.PointD]{dev: dev, build: build, eq: slices.Equal[geom.PointD]}}
+	// A bucket's items share its tree's leaf coordinates (SharePoints),
+	// so the merge of a query's hits reads what the leaf scan just read.
+	build := func(d *eio.Device, pts []geom.PointD) Index {
+		return &Partition{dev: d, tr: partition.New(d, pts, partition.Options{SharePoints: true})}
+	}
+	rec := func(p geom.PointD) Record { return Record{PD: p} }
+	return &DynamicPartition{set: &logSet[geom.PointD]{dev: dev, build: build, cmp: comparePD, rec: rec}}
 }
 
 func (d *DynamicPartition) check(r Record) error {
@@ -321,8 +355,7 @@ func (d *DynamicPartition) Delete(r Record) (bool, error) {
 // Halfspace returns the live points with x_d <= coef·(x,1) in
 // lexicographic order; an operand of another dimension reports nothing.
 func (d *DynamicPartition) Halfspace(coef []float64) []geom.PointD {
-	pts, _ := d.set.appendMatches(Query{Op: OpHalfspaceD, Coef: coef}, nil)
-	return sortPD(pts)
+	return d.points(Query{Op: OpHalfspaceD, Coef: coef})
 }
 
 // Conjunction returns the live points satisfying every constraint (a
@@ -330,33 +363,17 @@ func (d *DynamicPartition) Halfspace(coef []float64) []geom.PointD {
 // matching the static adapter's op coverage; an operand of another
 // dimension reports nothing.
 func (d *DynamicPartition) Conjunction(cs []Constraint) []geom.PointD {
-	pts, _ := d.set.appendMatches(Query{Op: OpConjunction, Constraints: cs}, nil)
-	return sortPD(pts)
+	return d.points(Query{Op: OpConjunction, Constraints: cs})
 }
 
-// sortPD orders points canonically (lexicographic, the Record order).
-func sortPD(pts []geom.PointD) []geom.PointD {
-	slices.SortFunc(pts, comparePD)
-	return pts
-}
-
-// comparePD is Record.Less as a three-way comparison in one pass: the
-// first differing coordinate decides, and a shorter prefix sorts first.
-// A NaN there is neither less nor greater, so it makes the points equal,
-// as Less does.
-func comparePD(p, q geom.PointD) int {
-	for i := range min(len(p), len(q)) {
-		if p[i] != q[i] {
-			switch {
-			case p[i] < q[i]:
-				return -1
-			case p[i] > q[i]:
-				return 1
-			}
-			return 0
-		}
+// points answers q as a fresh slice of points in canonical order.
+func (d *DynamicPartition) points(q Query) []geom.PointD {
+	recs, _ := d.set.appendMatches(q, nil)
+	pts := make([]geom.PointD, len(recs))
+	for i, r := range recs {
+		pts[i] = r.PD
 	}
-	return cmp.Compare(len(p), len(q))
+	return pts
 }
 
 // AppendRecords appends every live record to dst (the Enumerable
@@ -389,9 +406,9 @@ func (d *DynamicPartition) Supports(op Op) bool {
 func (d *DynamicPartition) Query(q Query) (Answer, error) { return intoAnswer(d, q) }
 
 // QueryInto dispatches q appending into ans. The whole path — the
-// per-bucket reports, the canonical sort, and the record conversion —
-// reuses adapter scratch and ans's capacity, so a warm index answers
-// with zero heap allocations. Once the first insert has pinned the
+// per-bucket reports and the merge of their sorted runs — reuses
+// adapter scratch and ans's capacity, so a warm index answers with zero
+// heap allocations. Once the first insert has pinned the
 // dimension, an operand of another dimension is rejected; before that
 // the index is empty and answers so.
 func (d *DynamicPartition) QueryInto(q Query, ans *Answer) error {
@@ -402,13 +419,8 @@ func (d *DynamicPartition) QueryInto(q Query, ans *Answer) error {
 		return unsupported("dynamic partition", q.Op)
 	}
 	var err error
-	if d.ptsBuf, err = d.set.appendMatches(q, d.ptsBuf[:0]); err != nil {
-		return err
-	}
-	for _, p := range sortPD(d.ptsBuf) {
-		ans.Recs = append(ans.Recs, Record{PD: p})
-	}
-	return nil
+	ans.Recs, err = d.set.appendMatches(q, ans.Recs)
+	return err
 }
 
 var (

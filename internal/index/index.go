@@ -14,6 +14,7 @@
 package index
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -74,34 +75,38 @@ type Constraint struct {
 // Record is one record of a mutable family: a planar point (P2) for
 // the dynamic §3 structure, a d-dimensional point (PD, non-nil) for
 // the dynamic partition tree. Which field is meaningful is fixed by
-// the family; callers above treat Records opaquely.
+// the family; callers above treat Records opaquely. A reported PD
+// shares memory with the index, so callers must not modify it.
 type Record struct {
 	P2 geom.Point2
 	PD geom.PointD
 }
 
-// Less orders records canonically: d-dimensional points
-// lexicographically, planar points by (X, Y). The mutable families
-// report answers in this order, so any sharding of the same multiset
-// of records yields byte-identical answers.
-func (r Record) Less(s Record) bool {
-	if r.PD != nil || s.PD != nil {
-		n := len(r.PD)
-		if len(s.PD) < n {
-			n = len(s.PD)
-		}
-		for i := 0; i < n; i++ {
-			if r.PD[i] != s.PD[i] {
-				return r.PD[i] < s.PD[i]
-			}
-		}
-		return len(r.PD) < len(s.PD)
+// Compare orders records canonically as a three-way comparison:
+// d-dimensional points lexicographically (a shorter prefix first),
+// planar points by (X, Y), coordinates as cmp.Compare orders them. The
+// mutable families keep their buckets and report answers in this order,
+// so any sharding of the same multiset of records yields byte-identical
+// answers.
+func (r Record) Compare(s Record) int {
+	if r.PD == nil && s.PD == nil {
+		return cmp.Or(cmp.Compare(r.P2.X, s.P2.X), cmp.Compare(r.P2.Y, s.P2.Y))
 	}
-	if r.P2.X != s.P2.X {
-		return r.P2.X < s.P2.X
+	for i := range min(len(r.PD), len(s.PD)) {
+		if c := cmp.Compare(r.PD[i], s.PD[i]); c != 0 {
+			return c
+		}
 	}
-	return r.P2.Y < s.P2.Y
+	return cmp.Compare(len(r.PD), len(s.PD))
 }
+
+// Less reports whether r sorts before s in the order of Compare.
+func (r Record) Less(s Record) bool { return r.Compare(s) < 0 }
+
+// comparePD and compareP2 are Compare on each family's points.
+func comparePD(p, q geom.PointD) int { return Record{PD: p}.Compare(Record{PD: q}) }
+
+func compareP2(p, q geom.Point2) int { return Record{P2: p}.Compare(Record{P2: q}) }
 
 // Query is one operation: an Op plus the parameter fields that Op
 // reads (the rest are ignored).

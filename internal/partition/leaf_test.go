@@ -271,3 +271,42 @@ func FuzzLeafFilter(f *testing.F) {
 		}
 	})
 }
+
+// TestSharePointsAliasesLeaves: with SharePoints, New re-points every
+// input point at its coordinates in the tree's leaf storage. The values
+// and the tree's answers and reads are those of a tree built without
+// it over the same points.
+func TestSharePointsAliasesLeaves(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	orig := workload.CubeD(rng, 5_000, 3)
+	shared := slices.Clone(orig)
+	devP, devS := eio.NewDevice(64, 0), eio.NewDevice(64, 0)
+	plain, tr := New(devP, orig, Options{}), New(devS, shared, Options{SharePoints: true})
+	for i, p := range shared {
+		if !slices.Equal(p, orig[i]) || cap(p) != len(p) {
+			t.Fatalf("point %d is %v (cap %d), was %v", i, p, cap(p), orig[i])
+		}
+	}
+	// Negating the leaf storage negates every shared point.
+	negate := func() {
+		for i := range tr.flat {
+			tr.flat[i] = -tr.flat[i]
+		}
+	}
+	negate()
+	for i, p := range shared {
+		if p[0] != -orig[i][0] || p[2] != -orig[i][2] {
+			t.Fatalf("point %d is %v after negating the leaves, want the negation of %v", i, p, orig[i])
+		}
+	}
+	negate()
+	for i := 0; i < 50; i++ {
+		s := slabD(rng, orig, 0.1+0.8*rng.Float64(), 0.01)
+		if got, want := tr.Simplex(s), plain.Simplex(s); !slices.Equal(got, want) {
+			t.Fatalf("slab %d: %d ids, want %d", i, len(got), len(want))
+		}
+	}
+	if s, p := devS.Stats(), devP.Stats(); s != p {
+		t.Fatalf("device counters %+v, want %+v", s, p)
+	}
+}

@@ -32,6 +32,12 @@ type Options struct {
 	// Degree, when positive, forces every internal node's partition size
 	// r_v (used by the crossing-number experiments to sweep r).
 	Degree int
+	// SharePoints makes New re-point every points[i] at the tree's own
+	// leaf copy of its coordinates (equal values), so a caller reading a
+	// reported point touches memory the query's leaf scan has just read,
+	// not its own scattered allocations. The caller must not modify the
+	// points afterwards.
+	SharePoints bool
 }
 
 // ptRec is a point record as the build partitions it.
@@ -168,6 +174,9 @@ func (t *Tree) buildLeaf(v *node, recs []ptRec) {
 	xs, amax := t.flat[v.at:v.at+len(recs)*d], t.leafAmax(v, len(recs))
 	for j, r := range recs {
 		ids = append(ids, r.ID)
+		if t.opt.SharePoints {
+			t.points[r.ID] = xs[j*d : (j+1)*d : (j+1)*d]
+		}
 		for i, c := range r.P[:d] {
 			xs[j*d+i] = c
 			// NaN is sticky: nothing compares greater than it.
