@@ -272,10 +272,7 @@ func (e *Engine) Repair(si int) (int, error) {
 		}
 		repaired++
 	}
-	if m := e.met; m != nil {
-		m.repairs.Add(int64(repaired))
-		m.healthEvent(HealthRepair, time.Now().UnixNano(), si, float64(repaired), 0)
-	}
+	e.met.healthEvent(HealthRepair, time.Now().UnixNano(), si, float64(repaired), 0)
 	return repaired, nil
 }
 

@@ -80,7 +80,6 @@ import (
 	"linconstraint/internal/index"
 	"linconstraint/internal/metrics"
 	"linconstraint/internal/partition"
-	"linconstraint/internal/planner"
 	"linconstraint/internal/sketch"
 )
 
@@ -124,11 +123,12 @@ type Options struct {
 	// the layout anyway).
 	PretrainSample []geom.PointD
 	// Metrics, when non-nil, receives the engine's instruments (run
-	// timings, plan verdicts, per-shard visit counters, rebalance phase
-	// durations) and a scrape-time collector for the per-shard device
-	// rollups. Instruments are registered once at construction and
-	// observed with single atomic operations, so enabling metrics keeps
-	// the steady-state query path allocation-free. Give each engine its
+	// timings, plan verdicts, per-shard visit counters, robustness
+	// counters, windowed latency and fan-out) and a scrape-time
+	// collector for the per-shard read rollup. Instruments are
+	// registered once at construction and observed with single atomic
+	// operations, so enabling metrics keeps the steady-state query path
+	// allocation-free. Give each engine its
 	// own registry: the per-shard counter vectors are sized to the
 	// engine's shard count.
 	Metrics *metrics.Registry
@@ -143,14 +143,9 @@ type Options struct {
 	FlightRecorder FlightRecorderConfig
 	// Watchdog, when non-nil, runs a background health sampler
 	// (watchdog.go) that watches runtime pressure, layout skew, traffic
-	// concentration, replica balance and the SLO burn rates, emitting
+	// concentration, replica balance and the SLO bounds, emitting
 	// typed events read by Engine.Health. Stopped by Close.
 	Watchdog *WatchdogConfig
-	// WindowSlots and WindowInterval shape the instrumented engine's
-	// windowed histograms — the time-resolved latency/fan-out views the
-	// watchdog's SLOs evaluate against (defaults 6 slots × 10s).
-	WindowSlots    int
-	WindowInterval time.Duration
 
 	// Deadline, when positive, arms a per-run timer in the run's await:
 	// with Strict false (the default) a run past its deadline abandons its
@@ -445,9 +440,6 @@ func (e *Engine) getArena() *batchArena {
 	if n := len(e.arenas); n > 0 {
 		a := e.arenas[n-1]
 		e.arenas = e.arenas[:n-1]
-		if m := e.met; m != nil {
-			m.arenaReuse.Inc()
-		}
 		a.refs.Store(1)
 		return a
 	}
@@ -569,7 +561,6 @@ func newEngine(opt Options, build func(si int, dev *eio.Device) index.Index) *En
 	e.opt.Metrics = nil
 	if e.met != nil {
 		e.met.reg.RegisterCollector(e.collectShardIO)
-		e.met.replicasPhys.Set(int64(opt.Shards))
 	}
 	if opt.Breaker != nil {
 		cfg := opt.Breaker.normalized()
@@ -642,16 +633,10 @@ func (e *Engine) replicaWorker(si int, rep *replica) {
 }
 
 // acquireWorker takes one of the Options.Workers execution slots around
-// a shard visit (a no-op when Workers >= Shards: nothing to cap), and
-// observes how long the visit queued for it; releaseWorker returns it.
+// a shard visit (a no-op when Workers >= Shards: nothing to cap);
+// releaseWorker returns it.
 func (e *Engine) acquireWorker() {
 	if e.sem == nil {
-		return
-	}
-	if m := e.met; m != nil {
-		t := time.Now()
-		e.sem <- struct{}{}
-		m.workerWaitNs.Observe(int64(time.Since(t)))
 		return
 	}
 	e.sem <- struct{}{}
@@ -849,9 +834,6 @@ func (e *Engine) Insert(r index.Record) error {
 	if !e.mutable {
 		return ErrImmutable
 	}
-	if m := e.met; m != nil {
-		m.ops.Inc(planner.OpIndex(index.OpInsert))
-	}
 	// Shared against migration: an insert lands entirely before or
 	// entirely after any rebalance move batch (rebalance.go).
 	e.migMu.RLock()
@@ -924,9 +906,6 @@ func (e *Engine) Insert(r index.Record) error {
 func (e *Engine) Delete(r index.Record) (bool, error) {
 	if !e.mutable {
 		return false, ErrImmutable
-	}
-	if m := e.met; m != nil {
-		m.ops.Inc(planner.OpIndex(index.OpDelete))
 	}
 	// Shared against migration, like Insert: the shard probe can never
 	// race a record mid-move (absent from its source, not yet at its

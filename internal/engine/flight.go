@@ -12,11 +12,11 @@ package engine
 // batch arena (shard workers write their own shard's cells
 // concurrently), so the always-on capture keeps the
 // steady-state query path allocation-free. When the finished run trips
-// a bound, the accumulated evidence is copied into the slow ring, read
-// by Engine.SlowQueries.
+// a bound, the accumulated evidence is copied into the slow ring (a
+// metrics.Ring whose slots own their PerShard storage), read by
+// Engine.SlowQueries.
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"linconstraint/internal/eio"
@@ -25,7 +25,7 @@ import (
 
 // FlightRecorderConfig bounds what the engine considers an anomalous
 // run. A bound of zero disables that trigger; the recorder is off when
-// every trigger is disabled.
+// every trigger is disabled. The slow ring holds the last 64 captures.
 type FlightRecorderConfig struct {
 	// TotalNs trips on a run whose end-to-end latency exceeds it.
 	TotalNs int64
@@ -37,8 +37,6 @@ type FlightRecorderConfig struct {
 	// many shards in total (a fan-out anomaly: the planner stopped
 	// pruning, e.g. after a layout went stale).
 	ShardsVisited int
-	// Buf is the slow-trace ring capacity (default 64).
-	Buf int
 }
 
 func (c FlightRecorderConfig) enabled() bool {
@@ -64,35 +62,19 @@ const (
 	SlowDegraded
 )
 
+var slowLabels = [...]string{"total_ns", "shard_io", "fanout", "hedged", "degraded"}
+
 // String renders the bitmask as a fixed vocabulary ("total_ns|fanout").
 func (r SlowReason) String() string {
 	s := ""
-	if r&SlowTotalNs != 0 {
-		s = "total_ns"
-	}
-	if r&SlowShardIO != 0 {
+	for i, l := range slowLabels {
+		if r&(1<<i) == 0 {
+			continue
+		}
 		if s != "" {
 			s += "|"
 		}
-		s += "shard_io"
-	}
-	if r&SlowFanout != 0 {
-		if s != "" {
-			s += "|"
-		}
-		s += "fanout"
-	}
-	if r&SlowHedged != 0 {
-		if s != "" {
-			s += "|"
-		}
-		s += "hedged"
-	}
-	if r&SlowDegraded != 0 {
-		if s != "" {
-			s += "|"
-		}
-		s += "degraded"
+		s += l
 	}
 	if s == "" {
 		s = "none"
@@ -179,75 +161,21 @@ func (c *shardCapture) io() eio.Stats {
 	}
 }
 
-// slowRing is the flight recorder's overwrite ring. Unlike the generic
-// metrics.Ring it is not a value ring: each entry owns a PerShard slice
-// preallocated at shard-count capacity, filled in place under the
-// mutex, so a capture never allocates. Snapshot deep-copies into dst,
-// reusing each destination entry's PerShard capacity, so a polling
-// consumer stays allocation-free too.
-type slowRing struct {
-	mu   sync.Mutex
-	buf  []SlowTrace
-	next int
-	n    int
+// trace reads shard si's accumulated evidence back out.
+func (c *shardCapture) trace(si int) ShardTrace {
+	st := ShardTrace{Shard: si, Replica: int(c.replica.Load()), Hedged: c.hedged.Load(), IO: c.io()}
+	for v := range st.Verdicts {
+		st.Verdicts[v] = c.verdicts[v].Load()
+	}
+	return st
 }
 
-func newSlowRing(size, shards int) *slowRing {
-	r := &slowRing{buf: make([]SlowTrace, size)}
-	for i := range r.buf {
-		r.buf[i].PerShard = make([]ShardTrace, 0, shards)
-	}
-	return r
-}
-
-// put captures one anomalous run: the finished Trace, its start and
-// reasons, and the per-shard evidence read out of the arena's captures.
-func (r *slowRing) put(tr Trace, startNs int64, reason SlowReason, caps []shardCapture) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := &r.buf[r.next]
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	ps := s.PerShard[:0]
-	s.Trace = tr
-	s.StartUnixNano = startNs
-	s.Reason = reason
-	for si := range caps {
-		c := &caps[si]
-		st := ShardTrace{Shard: si, Replica: int(c.replica.Load()), Hedged: c.hedged.Load(), IO: c.io()}
-		for v := range st.Verdicts {
-			st.Verdicts[v] = c.verdicts[v].Load()
-		}
-		ps = append(ps, st)
-	}
-	s.PerShard = ps
-}
-
-// snapshot appends the held traces to dst, oldest first. Each appended
-// entry's PerShard is a deep copy (into dst's reused capacity when the
-// caller recycles the slice), so the result never aliases ring memory.
-func (r *slowRing) snapshot(dst []SlowTrace) []SlowTrace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for k := 0; k < r.n; k++ {
-		src := &r.buf[(r.next-r.n+k+len(r.buf))%len(r.buf)]
-		var slot *SlowTrace
-		if len(dst) < cap(dst) {
-			dst = dst[:len(dst)+1]
-			slot = &dst[len(dst)-1]
-		} else {
-			dst = append(dst, SlowTrace{})
-			slot = &dst[len(dst)-1]
-		}
-		ps := slot.PerShard[:0]
-		slot.Trace = src.Trace
-		slot.StartUnixNano = src.StartUnixNano
-		slot.Reason = src.Reason
-		slot.PerShard = append(ps, src.PerShard...)
-	}
-	return dst
+// copySlowTrace deep-copies src into dst, reusing dst's PerShard
+// capacity, so a snapshot never aliases ring memory.
+func copySlowTrace(dst, src *SlowTrace) {
+	ps := append(dst.PerShard[:0], src.PerShard...)
+	*dst = *src
+	dst.PerShard = ps
 }
 
 // SlowQueries appends the flight recorder's captured runs to dst,
@@ -258,5 +186,5 @@ func (e *Engine) SlowQueries(dst []SlowTrace) []SlowTrace {
 	if e.met == nil || e.met.slow == nil {
 		return dst
 	}
-	return e.met.slow.snapshot(dst)
+	return e.met.slow.Snapshot(dst, copySlowTrace)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -45,8 +46,9 @@ const (
 // Recs with the matching records in canonical order; OpKNN fills
 // Neighbors (global IDs, closest first); OpDelete sets Deleted when a
 // record was removed. Err is non-nil when the op is outside the
-// engine's capability or its operand has another dimension than the
-// engine's points, and the other fields are empty.
+// engine's capability, its operand has another dimension than the
+// engine's points, or an operand coordinate is infinite or NaN (the
+// error wraps index.ErrNonFinite), and the other fields are empty.
 //
 // ShardsVisited and ShardsPruned are the query's plan stats: how many
 // shards answered it and how many the planner (plus, for OpKNN, the
@@ -565,9 +567,9 @@ func (e *Engine) runQueries(a *batchArena, qs []Query, results []Result) {
 // queue order and lay out every answer slot. Workers index a.parts
 // concurrently later, so all of its growth happens here. Ops outside the
 // family's capability (probed on shard 0 — capability is constant per
-// family, so no lock is needed) error without fanning out to any shard.
+// family, so no lock is needed) and operands with an infinite or NaN
+// coordinate error without fanning out to any shard.
 func (e *Engine) planRun(a *batchArena) {
-	m := e.met
 	if !e.noPlan {
 		// An arena only ever serves one engine, so a static engine's live
 		// slice kept here is never mistaken for a mutable engine's buffer.
@@ -578,11 +580,13 @@ func (e *Engine) planRun(a *batchArena) {
 		qi := int(q)
 		op := a.qs[qi].Op
 		a.res[qi].reset()
-		if m != nil {
-			m.ops.Inc(planner.OpIndex(op))
-		}
 		if !e.shards[0].reps[0].idx.Supports(op) {
 			a.res[qi].Err = fmt.Errorf("engine: index family: %w %v", index.ErrUnsupported, op)
+			a.planOf[qi] = -1
+			continue
+		}
+		if !finiteOperands(&a.qs[qi]) {
+			a.res[qi].Err = fmt.Errorf("engine: %v operand: %w", op, index.ErrNonFinite)
 			a.planOf[qi] = -1
 			continue
 		}
@@ -595,6 +599,38 @@ func (e *Engine) planRun(a *batchArena) {
 	for len(a.parts) < a.nparts {
 		a.parts = append(a.parts, partial{})
 	}
+}
+
+// finiteOperands reports whether every coordinate q's op reads is
+// finite: the exact predicates every family decides with are defined on
+// finite values only.
+func finiteOperands(q *Query) bool {
+	switch q.Op {
+	case OpHalfplane:
+		return allFinite(q.A, q.B)
+	case OpHalfspace3:
+		return allFinite(q.A, q.B, q.C)
+	case OpHalfspaceD:
+		return allFinite(q.Coef...)
+	case OpConjunction:
+		for _, c := range q.Constraints {
+			if !allFinite(c.Coef...) {
+				return false
+			}
+		}
+	case OpKNN:
+		return allFinite(q.Pt.X, q.Pt.Y)
+	}
+	return true
+}
+
+func allFinite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return false
+		}
+	}
+	return true
 }
 
 // orderRun fixes the run's queue order: arrival order, or on a family
@@ -776,9 +812,6 @@ func (e *Engine) mergeRun(a *batchArena) {
 		e.visited.Add(int64(r.ShardsVisited))
 		e.pruned.Add(int64(r.ShardsPruned))
 		if m != nil {
-			k := planner.OpIndex(op)
-			m.planVisited.AddAt(k, int64(r.ShardsVisited))
-			m.planPruned.AddAt(k, int64(r.ShardsPruned))
 			m.visitedWin.Observe(int64(r.ShardsVisited))
 		}
 	}
@@ -800,7 +833,6 @@ func (e *Engine) recordRun(a *batchArena, degraded bool, t0, t1, tw, t2 time.Tim
 		MergeNs:     int64(t3.Sub(t2)),
 		TotalNs:     int64(t3.Sub(t0)),
 	}
-	m.runs.Inc()
 	if degraded {
 		m.degradedRuns.Inc()
 	}
@@ -810,9 +842,6 @@ func (e *Engine) recordRun(a *batchArena, degraded bool, t0, t1, tw, t2 time.Tim
 	m.mergeNs.Observe(tr.MergeNs)
 	m.totalNs.Observe(tr.TotalNs)
 	m.totalNsWin.Observe(tr.TotalNs)
-	if a.plansShared > 0 {
-		m.plansShared.Add(int64(a.plansShared))
-	}
 	if !a.capture {
 		return
 	}
@@ -849,8 +878,13 @@ func (e *Engine) recordRun(a *batchArena, degraded bool, t0, t1, tw, t2 time.Tim
 	}
 	if reason != 0 {
 		tr.Seq = m.slowSeq.Add(1)
-		m.slowTotal.Inc()
-		m.slow.put(tr, t0.UnixNano(), reason, a.caps)
+		m.slow.Put(func(s *SlowTrace) {
+			s.Trace, s.StartUnixNano, s.Reason = tr, t0.UnixNano(), reason
+			s.PerShard = s.PerShard[:0]
+			for si := range a.caps {
+				s.PerShard = append(s.PerShard, a.caps[si].trace(si))
+			}
+		})
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"linconstraint/internal/eio"
 	"linconstraint/internal/geom"
@@ -92,9 +91,6 @@ type RebalanceStats struct {
 func (e *Engine) Rebalance(opt RebalanceOptions) (RebalanceStats, error) {
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
-	if m := e.met; m != nil {
-		m.rebalRuns.Inc()
-	}
 	if opt.BatchSize <= 0 {
 		opt.BatchSize = 64
 	}
@@ -102,10 +98,8 @@ func (e *Engine) Rebalance(opt RebalanceOptions) (RebalanceStats, error) {
 		// Concurrent Inserts read the layout through Place under the
 		// shared lock; swap it like any other migration write.
 		e.migMu.Lock()
-		th := time.Now()
 		e.part = opt.Partitioner
 		e.migMu.Unlock()
-		e.met.holdDone(th)
 	}
 	if !e.mutable {
 		return e.rebuildStatic()
@@ -123,7 +117,6 @@ func (e *Engine) Rebalance(opt RebalanceOptions) (RebalanceStats, error) {
 	e.sumsMu.RLock()
 	st.Before = partition.MeasureSkew(e.sums)
 	e.sumsMu.RUnlock()
-	tSnap := time.Now()
 	recs, cur, err := e.snapshot()
 	if err != nil {
 		return st, err
@@ -132,14 +125,9 @@ func (e *Engine) Rebalance(opt RebalanceOptions) (RebalanceStats, error) {
 	for i, r := range recs {
 		pts[i] = recPoint(r)
 	}
-	e.met.phaseDone(tSnap)
-	tTrain := time.Now()
 	e.migMu.Lock()
-	th := time.Now()
 	want := e.part.Split(pts, len(e.shards))
 	e.migMu.Unlock()
-	e.met.holdDone(th)
-	e.met.phaseDone(tTrain)
 
 	plan := partition.PlanRebalance(cur, want, len(e.shards), opt.MaxMoves)
 	st.Planned = len(plan.Moves)
@@ -159,12 +147,10 @@ func (e *Engine) Rebalance(opt RebalanceOptions) (RebalanceStats, error) {
 		moves = moves[len(batch):]
 		applied := 0
 		e.migMu.Lock()
-		th := time.Now()
 		for _, m := range batch {
 			moved, err := e.moveLocked(recs[m.Idx], m.Src, m.Dst)
 			if err != nil {
 				e.migMu.Unlock()
-				e.met.holdDone(th)
 				return st, err
 			}
 			if moved {
@@ -172,25 +158,16 @@ func (e *Engine) Rebalance(opt RebalanceOptions) (RebalanceStats, error) {
 			}
 		}
 		e.migMu.Unlock()
-		e.met.holdDone(th)
-		e.met.phaseDone(th)
 		st.Moved += applied
 	}
 
 	// Phase 3 (exclusive): shrink the summaries to the live set.
 	e.migMu.Lock()
-	th = time.Now()
 	err = e.shrinkSummariesLocked()
 	e.sumsMu.RLock()
 	st.After = partition.MeasureSkew(e.sums)
 	e.sumsMu.RUnlock()
 	e.migMu.Unlock()
-	e.met.holdDone(th)
-	e.met.phaseDone(th)
-	if m := e.met; m != nil {
-		m.rebalMoves.Add(int64(st.Moved))
-		m.rebalDeferred.Set(int64(st.Deferred))
-	}
 	return st, err
 }
 
@@ -226,11 +203,8 @@ func (e *Engine) Retrain(sample []geom.PointD) error {
 	// Split mutates layout state that concurrent Inserts read through
 	// Place; only this step needs the exclusive lock.
 	e.migMu.Lock()
-	th := time.Now()
 	e.part.Split(sample, len(e.shards))
 	e.migMu.Unlock()
-	e.met.holdDone(th)
-	e.met.phaseDone(th)
 	return nil
 }
 
@@ -355,7 +329,6 @@ func (e *Engine) rebuildStatic() (RebalanceStats, error) {
 		st.After = st.Before
 		return st, nil
 	}
-	tBuild := time.Now()
 	globals := groupIDs(want, len(e.shards))
 	sums := partition.Summarize(e.pd, want, len(e.shards))
 	// Rebuild every physical copy at the shard's current replica degree.
@@ -380,7 +353,6 @@ func (e *Engine) rebuildStatic() (RebalanceStats, error) {
 	}
 	wg.Wait()
 	e.migMu.Lock()
-	th := time.Now()
 	for si, sh := range e.shards {
 		for ri, rep := range sh.reps {
 			rep.mu.Lock()
@@ -395,12 +367,7 @@ func (e *Engine) rebuildStatic() (RebalanceStats, error) {
 	copy(e.sums, sums)
 	e.sumsMu.Unlock()
 	e.migMu.Unlock()
-	e.met.holdDone(th)
 	st.Moved = st.Planned
 	st.After = partition.MeasureSkew(sums)
-	e.met.phaseDone(tBuild)
-	if m := e.met; m != nil {
-		m.rebalMoves.Add(int64(st.Moved))
-	}
 	return st, nil
 }

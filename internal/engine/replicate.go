@@ -90,22 +90,11 @@ func (e *Engine) setDegreeLocked(si, n int) error {
 		return nil
 	case n < cur:
 		e.dropLocked(sh, n)
-		if m := e.met; m != nil {
-			m.replicaDrops.Add(int64(cur - n))
-			m.replicasPhys.Add(int64(n - cur))
-		}
 		return nil
 	}
-	err := e.cloneShard(si, n-cur, func(fresh []*replica) {
+	return e.cloneShard(si, n-cur, func(fresh []*replica) {
 		sh.reps = append(sh.reps, fresh...)
 	})
-	if err == nil {
-		if m := e.met; m != nil {
-			m.replicaAdds.Add(int64(n - cur))
-			m.replicasPhys.Add(int64(n - cur))
-		}
-	}
-	return err
 }
 
 // dropLocked truncates sh's replica set to n copies under the exclusive
@@ -216,9 +205,6 @@ type AutoReplicateStats struct {
 func (e *Engine) AutoReplicate(opt AutoReplicateOptions) (AutoReplicateStats, error) {
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
-	if m := e.met; m != nil {
-		m.autoRepRuns.Inc()
-	}
 	s := len(e.shards)
 	if opt.Budget <= 0 {
 		opt.Budget = 2 * s

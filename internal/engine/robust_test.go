@@ -264,9 +264,6 @@ func TestBreakerTripRouteAroundRepair(t *testing.T) {
 	if got, _ := snap.Value("engine_breaker_trips_total", ""); got < 1 {
 		t.Errorf("engine_breaker_trips_total = %v, want >= 1", got)
 	}
-	if got, _ := snap.Value("engine_repairs_total", ""); got != 2 {
-		t.Errorf("engine_repairs_total = %v, want 2", got)
-	}
 	kinds := map[HealthKind]bool{}
 	for _, ev := range e.Health(nil) {
 		kinds[ev.Kind] = true
@@ -627,7 +624,6 @@ func TestHedgeAutoFollowsWindow(t *testing.T) {
 		// observes them pending (a run that finishes before its await
 		// never consults the hedge-delay cache); the window must span
 		// many such runs, since the p99 needs hedgeMinSamples of them.
-		WindowSlots: 4, WindowInterval: time.Second,
 		IOLatency: 5 * time.Microsecond,
 	})
 	defer e.Close()

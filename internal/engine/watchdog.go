@@ -5,10 +5,13 @@ package engine
 // poll by hand: runtime pressure (the GC pause clock), layout
 // health (partition.MeasureSkew over the live summaries), traffic
 // concentration (the always-on shard sketch), replica balance, and the
-// SLO burn rates over the windowed histograms. A signal crossing its
+// SLO bounds over the windowed histograms. A signal crossing its
 // configured bound becomes a typed HealthEvent in a fixed ring
 // (Engine.Health) and a bump of engine_health_events_total{kind=...},
-// both through engineMetrics.healthEvent.
+// both through engineMetrics.healthEvent; an SLO breach is the
+// p99_burn or visited_burn event, and engine_slo_evals_total counts
+// the rounds that judged the bounds, so the burn rate is the ratio of
+// the two.
 //
 // Every tick is allocation-free at steady state (reused MemStats and
 // skew scratch, atomic reads, stack-buffer quantiles), because the
@@ -21,17 +24,15 @@ import (
 	"runtime"
 	"time"
 
-	"linconstraint/internal/metrics"
 	"linconstraint/internal/partition"
 )
 
 // WatchdogConfig configures the health watchdog. A zero bound disables
-// that check; the interval and ring default when zero.
+// that check; the interval defaults when zero. The event ring holds the
+// last 64 events.
 type WatchdogConfig struct {
 	// Interval between sampling ticks (default 1s).
 	Interval time.Duration
-	// Buf is the health-event ring capacity (default 64).
-	Buf int
 
 	// MaxSkew trips HealthSkew when the live-count skew (max/mean,
 	// partition.SkewStats.Skew) exceeds it. Typical 1.5.
@@ -52,13 +53,10 @@ type WatchdogConfig struct {
 	ReplicaImbalance float64
 
 	// LatencyP99Ns is the SLO bound on the windowed p99 run latency;
-	// breaches burn engine_slo_breaches_total{objective="latency_p99_ns"}
-	// and trip HealthLatencyBurn.
+	// a breach trips HealthLatencyBurn.
 	LatencyP99Ns int64
 	// MeanShardsVisited is the SLO bound on the windowed mean shards
-	// visited per query; breaches burn the
-	// {objective="shards_visited_mean"} counter and trip
-	// HealthVisitedBurn.
+	// visited per query; a breach trips HealthVisitedBurn.
 	MeanShardsVisited float64
 }
 
@@ -105,9 +103,6 @@ func (k HealthKind) String() string {
 	}
 	return "unknown"
 }
-
-// HealthKindLabels returns the label vocabulary in kind order.
-func HealthKindLabels() []string { return healthLabels[:] }
 
 // HealthEvent is one watchdog observation that crossed its bound.
 type HealthEvent struct {
@@ -208,8 +203,6 @@ func (w *watchdog) tick() {
 		}
 	}
 	e.sumsMu.RUnlock()
-	m.wdSkewMilli.Set(int64(st.Skew * 1000))
-	m.wdSpreadMilli.Set(int64(st.Spread * 1000))
 	if (cfg.MaxSkew > 0 && st.Skew > cfg.MaxSkew) ||
 		(cfg.MaxSpread > 0 && st.Spread > cfg.MaxSpread) {
 		m.healthEvent(HealthSkew, now, maxSi, st.Skew, cfg.MaxSkew)
@@ -268,27 +261,21 @@ func (w *watchdog) tick() {
 	}
 	e.migMu.RUnlock()
 
-	// SLO burn, over the windowed views (stack-buffer merges).
-	if m.slo != nil {
-		m.slo.BeginEval()
-		if cfg.LatencyP99Ns > 0 {
-			if p99, n := m.totalNsWin.Quantile(0.99); n > 0 && m.slo.Eval(sloLatency, p99) {
-				m.healthEvent(HealthLatencyBurn, now, -1, p99, float64(cfg.LatencyP99Ns))
+	// SLO bounds, over the windowed views (stack-buffer merges).
+	if m.sloEvals != nil {
+		m.sloEvals.Inc()
+		if bound := float64(cfg.LatencyP99Ns); bound > 0 {
+			if p99, n := m.totalNsWin.Quantile(0.99); n > 0 && p99 > bound {
+				m.healthEvent(HealthLatencyBurn, now, -1, p99, bound)
 			}
 		}
-		if cfg.MeanShardsVisited > 0 {
-			if mean, n := m.visitedWin.Mean(); n > 0 && m.slo.Eval(sloVisited, mean) {
-				m.healthEvent(HealthVisitedBurn, now, -1, mean, cfg.MeanShardsVisited)
+		if bound := cfg.MeanShardsVisited; bound > 0 {
+			if mean, n := m.visitedWin.Mean(); n > 0 && mean > bound {
+				m.healthEvent(HealthVisitedBurn, now, -1, mean, bound)
 			}
 		}
 	}
 }
-
-// SLO objective indices (registration order in newEngineMetrics).
-const (
-	sloLatency = 0
-	sloVisited = 1
-)
 
 // Health appends the watchdog's recorded events to dst, oldest first,
 // and returns it. Empty unless the engine was built with
@@ -297,17 +284,5 @@ func (e *Engine) Health(dst []HealthEvent) []HealthEvent {
 	if e.met == nil || e.met.health == nil {
 		return dst
 	}
-	return e.met.health.Snapshot(dst)
-}
-
-// sloObjectives builds the SLO objective set for a watchdog config;
-// nil when no SLO bound is configured.
-func sloObjectives(cfg *WatchdogConfig) []metrics.Objective {
-	if cfg == nil || (cfg.LatencyP99Ns <= 0 && cfg.MeanShardsVisited <= 0) {
-		return nil
-	}
-	return []metrics.Objective{
-		{Name: "latency_p99_ns", Bound: float64(cfg.LatencyP99Ns)},
-		{Name: "shards_visited_mean", Bound: cfg.MeanShardsVisited},
-	}
+	return e.met.health.Snapshot(dst, nil)
 }

@@ -515,10 +515,7 @@ func FuzzDynamicPartition(f *testing.F) {
 // it, so a change to how buckets store, merge or search their items
 // must leave all three unchanged.
 func TestDynamicPartitionReadsGolden(t *testing.T) {
-	const (
-		inserts = 20_000
-		sel     = 0.005
-	)
+	const inserts = 20_000
 	rng := rand.New(rand.NewSource(42))
 	dev := eio.NewDevice(128, 0)
 	idx := NewDynamicPartition(dev)
@@ -538,10 +535,76 @@ func TestDynamicPartitionReadsGolden(t *testing.T) {
 	}
 	writes := dev.Stats().Writes
 	buckets := nonEmpty(idx.set.buckets)
+	reads, hits := goldenQueryReads(t, rng, dev, idx, live)
+	t.Logf("%d live records in %d buckets; %d rebuild writes; 400 queries read %d blocks for %d records", idx.Len(), buckets, writes, reads, hits)
+	const (
+		goldenBuckets = 5
+		goldenWrites  = 20_586
+		goldenReads   = 20_551
+	)
+	if buckets != goldenBuckets || writes != goldenWrites || reads != goldenReads {
+		t.Fatalf("%d buckets, %d rebuild writes, %d query reads; want %d, %d, %d",
+			buckets, writes, reads, goldenBuckets, goldenWrites, goldenReads)
+	}
+}
 
-	// Query operands: the residual x_3 − a·x_1 − b·x_2 of a random
-	// normal, cut at its sel-quantile (halfspace) or between a random
-	// quantile in [0.1, 0.9] and sel above it (slab).
+// TestDynamicPartitionCompactionGolden pins the I/O around a §5
+// compaction on a cacheless device with B = 128: 8 000 uniform 3-d
+// inserts, then deletes of random live records until half the stored
+// items are dead (the 4 000th), which rebuilds the set from its live
+// items, and 100 deletes past it. It pins the buckets the compaction
+// cut, the writes of the delete phase (the rebuild) and the reads of
+// 200 halfspaces and 200 slabs at 0.5 % selectivity over the result.
+func TestDynamicPartitionCompactionGolden(t *testing.T) {
+	const (
+		inserts = 8_000
+		deletes = inserts/2 + 100
+	)
+	rng := rand.New(rand.NewSource(43))
+	dev := eio.NewDevice(128, 0)
+	idx := NewDynamicPartition(dev)
+	live := make([]geom.PointD, 0, inserts)
+	for i := 0; i < inserts; i++ {
+		p := geom.PointD{rng.Float64(), rng.Float64(), rng.Float64()}
+		mustInsert(t, idx, Record{PD: p})
+		live = append(live, p)
+	}
+	before := dev.Stats().Writes
+	for i := 0; i < deletes; i++ {
+		j := rng.Intn(len(live))
+		if ok, err := idx.Delete(Record{PD: live[j]}); err != nil || !ok {
+			t.Fatalf("delete %v = %v, %v", live[j], ok, err)
+		}
+		live[j] = live[len(live)-1]
+		live = live[:len(live)-1]
+	}
+	if idx.set.dead != deletes-inserts/2 {
+		t.Fatalf("%d dead items after %d deletes, want %d: no compaction at the %dth", idx.set.dead, deletes, deletes-inserts/2, inserts/2)
+	}
+	writes := dev.Stats().Writes - before
+	buckets := nonEmpty(idx.set.buckets)
+	reads, hits := goldenQueryReads(t, rng, dev, idx, live)
+	t.Logf("%d live records in %d buckets; %d rebuild writes; 400 queries read %d blocks for %d records", idx.Len(), buckets, writes, reads, hits)
+	const (
+		goldenBuckets = 6
+		goldenWrites  = 36
+		goldenReads   = 7_752
+	)
+	if buckets != goldenBuckets || writes != goldenWrites || reads != goldenReads {
+		t.Fatalf("%d buckets, %d rebuild writes, %d query reads; want %d, %d, %d",
+			buckets, writes, reads, goldenBuckets, goldenWrites, goldenReads)
+	}
+}
+
+// goldenQueryReads answers 200 halfspaces and 200 slabs at 0.5 %
+// selectivity over the live records on idx, and returns the blocks they
+// read from dev and the records they reported. The operands are the
+// residual x_3 − a·x_1 − b·x_2 of a random normal, cut at its
+// 0.5 %-quantile (halfspace) or between a random quantile in [0.1, 0.9]
+// and 0.5 % above it (slab).
+func goldenQueryReads(t *testing.T, rng *rand.Rand, dev *eio.Device, idx *DynamicPartition, live []geom.PointD) (reads int64, hits int) {
+	t.Helper()
+	const sel = 0.005
 	res := make([]float64, len(live))
 	plane := func() (a, b float64) {
 		a, b = rng.NormFloat64()*0.5, rng.NormFloat64()*0.5
@@ -567,7 +630,6 @@ func TestDynamicPartitionReadsGolden(t *testing.T) {
 	}
 	before := dev.Stats()
 	var ans Answer
-	hits := 0
 	for _, q := range qs {
 		ans.Recs = ans.Recs[:0]
 		if err := idx.QueryInto(q, &ans); err != nil {
@@ -575,15 +637,5 @@ func TestDynamicPartitionReadsGolden(t *testing.T) {
 		}
 		hits += len(ans.Recs)
 	}
-	reads := dev.Stats().Sub(before).Reads
-	t.Logf("%d live records in %d buckets; %d rebuild writes; 400 queries read %d blocks for %d records", idx.Len(), buckets, writes, reads, hits)
-	const (
-		goldenBuckets = 5
-		goldenWrites  = 20_586
-		goldenReads   = 20_551
-	)
-	if buckets != goldenBuckets || writes != goldenWrites || reads != goldenReads {
-		t.Fatalf("%d buckets, %d rebuild writes, %d query reads; want %d, %d, %d",
-			buckets, writes, reads, goldenBuckets, goldenWrites, goldenReads)
-	}
+	return dev.Stats().Sub(before).Reads, hits
 }

@@ -23,7 +23,7 @@
 //
 // A Registry collects instruments for export: a consistent Snapshot
 // for programmatic consumers (the bench ledger reads it), a Prometheus
-// text exposition (ServeHTTP / WriteProm) for scrapers, and a JSON
+// text exposition (WriteProm, served by Mux) for scrapers, and a JSON
 // document for humans with curl. Collectors let owners of
 // non-instrument state (the engine's per-shard devices) contribute
 // scrape-time series without paying anything on their hot paths.
@@ -41,15 +41,27 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// --- scalar instruments ----------------------------------------------------
+// --- instruments -----------------------------------------------------------
+
+// desc is what every instrument carries for export: its registered name
+// and help text.
+type desc struct{ name, help string }
+
+func (d *desc) describe() *desc { return d }
+
+// instrument is one registered series family: it describes itself and
+// appends its current samples to a Snapshot.
+type instrument interface {
+	describe() *desc
+	collect(s *Snapshot)
+}
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
-	name, help string
-	v          atomic.Int64
+	desc
+	v atomic.Int64
 }
 
 // Inc adds 1.
@@ -62,13 +74,14 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Name returns the registered name.
-func (c *Counter) Name() string { return c.name }
+func (c *Counter) collect(s *Snapshot) {
+	s.Counters = append(s.Counters, Series{Name: c.name, Value: float64(c.Load())})
+}
 
 // Gauge is an atomic instantaneous value.
 type Gauge struct {
-	name, help string
-	v          atomic.Int64
+	desc
+	v atomic.Int64
 }
 
 // Set stores v.
@@ -80,10 +93,9 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// Name returns the registered name.
-func (g *Gauge) Name() string { return g.name }
-
-// --- histogram -------------------------------------------------------------
+func (g *Gauge) collect(s *Snapshot) {
+	s.Gauges = append(s.Gauges, Series{Name: g.name, Value: float64(g.Load())})
+}
 
 // Bucket layout: values 0..7 map to exact buckets 0..7; a value v >= 8
 // with floor(log2 v) = e lands in bucket 8 + (e-3)*8 + m where m is
@@ -99,13 +111,13 @@ const (
 // Histogram is a fixed-bucket log-scale histogram of non-negative
 // int64 observations (the engine feeds it nanoseconds). Observe is one
 // atomic add; negative values clamp to 0. All snapshot-side methods
-// (Quantile, Count, SnapshotInto) read the buckets with atomic loads
+// (Quantile, Count, the registry snapshot) read the buckets with atomic loads
 // and may observe a torn view across buckets while writers are active
 // — each bucket is exact, totals are eventually consistent — which is
 // the documented price of a lock-free observe path.
 type Histogram struct {
-	name, help string
-	buckets    [histBuckets]atomic.Int64
+	desc
+	buckets [histBuckets]atomic.Int64
 }
 
 // bucketOf maps a value to its bucket index.
@@ -172,6 +184,13 @@ func (h *Histogram) snapshotCounts(dst *[histBuckets]int64) int64 {
 	return total
 }
 
+func (h *Histogram) collect(s *Snapshot) {
+	hs := HistogramSnapshot{Name: h.name}
+	hs.Count = h.snapshotCounts(&hs.bucket)
+	hs.finish()
+	s.Histograms = append(s.Histograms, hs)
+}
+
 func quantileOf(counts *[histBuckets]int64, total int64, q float64) float64 {
 	if total == 0 {
 		return 0
@@ -196,20 +215,16 @@ func quantileOf(counts *[histBuckets]int64, total int64, q float64) float64 {
 	return float64(bucketHigh(histBuckets - 1))
 }
 
-// Name returns the registered name.
-func (h *Histogram) Name() string { return h.name }
-
-// --- counter vector --------------------------------------------------------
-
 // CounterVec is a fixed-cardinality family of counters over one label
 // (e.g. one counter per shard, or per op kind). The label values are
 // fixed at registration, so an increment is an index into a
 // pre-allocated slot — no map lookup, no label formatting, no
 // allocation.
 type CounterVec struct {
-	name, help, label string
-	labelVals         []string
-	vals              []atomic.Int64
+	desc
+	label     string
+	labelVals []string
+	vals      []atomic.Int64
 }
 
 // Inc adds 1 to slot i.
@@ -218,20 +233,13 @@ func (v *CounterVec) Inc(i int) { v.vals[i].Add(1) }
 // Add adds n to slot i.
 func (v *CounterVec) Add(i, n int64) { v.vals[i].Add(n) }
 
-// AddAt adds n to slot i (int index convenience).
-func (v *CounterVec) AddAt(i int, n int64) { v.vals[i].Add(n) }
-
-// Load returns slot i's value.
-func (v *CounterVec) Load(i int) int64 { return v.vals[i].Load() }
-
-// Len returns the number of slots.
-func (v *CounterVec) Len() int { return len(v.vals) }
-
-// Name returns the registered name.
-func (v *CounterVec) Name() string { return v.name }
-
-// LabelVal returns slot i's label value.
-func (v *CounterVec) LabelVal(i int) string { return v.labelVals[i] }
+func (v *CounterVec) collect(s *Snapshot) {
+	for i := range v.vals {
+		s.Counters = append(s.Counters, Series{
+			Name: v.name, LabelKey: v.label, LabelVal: v.labelVals[i], Value: float64(v.vals[i].Load()),
+		})
+	}
+}
 
 // CounterVec2 is a fixed-cardinality family of counters over two
 // labels (e.g. op kind × prune verdict). Both label-value sets are
@@ -239,7 +247,7 @@ func (v *CounterVec) LabelVal(i int) string { return v.labelVals[i] }
 // an increment is one index computation plus one atomic add — same
 // zero-allocation contract as CounterVec.
 type CounterVec2 struct {
-	name, help     string
+	desc
 	label1, label2 string
 	vals1, vals2   []string
 	vals           []atomic.Int64 // row-major: i*len(vals2)+j
@@ -256,8 +264,16 @@ func (v *CounterVec2) Add(i, j int, n int64) { v.vals[v.slot(i, j)].Add(n) }
 // Load returns slot (i, j)'s value.
 func (v *CounterVec2) Load(i, j int) int64 { return v.vals[v.slot(i, j)].Load() }
 
-// Name returns the registered name.
-func (v *CounterVec2) Name() string { return v.name }
+func (v *CounterVec2) collect(s *Snapshot) {
+	for i := range v.vals1 {
+		for j := range v.vals2 {
+			s.Counters = append(s.Counters, Series{
+				Name: v.name, LabelKey: v.label1, LabelVal: v.vals1[i],
+				LabelKey2: v.label2, LabelVal2: v.vals2[j], Value: float64(v.Load(i, j)),
+			})
+		}
+	}
+}
 
 // --- registry --------------------------------------------------------------
 
@@ -286,82 +302,52 @@ type Collector func(emit func(kind Kind, name, labelKey, labelVal string, v floa
 // ready to use.
 type Registry struct {
 	mu         sync.Mutex
-	order      []string // registration order, for stable exposition
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	hists      map[string]*Histogram
-	vecs       map[string]*CounterVec
-	vec2s      map[string]*CounterVec2
-	whists     map[string]*WindowedHistogram
+	byName     map[string]instrument
+	order      []instrument // registration order, for stable exposition
 	collectors []Collector
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-func (r *Registry) init() {
-	if r.counters == nil {
-		r.counters = map[string]*Counter{}
-		r.gauges = map[string]*Gauge{}
-		r.hists = map[string]*Histogram{}
-		r.vecs = map[string]*CounterVec{}
-		r.vec2s = map[string]*CounterVec2{}
-		r.whists = map[string]*WindowedHistogram{}
+// register returns the instrument registered under name, or registers
+// the one mk builds. A name held by an instrument of another kind
+// panics.
+func register[T instrument](r *Registry, name string, mk func() T) T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if in, ok := r.byName[name]; ok {
+		t, ok := in.(T)
+		if !ok {
+			panic(fmt.Sprintf("metrics: %s already registered as a %T, wanted a %T", name, in, t))
+		}
+		return t
 	}
-}
-
-func (r *Registry) claim(name string, exists bool) {
-	if !exists {
-		r.order = append(r.order, name)
+	if r.byName == nil {
+		r.byName = map[string]instrument{}
 	}
+	t := mk()
+	r.byName[name] = t
+	r.order = append(r.order, t)
+	return t
 }
 
 // Counter returns the counter registered under name, creating it on
 // first use.
 func (r *Registry) Counter(name, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.init()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	r.mustBeFree(name, "counter")
-	c := &Counter{name: name, help: help}
-	r.counters[name] = c
-	r.claim(name, false)
-	return c
+	return register(r, name, func() *Counter { return &Counter{desc: desc{name, help}} })
 }
 
 // Gauge returns the gauge registered under name, creating it on first
 // use.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.init()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	r.mustBeFree(name, "gauge")
-	g := &Gauge{name: name, help: help}
-	r.gauges[name] = g
-	r.claim(name, false)
-	return g
+	return register(r, name, func() *Gauge { return &Gauge{desc: desc{name, help}} })
 }
 
 // Histogram returns the histogram registered under name, creating it
 // on first use.
 func (r *Registry) Histogram(name, help string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.init()
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	r.mustBeFree(name, "histogram")
-	h := &Histogram{name: name, help: help}
-	r.hists[name] = h
-	r.claim(name, false)
-	return h
+	return register(r, name, func() *Histogram { return &Histogram{desc: desc{name, help}} })
 }
 
 // CounterVec returns the counter vector registered under name,
@@ -369,23 +355,13 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 // second registration under the same name must carry the same
 // cardinality.
 func (r *Registry) CounterVec(name, help, label string, labelVals []string) *CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.init()
-	if v, ok := r.vecs[name]; ok {
-		if len(v.vals) != len(labelVals) {
-			panic(fmt.Sprintf("metrics: counter vec %q re-registered with cardinality %d (was %d)", name, len(labelVals), len(v.vals)))
-		}
-		return v
+	v := register(r, name, func() *CounterVec {
+		return &CounterVec{desc: desc{name, help}, label: label,
+			labelVals: append([]string(nil), labelVals...), vals: make([]atomic.Int64, len(labelVals))}
+	})
+	if len(v.vals) != len(labelVals) {
+		panic(fmt.Sprintf("metrics: counter vec %q re-registered with cardinality %d (was %d)", name, len(labelVals), len(v.vals)))
 	}
-	r.mustBeFree(name, "counter vec")
-	v := &CounterVec{
-		name: name, help: help, label: label,
-		labelVals: append([]string(nil), labelVals...),
-		vals:      make([]atomic.Int64, len(labelVals)),
-	}
-	r.vecs[name] = v
-	r.claim(name, false)
 	return v
 }
 
@@ -394,66 +370,26 @@ func (r *Registry) CounterVec(name, help, label string, labelVals []string) *Cou
 // use. A second registration under the same name must carry the same
 // cardinality in both dimensions.
 func (r *Registry) CounterVec2(name, help, label1, label2 string, vals1, vals2 []string) *CounterVec2 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.init()
-	if v, ok := r.vec2s[name]; ok {
-		if len(v.vals1) != len(vals1) || len(v.vals2) != len(vals2) {
-			panic(fmt.Sprintf("metrics: counter vec2 %q re-registered with cardinality %dx%d (was %dx%d)",
-				name, len(vals1), len(vals2), len(v.vals1), len(v.vals2)))
-		}
-		return v
+	v := register(r, name, func() *CounterVec2 {
+		return &CounterVec2{desc: desc{name, help}, label1: label1, label2: label2,
+			vals1: append([]string(nil), vals1...), vals2: append([]string(nil), vals2...),
+			vals: make([]atomic.Int64, len(vals1)*len(vals2))}
+	})
+	if len(v.vals1) != len(vals1) || len(v.vals2) != len(vals2) {
+		panic(fmt.Sprintf("metrics: counter vec2 %q re-registered with cardinality %dx%d (was %dx%d)",
+			name, len(vals1), len(vals2), len(v.vals1), len(v.vals2)))
 	}
-	r.mustBeFree(name, "counter vec2")
-	v := &CounterVec2{
-		name: name, help: help, label1: label1, label2: label2,
-		vals1: append([]string(nil), vals1...),
-		vals2: append([]string(nil), vals2...),
-		vals:  make([]atomic.Int64, len(vals1)*len(vals2)),
-	}
-	r.vec2s[name] = v
-	r.claim(name, false)
 	return v
 }
 
 // WindowedHistogram returns the rotating-window histogram registered
-// under name, creating it with the given slot count and rotation
-// interval on first use. Its merged view is exported as _count and
-// quantile gauges (not a Prometheus histogram — windowed bucket counts
-// are not cumulative).
-func (r *Registry) WindowedHistogram(name, help string, slots int, interval time.Duration) *WindowedHistogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.init()
-	if h, ok := r.whists[name]; ok {
-		return h
-	}
-	r.mustBeFree(name, "windowed histogram")
-	h := newWindowedHistogram(name, help, slots, interval)
-	r.whists[name] = h
-	r.claim(name, false)
-	return h
-}
-
-func (r *Registry) mustBeFree(name, kind string) {
-	if _, ok := r.counters[name]; ok {
-		panic("metrics: " + name + " already registered as a counter, wanted " + kind)
-	}
-	if _, ok := r.gauges[name]; ok {
-		panic("metrics: " + name + " already registered as a gauge, wanted " + kind)
-	}
-	if _, ok := r.hists[name]; ok {
-		panic("metrics: " + name + " already registered as a histogram, wanted " + kind)
-	}
-	if _, ok := r.vecs[name]; ok {
-		panic("metrics: " + name + " already registered as a counter vec, wanted " + kind)
-	}
-	if _, ok := r.vec2s[name]; ok {
-		panic("metrics: " + name + " already registered as a counter vec2, wanted " + kind)
-	}
-	if _, ok := r.whists[name]; ok {
-		panic("metrics: " + name + " already registered as a windowed histogram, wanted " + kind)
-	}
+// under name, creating it on first use over windowSlots × windowInterval.
+// Its merged view is exported as _count and quantile gauges (not a
+// Prometheus histogram — windowed bucket counts are not cumulative).
+func (r *Registry) WindowedHistogram(name, help string) *WindowedHistogram {
+	return register(r, name, func() *WindowedHistogram {
+		return newWindowedHistogram(name, help, windowSlots, windowInterval)
+	})
 }
 
 // RegisterCollector adds a scrape-time collector.
@@ -492,18 +428,6 @@ type HistogramSnapshot struct {
 	P99    float64 `json:"p99"`
 	Max    float64 `json:"max"`
 	bucket [histBuckets]int64
-}
-
-// Buckets returns the (low-edge-exclusive) non-empty buckets as
-// (upper bound, count) pairs, for consumers that want the raw shape.
-func (h *HistogramSnapshot) Buckets() (bounds []int64, counts []int64) {
-	for i, c := range h.bucket {
-		if c != 0 {
-			bounds = append(bounds, bucketHigh(i))
-			counts = append(counts, c)
-		}
-	}
-	return bounds, counts
 }
 
 // Quantile returns the q-quantile upper bound of the snapshot.
@@ -556,17 +480,6 @@ func (s *Snapshot) Value(name, labelVal string) (float64, bool) {
 	for _, g := range s.Gauges {
 		if g.Name == name && g.LabelVal == labelVal {
 			return g.Value, true
-		}
-	}
-	return 0, false
-}
-
-// Value2 returns the value of the named two-label series, and whether
-// it exists.
-func (s *Snapshot) Value2(name, labelVal, labelVal2 string) (float64, bool) {
-	for _, c := range s.Counters {
-		if c.Name == name && c.LabelVal == labelVal && c.LabelVal2 == labelVal2 {
-			return c.Value, true
 		}
 	}
 	return 0, false
@@ -632,44 +545,8 @@ func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	snap := &Snapshot{}
-	for _, name := range r.order {
-		if c, ok := r.counters[name]; ok {
-			snap.Counters = append(snap.Counters, Series{Name: c.name, Value: float64(c.Load())})
-		}
-		if g, ok := r.gauges[name]; ok {
-			snap.Gauges = append(snap.Gauges, Series{Name: g.name, Value: float64(g.Load())})
-		}
-		if v, ok := r.vecs[name]; ok {
-			for i := range v.vals {
-				snap.Counters = append(snap.Counters, Series{
-					Name: v.name, LabelKey: v.label, LabelVal: v.labelVals[i],
-					Value: float64(v.vals[i].Load()),
-				})
-			}
-		}
-		if v, ok := r.vec2s[name]; ok {
-			for i := range v.vals1 {
-				for j := range v.vals2 {
-					snap.Counters = append(snap.Counters, Series{
-						Name: v.name, LabelKey: v.label1, LabelVal: v.vals1[i],
-						LabelKey2: v.label2, LabelVal2: v.vals2[j],
-						Value: float64(v.Load(i, j)),
-					})
-				}
-			}
-		}
-		if h, ok := r.hists[name]; ok {
-			hs := HistogramSnapshot{Name: h.name}
-			hs.Count = h.snapshotCounts(&hs.bucket)
-			hs.finish()
-			snap.Histograms = append(snap.Histograms, hs)
-		}
-		if h, ok := r.whists[name]; ok {
-			hs := HistogramSnapshot{Name: h.name, Window: true}
-			hs.Count = h.mergeCounts(&hs.bucket)
-			hs.finish()
-			snap.Histograms = append(snap.Histograms, hs)
-		}
+	for _, in := range r.order {
+		in.collect(snap)
 	}
 	for _, c := range r.collectors {
 		c(func(kind Kind, name, labelKey, labelVal string, v float64) {
@@ -705,14 +582,24 @@ func (r *Registry) WriteProm(w *strings.Builder) {
 	snap := r.Snapshot()
 	// Group labeled series by name so TYPE/HELP headers print once.
 	wroteHeader := map[string]bool{}
-	header := func(name, typ string) {
+	header := func(name, typ, help string) {
 		if !wroteHeader[name] {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, r.helpOf(name), name, typ)
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 			wroteHeader[name] = true
 		}
 	}
+	quantiles := func(h *HistogramSnapshot) {
+		for _, p := range [...]struct {
+			suffix string
+			v      float64
+		}{{"_p50", h.P50}, {"_p90", h.P90}, {"_p99", h.P99}} {
+			name := h.Name + p.suffix
+			header(name, "gauge", "histogram quantile upper bound")
+			fmt.Fprintf(w, "%s %s\n", name, promFloat(p.v))
+		}
+	}
 	for _, c := range snap.Counters {
-		header(c.Name, "counter")
+		header(c.Name, "counter", r.helpOf(c.Name))
 		switch {
 		case c.LabelKey == "":
 			fmt.Fprintf(w, "%s %s\n", c.Name, promFloat(c.Value))
@@ -724,7 +611,7 @@ func (r *Registry) WriteProm(w *strings.Builder) {
 		}
 	}
 	for _, g := range snap.Gauges {
-		header(g.Name, "gauge")
+		header(g.Name, "gauge", r.helpOf(g.Name))
 		if g.LabelKey == "" {
 			fmt.Fprintf(w, "%s %s\n", g.Name, promFloat(g.Value))
 		} else {
@@ -738,19 +625,12 @@ func (r *Registry) WriteProm(w *strings.Builder) {
 			// cumulative histogram exposition would violate counter
 			// monotonicity; publish the merged window as gauges.
 			name := h.Name + "_count"
-			header(name, "gauge")
+			header(name, "gauge", r.helpOf(h.Name)+" (window count)")
 			fmt.Fprintf(w, "%s %d\n", name, h.Count)
-			for _, p := range [...]struct {
-				suffix string
-				v      float64
-			}{{"_p50", h.P50}, {"_p90", h.P90}, {"_p99", h.P99}} {
-				name := h.Name + p.suffix
-				header(name, "gauge")
-				fmt.Fprintf(w, "%s %s\n", name, promFloat(p.v))
-			}
+			quantiles(h)
 			continue
 		}
-		header(h.Name, "histogram")
+		header(h.Name, "histogram", r.helpOf(h.Name))
 		var cum int64
 		for bi, c := range h.bucket {
 			if c == 0 {
@@ -762,83 +642,40 @@ func (r *Registry) WriteProm(w *strings.Builder) {
 		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", h.Name, h.Count)
 		fmt.Fprintf(w, "%s_sum %s\n", h.Name, promFloat(h.Sum))
 		fmt.Fprintf(w, "%s_count %d\n", h.Name, h.Count)
-		for _, p := range [...]struct {
-			suffix string
-			v      float64
-		}{{"_p50", h.P50}, {"_p90", h.P90}, {"_p99", h.P99}} {
-			name := h.Name + p.suffix
-			header(name, "gauge")
-			fmt.Fprintf(w, "%s %s\n", name, promFloat(p.v))
-		}
+		quantiles(h)
 	}
 }
 
+// helpOf returns the help text registered under name; collector series
+// have none of their own.
 func (r *Registry) helpOf(name string) string {
-	// Called from WriteProm via Snapshot, outside the lock; instrument
-	// help strings are immutable after registration so a racy read is
-	// fine, but take the lock for the maps.
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c.help
-	}
-	if g, ok := r.gauges[name]; ok {
-		return g.help
-	}
-	if h, ok := r.hists[name]; ok {
-		return h.help
-	}
-	if v, ok := r.vecs[name]; ok {
-		return v.help
-	}
-	if v, ok := r.vec2s[name]; ok {
-		return v.help
-	}
-	if h, ok := r.whists[name]; ok {
-		return h.help
-	}
-	if strings.HasSuffix(name, "_p50") || strings.HasSuffix(name, "_p90") || strings.HasSuffix(name, "_p99") {
-		return "histogram quantile upper bound"
-	}
-	if base, ok := strings.CutSuffix(name, "_count"); ok {
-		if h, ok := r.whists[base]; ok {
-			return h.help + " (window count)"
-		}
+	if in, ok := r.byName[name]; ok {
+		return in.describe().help
 	}
 	return "collector series"
-}
-
-// ServeHTTP serves the Prometheus text exposition, or the JSON
-// snapshot with ?format=json.
-func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	if req.URL.Query().Get("format") == "json" {
-		writeJSONSnapshot(w, r)
-		return
-	}
-	var b strings.Builder
-	r.WriteProm(&b)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
-}
-
-func writeJSONSnapshot(w http.ResponseWriter, r *Registry) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(r.Snapshot())
 }
 
 // Mux returns an http.ServeMux exposing the registry and the standard
 // pprof profiles:
 //
-//	/metrics        Prometheus text format (add ?format=json for JSON)
+//	/metrics        Prometheus text format
 //	/metrics.json   JSON snapshot
 //	/debug/pprof/   net/http/pprof index (profile, heap, goroutine, ...)
 func Mux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", r)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
+		var b strings.Builder
+		r.WriteProm(&b)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_, _ = w.Write([]byte(b.String()))
+	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
-		writeJSONSnapshot(w, r)
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(r.Snapshot())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

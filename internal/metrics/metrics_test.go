@@ -144,7 +144,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	var sum float64
 	for i := 0; i < 4; i++ {
-		val, ok := snap.Value("shard_ops_total", v.LabelVal(i))
+		val, ok := snap.Value("shard_ops_total", ShardLabels(4)[i])
 		if !ok {
 			t.Fatalf("missing shard_ops_total slot %d", i)
 		}
@@ -219,7 +219,6 @@ func TestMuxEndpoints(t *testing.T) {
 		want string
 	}{
 		{"/metrics", "x_total 1"},
-		{"/metrics?format=json", `"x_total"`},
 		{"/metrics.json", `"x_total"`},
 	} {
 		req := httptest.NewRequest("GET", tc.path, nil)
@@ -242,14 +241,14 @@ func TestMuxEndpoints(t *testing.T) {
 }
 
 func TestRing(t *testing.T) {
-	r := NewRing[int](4)
-	if r.Len() != 0 {
-		t.Fatal("fresh ring not empty")
+	r := NewRing(make([]int, 4))
+	if got := r.Snapshot(nil, nil); len(got) != 0 {
+		t.Fatalf("fresh ring holds %v", got)
 	}
 	for i := 1; i <= 6; i++ {
-		r.Put(i)
+		r.Put(func(s *int) { *s = i })
 	}
-	got := r.Snapshot(nil)
+	got := r.Snapshot(nil, nil)
 	want := []int{3, 4, 5, 6}
 	if len(got) != len(want) {
 		t.Fatalf("snapshot %v, want %v", got, want)
@@ -261,8 +260,25 @@ func TestRing(t *testing.T) {
 	}
 	// Reused dst stays allocation-free.
 	buf := make([]int, 0, 4)
-	if n := testing.AllocsPerRun(10, func() { buf = r.Snapshot(buf[:0]) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { buf = r.Snapshot(buf[:0], nil) }); n != 0 {
 		t.Errorf("Ring.Snapshot into reused dst: %.1f allocs, want 0", n)
+	}
+	// A deep copy reuses each recycled destination slot's storage.
+	deep := NewRing(make([][]int, 2))
+	for i := 0; i < 3; i++ {
+		deep.Put(func(s *[]int) { *s = append((*s)[:0], i, i) })
+	}
+	cp := func(dst, src *[]int) { *dst = append((*dst)[:0], *src...) }
+	out := deep.Snapshot(nil, cp)
+	if len(out) != 2 || out[0][0] != 1 || out[1][1] != 2 {
+		t.Fatalf("deep snapshot %v, want [[1 1] [2 2]]", out)
+	}
+	if n := testing.AllocsPerRun(10, func() { out = deep.Snapshot(out[:0], cp) }); n != 0 {
+		t.Errorf("deep Ring.Snapshot into reused dst: %.1f allocs, want 0", n)
+	}
+	deep.Put(func(s *[]int) { (*s)[0] = 9 })
+	if out[0][0] != 1 {
+		t.Fatal("deep snapshot aliases ring storage")
 	}
 }
 

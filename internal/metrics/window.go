@@ -26,11 +26,19 @@ import (
 // consistent — the same trade the base Histogram documents for its
 // lock-free observe path.
 type WindowedHistogram struct {
-	name, help string
+	desc
 	intervalNs int64
 	slots      []windowSlot
 	clock      func() int64 // unix nanoseconds; swappable in tests
 }
+
+// A registered windowed histogram covers the last minute in six slots,
+// so a regression shows within ten seconds and ages out within a
+// minute.
+const (
+	windowSlots    = 6
+	windowInterval = 10 * time.Second
+)
 
 type windowSlot struct {
 	epoch   atomic.Int64 // interval index this slot's counts belong to
@@ -38,15 +46,8 @@ type windowSlot struct {
 }
 
 func newWindowedHistogram(name, help string, slots int, interval time.Duration) *WindowedHistogram {
-	if slots < 1 {
-		slots = 1
-	}
-	if interval <= 0 {
-		interval = time.Second
-	}
 	w := &WindowedHistogram{
-		name:       name,
-		help:       help,
+		desc:       desc{name, help},
 		intervalNs: int64(interval),
 		slots:      make([]windowSlot, slots),
 		clock:      func() int64 { return time.Now().UnixNano() },
@@ -55,14 +56,6 @@ func newWindowedHistogram(name, help string, slots int, interval time.Duration) 
 		w.slots[i].epoch.Store(-1)
 	}
 	return w
-}
-
-// Name returns the registered name.
-func (w *WindowedHistogram) Name() string { return w.name }
-
-// Window returns the total time span covered (slots × interval).
-func (w *WindowedHistogram) Window() time.Duration {
-	return time.Duration(w.intervalNs * int64(len(w.slots)))
 }
 
 // Observe records one value into the current interval's slot: a clock
@@ -104,26 +97,11 @@ func (w *WindowedHistogram) mergeCounts(dst *[histBuckets]int64) int64 {
 	return total
 }
 
-// Count returns the number of observations inside the window.
-func (w *WindowedHistogram) Count() int64 {
-	minEp := w.clock()/w.intervalNs - int64(len(w.slots)) + 1
-	var total int64
-	for si := range w.slots {
-		s := &w.slots[si]
-		if s.epoch.Load() < minEp {
-			continue
-		}
-		for i := range s.buckets {
-			total += s.buckets[i].Load()
-		}
-	}
-	return total
-}
-
 // Quantile returns the q-quantile upper bound over the window, and the
 // number of observations it covers. Zero-allocation (the merge buffer
-// lives on the stack), so a watchdog can evaluate SLOs against it
-// without perturbing the zero-alloc hot-path contract it polices.
+// lives on the stack), so the watchdog can evaluate its SLO bounds
+// against it without perturbing the zero-alloc hot-path contract it
+// polices.
 func (w *WindowedHistogram) Quantile(q float64) (v float64, count int64) {
 	var counts [histBuckets]int64
 	total := w.mergeCounts(&counts)
@@ -149,57 +127,9 @@ func (w *WindowedHistogram) Mean() (v float64, count int64) {
 	return sum / float64(total), total
 }
 
-// --- SLO objectives --------------------------------------------------------
-
-// Objective is one service-level objective: a named bound on a live
-// value (e.g. windowed p99 latency ≤ 50ms, mean shards visited ≤ 2.5).
-// The caller supplies the value at evaluation time; SLO keeps the
-// burn-rate accounting.
-type Objective struct {
-	Name  string  // label value in the breach counter vec
-	Bound float64 // inclusive upper bound on the evaluated value
-}
-
-// SLO tracks a fixed set of objectives with burn-rate counters in a
-// Registry: <prefix>_evals_total counts evaluation rounds and
-// <prefix>_breaches_total{objective=...} counts bound violations, so
-// the burn rate is rate(breaches)/rate(evals) — computable by any
-// scraper without recording rules. Eval is allocation-free.
-type SLO struct {
-	objectives []Objective
-	evals      *Counter
-	breaches   *CounterVec
-}
-
-// NewSLO registers the burn-rate counters for the given objectives
-// under <prefix>_evals_total / <prefix>_breaches_total.
-func NewSLO(r *Registry, prefix string, objectives []Objective) *SLO {
-	names := make([]string, len(objectives))
-	for i, o := range objectives {
-		names[i] = o.Name
-	}
-	return &SLO{
-		objectives: append([]Objective(nil), objectives...),
-		evals:      r.Counter(prefix+"_evals_total", "SLO evaluation rounds"),
-		breaches:   r.CounterVec(prefix+"_breaches_total", "SLO bound violations by objective", "objective", names),
-	}
-}
-
-// Len returns the number of objectives.
-func (s *SLO) Len() int { return len(s.objectives) }
-
-// Objective returns objective i.
-func (s *SLO) Objective(i int) Objective { return s.objectives[i] }
-
-// BeginEval counts one evaluation round.
-func (s *SLO) BeginEval() { s.evals.Inc() }
-
-// Eval checks value against objective i's bound, bumps the breach
-// counter on violation, and reports whether the objective burned.
-func (s *SLO) Eval(i int, value float64) bool {
-	if value > s.objectives[i].Bound {
-		s.breaches.Inc(i)
-		return true
-	}
-	return false
+func (w *WindowedHistogram) collect(s *Snapshot) {
+	hs := HistogramSnapshot{Name: w.name, Window: true}
+	hs.Count = w.mergeCounts(&hs.bucket)
+	hs.finish()
+	s.Histograms = append(s.Histograms, hs)
 }

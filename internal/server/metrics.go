@@ -1,8 +1,6 @@
 package server
 
 import (
-	"time"
-
 	"linconstraint/internal/metrics"
 	"linconstraint/internal/planner"
 )
@@ -11,29 +9,15 @@ import (
 // New, observed with single atomic operations on the serving path. A
 // nil *serverMetrics (no registry configured) disables them all.
 type serverMetrics struct {
-	requests      *metrics.CounterVec // by op, arrivals including sheds
-	shed          *metrics.Counter
-	closedRejects *metrics.Counter
-	batches       *metrics.Counter
-	coalesced     *metrics.Counter
-	partials      *metrics.Counter
-	errors        *metrics.Counter
-	queueDepth    *metrics.Gauge
-	batchSize     *metrics.Histogram
-	totalNs       *metrics.Histogram
+	requests   *metrics.CounterVec // by op, arrivals including sheds
+	shed       *metrics.Counter
+	batches    *metrics.Counter
+	queueDepth *metrics.Gauge
+	batchSize  *metrics.Histogram
 
 	queueWaitWin *metrics.WindowedHistogram
-	batchWaitWin *metrics.WindowedHistogram
-	runWin       *metrics.WindowedHistogram
 	totalWin     *metrics.WindowedHistogram
 }
-
-// Windowed views match the engine's defaults: 6 rotating slots of 10s
-// give "the last minute, now" without unbounded growth.
-const (
-	winSlots    = 6
-	winInterval = 10 * time.Second
-)
 
 func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 	if reg == nil {
@@ -45,33 +29,15 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 			"op", planner.OpLabels()),
 		shed: reg.Counter("server_shed_total",
 			"requests rejected 429 because every stripe's admission ring was full"),
-		closedRejects: reg.Counter("server_closed_rejects_total",
-			"requests rejected 503 because the server was shutting down"),
 		batches: reg.Counter("server_batches_total",
 			"stripe flushes run as single engine batches"),
-		coalesced: reg.Counter("server_coalesced_batches_total",
-			"stripe flushes that coalesced more than one request"),
-		partials: reg.Counter("server_partial_responses_total",
-			"responses served 206 from a degraded (deadline-truncated) run"),
-		errors: reg.Counter("server_error_responses_total",
-			"responses carrying an engine error"),
 		queueDepth: reg.Gauge("server_queue_depth",
 			"requests currently waiting in admission rings across all stripes"),
 		batchSize: reg.Histogram("server_batch_size",
 			"requests per flushed stripe batch"),
-		totalNs: reg.Histogram("server_request_ns",
-			"end-to-end request latency, admission to demux"),
 		queueWaitWin: reg.WindowedHistogram("server_queue_wait_ns_win",
-			"time in the admission ring before a flusher collected the request",
-			winSlots, winInterval),
-		batchWaitWin: reg.WindowedHistogram("server_batch_wait_ns_win",
-			"time collected in a stripe waiting for the batch to flush",
-			winSlots, winInterval),
-		runWin: reg.WindowedHistogram("server_run_ns_win",
-			"engine BatchInto wall time per stripe flush",
-			winSlots, winInterval),
+			"time in the admission ring before a flusher collected the request"),
 		totalWin: reg.WindowedHistogram("server_request_ns_win",
-			"end-to-end request latency, admission to demux",
-			winSlots, winInterval),
+			"end-to-end request latency, admission to demux"),
 	}
 }

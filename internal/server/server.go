@@ -202,9 +202,6 @@ func (s *Server) submit(r *request) Status {
 	s.admitting.Add(1)
 	if s.closed.Load() {
 		s.admitting.Add(-1)
-		if m != nil {
-			m.closedRejects.Inc()
-		}
 		return StatusClosed
 	}
 	sts := s.stripes[op]
@@ -293,10 +290,6 @@ func (s *Server) flush(st *stripe) {
 	if m != nil {
 		m.batches.Inc()
 		m.batchSize.Observe(int64(len(st.batch)))
-		if len(st.batch) > 1 {
-			m.coalesced.Inc()
-		}
-		m.runWin.Observe(runNs)
 	}
 	for i, r := range st.batch {
 		res := &st.res[i]
@@ -309,14 +302,8 @@ func (s *Server) flush(st *stripe) {
 			} else {
 				r.status = StatusError
 			}
-			if m != nil {
-				m.errors.Inc()
-			}
 		case res.Degraded:
 			r.status = StatusPartial
-			if m != nil {
-				m.partials.Inc()
-			}
 		default:
 			r.status = StatusOK
 		}
@@ -327,8 +314,6 @@ func (s *Server) flush(st *stripe) {
 		lat.TotalNs = tDone.Sub(r.tEnq).Nanoseconds()
 		if m != nil {
 			m.queueWaitWin.Observe(lat.QueueNs)
-			m.batchWaitWin.Observe(lat.BatchNs)
-			m.totalNs.Observe(lat.TotalNs)
 			m.totalWin.Observe(lat.TotalNs)
 		}
 		st.batch[i] = nil

@@ -365,9 +365,8 @@ func KDCutLayout() Partitioner { return partition.NewKDCut() }
 // EngineConfig tunes a sharded engine: shard and worker counts, every
 // shard's device (BlockSize, CacheBlocks, IOLatency), the layout
 // (Partitioner, NoPlanner, PretrainSample), telemetry (Metrics,
-// FlightRecorder, Watchdog, WindowSlots/WindowInterval) and
-// robustness (Deadline, Strict, HedgeAfter, Breaker); Window bounds
-// NewEngine3D's queries. The zero value means one shard, one worker,
+// FlightRecorder, Watchdog) and robustness (Deadline, Strict,
+// HedgeAfter, Breaker); Window bounds NewEngine3D's queries. The zero value means one shard, one worker,
 // the default block size, no cache, no simulated disk latency, and
 // round-robin sharding.
 type EngineConfig = engine.Options
@@ -442,7 +441,7 @@ type MetricsSnapshot = metrics.Snapshot
 
 // MetricsHandler returns an http.Handler serving reg:
 //
-//	/metrics        Prometheus text exposition (?format=json for JSON)
+//	/metrics        Prometheus text exposition
 //	/metrics.json   JSON snapshot
 //	/debug/pprof/   net/http/pprof profiles
 //
@@ -486,8 +485,7 @@ type SlowTrace = engine.SlowTrace
 type ShardTrace = engine.ShardTrace
 
 // WatchdogConfig configures the background health sampler
-// (EngineConfig.Watchdog): the tick interval, the event ring size, and
-// the bounds — layout skew, hot-shard traffic share, GC pause budget,
+// (EngineConfig.Watchdog): the tick interval and the bounds — layout skew, hot-shard traffic share, GC pause budget,
 // replica imbalance — plus the SLO objectives (windowed p99 latency,
 // windowed mean shards visited). A zero bound disables that check.
 type WatchdogConfig = engine.WatchdogConfig
