@@ -10,7 +10,6 @@ package linconstraint
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -64,7 +63,10 @@ func DebugHandler(reg *Metrics, eng *Engine) http.Handler {
 			return
 		}
 		var ex Explain
-		eng.ExplainInto(q, &ex)
+		if eng.ExplainInto(q, &ex); ex.Err != nil {
+			http.Error(w, ex.Err.Error(), http.StatusBadRequest)
+			return
+		}
 		type shardJSON struct {
 			Shard    int      `json:"shard"`
 			Verdict  string   `json:"verdict"`
@@ -95,15 +97,13 @@ func DebugHandler(reg *Metrics, eng *Engine) http.Handler {
 }
 
 // explainQuery builds the Query a /debug/explain request describes.
-// NaN and ±Inf operands are rejected, as /query rejects them.
+// NaN and ±Inf operands parse; the explain itself rejects them, as
+// /query does.
 func explainQuery(v url.Values) (Query, error) {
 	num := func(name, s string) (float64, error) {
 		x, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return 0, fmt.Errorf("parameter %q: %v", name, err)
-		}
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return 0, fmt.Errorf("parameter %q: operands must be finite numbers", name)
 		}
 		return x, nil
 	}

@@ -19,6 +19,11 @@ import (
 type Explain struct {
 	// Op is the explained query's op.
 	Op Op
+	// Err is set, wrapping index.ErrNonFinite, when an operand has a NaN
+	// or infinite coordinate: Batch rejects such a query without
+	// visiting any shard, so the explain plans none and Verdicts and
+	// MinDist2 stay empty.
+	Err error
 	// Verdicts[si] is the planner's decision for shard si (visited, or
 	// which bound pruned it). The k-NN runtime cutoff never appears —
 	// it depends on the data seen while running, which an explain
@@ -39,6 +44,12 @@ type Explain struct {
 // the explain exists to show what pruning is available, and the engine
 // ignoring it is itself worth seeing.
 func (e *Engine) ExplainInto(q Query, ex *Explain) {
+	ex.Op, ex.Err = q.Op, nil
+	ex.Verdicts, ex.MinDist2 = ex.Verdicts[:0], ex.MinDist2[:0]
+	if !finiteOperands(&q) {
+		ex.Err = errNonFinite(q.Op)
+		return
+	}
 	e.migMu.RLock()
 	defer e.migMu.RUnlock()
 	sums := e.snapshotSums(ex.sums)
@@ -48,9 +59,7 @@ func (e *Engine) ExplainInto(q Query, ex *Explain) {
 		ex.sums = sums
 	}
 	planner.PlanQueryInto(q, sums, &ex.plan)
-	ex.Op = q.Op
-	ex.Verdicts = append(ex.Verdicts[:0], ex.plan.Verdicts...)
-	ex.MinDist2 = ex.MinDist2[:0]
+	ex.Verdicts = append(ex.Verdicts, ex.plan.Verdicts...)
 	if q.Op == OpKNN {
 		// MinDist2 is parallel to the plan's visit order; re-key it by
 		// shard so Verdicts and MinDist2 index the same way.

@@ -18,7 +18,9 @@ import (
 // gets an error wrapping index.ErrNonFinite (index.ErrUnsupported for an
 // op the family does not answer) and is never dispatched to a shard,
 // whose exact predicates would panic on it, and the finite query batched
-// behind it answers exactly as it does alone.
+// behind it answers exactly as it does alone. ExplainInto agrees: such a
+// query gets Explain.Err wrapping index.ErrNonFinite and no plan, and the
+// reused Explain then plans the finite query over every shard.
 func TestNonFiniteOperandsError(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p2 := workload.Uniform2(rng, 2_000)
@@ -73,8 +75,13 @@ func TestNonFiniteOperandsError(t *testing.T) {
 			if want.Err != nil || len(want.IDs)+len(want.Recs)+len(want.Neighbors) == 0 {
 				t.Fatalf("finite query: err %v, empty answer", want.Err)
 			}
+			var ex Explain
 			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 				for _, q := range bad(v) {
+					if tc.e.ExplainInto(q, &ex); !errors.Is(ex.Err, index.ErrNonFinite) || len(ex.Verdicts)+len(ex.MinDist2) != 0 {
+						t.Errorf("explain %v operand %+v: err %v, %d verdicts, %d distances; want %v and no plan",
+							q.Op, q, ex.Err, len(ex.Verdicts), len(ex.MinDist2), index.ErrNonFinite)
+					}
 					res := tc.e.Batch([]Query{q, tc.good})
 					sentinel := index.ErrNonFinite
 					if !tc.e.shards[0].reps[0].idx.Supports(q.Op) {
@@ -89,6 +96,9 @@ func TestNonFiniteOperandsError(t *testing.T) {
 						t.Errorf("finite query behind %v operand %+v: err %v, answer differs from alone", q.Op, q, got.Err)
 					}
 				}
+			}
+			if tc.e.ExplainInto(tc.good, &ex); ex.Err != nil || len(ex.Verdicts) != tc.e.NumShards() {
+				t.Errorf("explain of the finite query: err %v, %d verdicts for %d shards", ex.Err, len(ex.Verdicts), tc.e.NumShards())
 			}
 		})
 	}

@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"linconstraint/internal/chan3d"
+	"linconstraint/internal/geom"
+	"linconstraint/internal/index"
 )
 
 // refMerge is the engine's previous merge kernel, kept as the reference
@@ -131,6 +135,56 @@ func FuzzMergeNeighbors(f *testing.F) {
 		for i := range got {
 			if got[i] != want[i] || got[i] != ref[i] {
 				t.Fatalf("neighbor %d: %+v, want %+v (ref %+v)", i, got[i], want[i], ref[i])
+			}
+		}
+	})
+}
+
+// FuzzMergeRecords: 3-d records on a coarse lattice — many shared first
+// coordinates, −0 beside +0, and duplicates — dealt across 1–9 sorted
+// runs must merge to exactly the reference merge under the full record
+// order, element for element and copy for copy: where head keys are
+// equal, the full order and its tie-break toward the lower run decide.
+// Every head key must also agree with that order wherever it decides.
+func FuzzMergeRecords(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(2))
+	f.Add([]byte{5, 0, 5, 1, 5, 2, 30, 3, 31, 4, 124, 5}, uint8(8))
+	f.Add([]byte{1, 0, 1, 1, 1, 2, 1, 3, 2, 0, 2, 1}, uint8(5))
+	f.Fuzz(func(t *testing.T, data []byte, shards uint8) {
+		lattice := [5]float64{-1, math.Copysign(0, -1), 0, 0.5, 1}
+		s := 1 + int(shards)%9
+		runs := make([][]index.Record, s)
+		// Two bytes per record: its three coordinates, then its run.
+		for i := 0; i+1 < len(data); i += 2 {
+			c := int(data[i])
+			pd := geom.PointD{lattice[c%5], lattice[c/5%5], lattice[c/25%5]}
+			ri := int(data[i+1]) % s
+			runs[ri] = append(runs[ri], index.Record{PD: pd})
+		}
+		var all []index.Record
+		for _, r := range runs {
+			slices.SortStableFunc(r, index.Record.Compare)
+			all = append(all, r...)
+		}
+		// Along the full order keys never fall, and equal records share a
+		// key: so a smaller key always means a smaller record.
+		slices.SortFunc(all, index.Record.Compare)
+		for i := 1; i < len(all); i++ {
+			a, b := all[i-1], all[i]
+			if c, ka, kb := a.Compare(b), recKey(&a), recKey(&b); ka > kb || c == 0 && ka != kb {
+				t.Fatalf("records %v, %v (Compare %d) have keys %#x, %#x", a.PD, b.PD, c, ka, kb)
+			}
+		}
+		var heads, loser []int32
+		got := loserMerge(nil, runs, &heads, &loser, recLess, -1)
+		want := refMerge(runs, recLess, -1)
+		if len(got) != len(want) {
+			t.Fatalf("%d merged, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if &got[i].PD[0] != &want[i].PD[0] { // the same copy, so ±0 and tie-breaks match too
+				t.Fatalf("record %d: %v, want %v", i, got[i].PD, want[i].PD)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"linconstraint/internal/eio"
@@ -155,4 +156,49 @@ func TestBatchedKNNMatchesScalar(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sinkMerged keeps BenchmarkLoserMerge's merges from being optimized away.
+var sinkMerged int
+
+// BenchmarkLoserMerge times the merge kernel on the two shapes the
+// ledger's workloads hand it: ids, 2 runs of about 700 (planar_direct's
+// common multi-shard query), and records, 6 runs of about 170 3-d
+// records (a dyn_mixed slab's shard answers). It reports ns per merged
+// element; with the destination and scratch reused, a merge allocates
+// nothing.
+func BenchmarkLoserMerge(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	ids := make([][]int, 2)
+	for id := 0; id < 1400; id++ {
+		si := rng.Intn(len(ids))
+		ids[si] = append(ids[si], id)
+	}
+	recs := make([][]index.Record, 6)
+	for _, p := range workload.CubeD(rng, 1020, 3) {
+		si := rng.Intn(len(recs))
+		recs[si] = append(recs[si], index.Record{PD: p})
+	}
+	for _, r := range recs {
+		slices.SortFunc(r, index.Record.Compare)
+	}
+	b.Run("ids", func(b *testing.B) { benchMerge(b, ids, intLess) })
+	b.Run("records", func(b *testing.B) { benchMerge(b, recs, recLess) })
+}
+
+func benchMerge[T any](b *testing.B, runs [][]T, less func(x, y T) bool) {
+	var heads, loser []int32
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	dst := loserMerge(make([]T, 0, n), runs, &heads, &loser, less, -1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = loserMerge(dst[:0], runs, &heads, &loser, less, -1)
+	}
+	b.StopTimer()
+	sinkMerged += len(dst)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
 }

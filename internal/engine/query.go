@@ -586,7 +586,7 @@ func (e *Engine) planRun(a *batchArena) {
 			continue
 		}
 		if !finiteOperands(&a.qs[qi]) {
-			a.res[qi].Err = fmt.Errorf("engine: %v operand: %w", op, index.ErrNonFinite)
+			a.res[qi].Err = errNonFinite(op)
 			a.planOf[qi] = -1
 			continue
 		}
@@ -622,6 +622,11 @@ func finiteOperands(q *Query) bool {
 		return allFinite(q.Pt.X, q.Pt.Y)
 	}
 	return true
+}
+
+// errNonFinite is the error of a query op with a non-finite operand.
+func errNonFinite(op Op) error {
+	return fmt.Errorf("engine: %v operand: %w", op, index.ErrNonFinite)
 }
 
 func allFinite(xs ...float64) bool {

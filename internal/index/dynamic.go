@@ -36,13 +36,14 @@ type logSet[T any] struct {
 	dev     *eio.Device
 	build   func(dev *eio.Device, items []T) Index
 	cmp     func(a, b T) int // Record.Compare on items
-	rec     func(T) Record
 	buckets []*bucket[T]
 	live    int
 	dead    int
-	// ans is the reused per-bucket answer scratch. Safe as a plain
-	// field: a logSet is single-owner, callers serialize all access.
+	// ans and run are the reused per-bucket answer and hit scratch.
+	// Safe as plain fields: a logSet is single-owner, callers serialize
+	// all access.
 	ans Answer
+	run []Record
 }
 
 type bucket[T any] struct {
@@ -69,6 +70,7 @@ func (s *logSet[T]) insert(item T) {
 // extra, sorted, in one slice of exactly their length. Each bucket is
 // merged in from the back, smallest first.
 func (s *logSet[T]) takeLive(n int, extra ...T) []T {
+	clear(s.run[:cap(s.run)]) // the hit scratch must not pin retired buckets' items
 	size := len(extra)
 	for _, b := range s.buckets[:n] {
 		if b != nil {
@@ -165,12 +167,14 @@ func (s *logSet[T]) appendLive(dst []T) []T {
 // appendMatches runs q on every bucket's static index and appends the
 // live items at the reported positions to dst as records, in canonical
 // order. Positions come ascending, so each bucket's hits are a sorted
-// run, merged from the back into the records before it, smallest bucket
-// first: the largest bucket's run, most of the answer, costs one
-// comparison per record and moves nothing. With a pre-grown dst the
-// path is allocation-free. All buckets share one family and dimension,
-// so an operand one rejects fails on the first bucket, before any
-// record is appended.
+// run. The run is gathered first, a loop of independent loads that
+// overlap where the bucket's items are scattered, and then merged from
+// the back into the records before it, smallest bucket first: the
+// largest bucket's run, most of the answer, costs one comparison per
+// record and moves nothing. With a pre-grown dst the path is
+// allocation-free. All buckets share one family and dimension, so an
+// operand one rejects fails on the first bucket, before any record is
+// appended.
 func (s *logSet[T]) appendMatches(q Query, dst []Record) ([]Record, error) {
 	base := len(dst)
 	for _, b := range s.buckets {
@@ -181,16 +185,26 @@ func (s *logSet[T]) appendMatches(q Query, dst []Record) ([]Record, error) {
 		if err := b.idx.QueryInto(q, &s.ans); err != nil {
 			return dst, err
 		}
-		hits := s.ans.IDs[:0]
-		for _, pos := range s.ans.IDs {
-			if !b.dead[pos] {
-				hits = append(hits, pos)
+		run := s.run[:0]
+		switch items := any(&b.items).(type) { // the two item types; a tight loop each keeps many loads in flight
+		case *[]geom.PointD:
+			for _, pos := range s.ans.IDs {
+				if !b.dead[pos] {
+					run = append(run, Record{PD: (*items)[pos]})
+				}
+			}
+		case *[]geom.Point2:
+			for _, pos := range s.ans.IDs {
+				if !b.dead[pos] {
+					run = append(run, Record{P2: (*items)[pos]})
+				}
 			}
 		}
-		k, w := len(dst)-1, len(dst)+len(hits)-1
-		dst = slices.Grow(dst, len(hits))[:len(dst)+len(hits)] // every new slot is written below
-		for j := len(hits) - 1; j >= 0; j-- {
-			r := s.rec(b.items[hits[j]])
+		s.run = run
+		k, w := len(dst)-1, len(dst)+len(run)-1
+		dst = slices.Grow(dst, len(run))[:len(dst)+len(run)] // every new slot is written below
+		for j := len(run) - 1; j >= 0; j-- {
+			r := run[j]
 			for ; k >= base && dst[k].Compare(r) > 0; k-- {
 				dst[w] = dst[k]
 				w--
@@ -217,8 +231,7 @@ type DynamicPlanar struct {
 // bucket is a Planar built with seed.
 func NewDynamicPlanar(dev *eio.Device, seed int64) *DynamicPlanar {
 	build := func(d *eio.Device, pts []geom.Point2) Index { return NewPlanar(d, pts, seed) }
-	rec := func(p geom.Point2) Record { return Record{P2: p} }
-	return &DynamicPlanar{set: &logSet[geom.Point2]{dev: dev, build: build, cmp: compareP2, rec: rec}}
+	return &DynamicPlanar{set: &logSet[geom.Point2]{dev: dev, build: build, cmp: compareP2}}
 }
 
 func (d *DynamicPlanar) check(r Record) error {
@@ -314,8 +327,7 @@ func NewDynamicPartition(dev *eio.Device) *DynamicPartition {
 	build := func(d *eio.Device, pts []geom.PointD) Index {
 		return &Partition{dev: d, tr: partition.New(d, pts, partition.Options{SharePoints: true})}
 	}
-	rec := func(p geom.PointD) Record { return Record{PD: p} }
-	return &DynamicPartition{set: &logSet[geom.PointD]{dev: dev, build: build, cmp: comparePD, rec: rec}}
+	return &DynamicPartition{set: &logSet[geom.PointD]{dev: dev, build: build, cmp: comparePD}}
 }
 
 func (d *DynamicPartition) check(r Record) error {

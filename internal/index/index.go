@@ -90,14 +90,34 @@ type Record struct {
 // answers.
 func (r Record) Compare(s Record) int {
 	if r.PD == nil && s.PD == nil {
-		return cmp.Or(cmp.Compare(r.P2.X, s.P2.X), cmp.Compare(r.P2.Y, s.P2.Y))
+		if c := compareCoord(r.P2.X, s.P2.X); c != 0 {
+			return c
+		}
+		return compareCoord(r.P2.Y, s.P2.Y)
 	}
 	for i := range min(len(r.PD), len(s.PD)) {
-		if c := cmp.Compare(r.PD[i], s.PD[i]); c != 0 {
+		if c := compareCoord(r.PD[i], s.PD[i]); c != 0 {
 			return c
 		}
 	}
 	return cmp.Compare(len(r.PD), len(s.PD))
+}
+
+// compareCoord is cmp.Compare on two coordinates, with the ordered and
+// equal cases decided before the NaN ones: a NaN sorts before every
+// number and equals another NaN, and −0 equals +0.
+func compareCoord(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	case x == y || x != x && y != y:
+		return 0
+	case x != x:
+		return -1
+	}
+	return 1
 }
 
 // Less reports whether r sorts before s in the order of Compare.

@@ -1,6 +1,9 @@
 package index
 
 import (
+	"cmp"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -120,7 +123,6 @@ func TestDeleteTombstonesOneCopy(t *testing.T) {
 		dev:   eio.NewDevice(4, 0),
 		build: func(d *eio.Device, pts []geom.PointD) Index { return NewPartition(d, pts) },
 		cmp:   comparePD,
-		rec:   func(p geom.PointD) Record { return Record{PD: p} },
 	}
 	// 64 sorted items: 30 below the run of 5 copies of dup, 29 above.
 	dup := geom.PointD{1, 1, 1}
@@ -230,4 +232,77 @@ func BenchmarkDynamicPartitionQuery(b *testing.B) {
 			b.ReportMetric(float64(dev.Stats().Reads-before)/float64(b.N), "reads/op")
 		})
 	}
+}
+
+// FuzzRecordCompare pins Record.Compare to the order it is defined as,
+// cmp.Compare on each coordinate (reference below), on NaN, ±0, ±Inf,
+// subnormals, PDs of different lengths and planar-vs-d-dimensional
+// pairs.
+func FuzzRecordCompare(f *testing.F) {
+	f.Add([]byte{0, 1, 2}, []byte{0, 2, 1})
+	f.Add([]byte{3, 0, 4, 5}, []byte{3, 0, 4, 6})
+	f.Add([]byte{2, 1}, []byte{4, 1, 1, 1})
+	f.Add([]byte{0, 7, 7}, []byte{1})
+	f.Add([]byte{3, 9, 10, 11}, []byte{3, 255, 1, 0, 0, 0, 0, 0, 0, 0x80, 10, 11})
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		r, s := fuzzRecord(a), fuzzRecord(b)
+		if got, want := r.Compare(s), refCompare(r, s); got != want {
+			t.Fatalf("Compare(%v, %v) = %d, want %d", r, s, got, want)
+		}
+	})
+}
+
+// refCompare is Record.Compare as first written, with cmp.Compare on
+// every coordinate.
+func refCompare(r, s Record) int {
+	if r.PD == nil && s.PD == nil {
+		return cmp.Or(cmp.Compare(r.P2.X, s.P2.X), cmp.Compare(r.P2.Y, s.P2.Y))
+	}
+	for i := range min(len(r.PD), len(s.PD)) {
+		if c := cmp.Compare(r.PD[i], s.PD[i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(r.PD), len(s.PD))
+}
+
+// fuzzRecord decodes a record: the first byte picks a planar record (0)
+// or a PD of length 0–3, and each coordinate is one byte — one of the
+// special values, or a coarse multiple of 1/4 — or 255 and then eight
+// bytes of raw IEEE bits.
+func fuzzRecord(data []byte) Record {
+	specials := []float64{
+		math.NaN(), math.Float64frombits(0xfff8000000000001), // a NaN with its sign bit set
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, math.MaxFloat64,
+	}
+	next := func() float64 {
+		if len(data) == 0 {
+			return 0
+		}
+		c := data[0]
+		data = data[1:]
+		switch {
+		case int(c) < len(specials):
+			return specials[c]
+		case c == 255 && len(data) >= 8:
+			x := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			data = data[8:]
+			return x
+		}
+		return float64(int8(c)) / 4
+	}
+	if len(data) == 0 {
+		return Record{}
+	}
+	shape := data[0] % 5
+	data = data[1:]
+	if shape == 0 {
+		return Record{P2: geom.Point2{X: next(), Y: next()}}
+	}
+	pd := make(geom.PointD, shape-1)
+	for i := range pd {
+		pd[i] = next()
+	}
+	return Record{PD: pd}
 }

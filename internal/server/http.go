@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -20,13 +21,24 @@ import (
 //	GET  /healthz liveness
 //
 // Status codes: 200 complete, 206 degraded/partial, 400 unparseable,
-// non-finite operand or unsupported op, 413 body over maxBodyBytes, 429
+// non-finite operand, a k, constraint count or coefficient count over
+// its bound, or unsupported op, 413 body over maxBodyBytes, 429
 // shed by admission control, 503 shutting down, 500 engine error. The
 // body is always a Response (plus an error string when not 200/206).
 
 // maxBodyBytes bounds a POST body; the largest legitimate query (a
 // conjunction of a few d-dim constraints) is a few hundred bytes.
 const maxBodyBytes = 1 << 20
+
+// Bounds on one query's size, far above any legitimate query: a k-NN k
+// sizes the engine's per-shard candidate lists, and the constraints and
+// their coefficients the planner's and every shard's work. A query over
+// a bound is a 400, before it reaches the engine.
+const (
+	maxK           = 1 << 16
+	maxConstraints = 64
+	maxCoefs       = 64 // per constraint or halfspaceD operand: dimension d + 1
+)
 
 // wireQuery is the JSON request schema. Op selects which fields are
 // read, mirroring index.Query; the names match Op.String().
@@ -100,21 +112,30 @@ func (w *wireQuery) toQuery() (index.Query, string) {
 		if len(w.Coef) == 0 {
 			return q, "halfspaceD needs coef"
 		}
+		if len(w.Coef) > maxCoefs {
+			return q, fmt.Sprintf("coef: more than %d coefficients", maxCoefs)
+		}
 		q.Coef = append([]float64(nil), w.Coef...)
 	case index.OpConjunction:
 		if len(w.Constraints) == 0 {
 			return q, "conjunction needs constraints"
+		}
+		if len(w.Constraints) > maxConstraints {
+			return q, fmt.Sprintf("conjunction: more than %d constraints", maxConstraints)
 		}
 		q.Constraints = make([]index.Constraint, len(w.Constraints))
 		for i, c := range w.Constraints {
 			if len(c.Coef) == 0 {
 				return q, "constraint needs coef"
 			}
+			if len(c.Coef) > maxCoefs {
+				return q, fmt.Sprintf("constraint: more than %d coefficients", maxCoefs)
+			}
 			q.Constraints[i] = index.Constraint{Coef: append([]float64(nil), c.Coef...), Below: c.Below}
 		}
 	case index.OpKNN:
-		if w.K <= 0 {
-			return q, "knn needs k > 0"
+		if w.K <= 0 || w.K > maxK {
+			return q, fmt.Sprintf("knn needs 0 < k <= %d", maxK)
 		}
 		q.K = w.K
 		q.Pt = geom.Point2{X: w.X, Y: w.Y}

@@ -473,13 +473,20 @@ func (b *countingBackend) BatchInto(qs []index.Query, res []engine.Result) []eng
 
 // TestFrontDoorRejectsHostileInput: NaN and ±Inf operands in any float
 // field (strconv.ParseFloat accepts their spellings on the GET form; a
-// JSON number that overflows decodes to a range error) and bodies over
-// maxBodyBytes get a 4xx and never reach the backend.
+// JSON number that overflows decodes to a range error), a k, constraint
+// count or coefficient count one over its bound, and bodies over
+// maxBodyBytes get a 4xx and never reach the backend; a query at every
+// bound does.
 func TestFrontDoorRejectsHostileInput(t *testing.T) {
 	be := &countingBackend{}
 	srv := New(be, Config{MaxBatch: 1})
 	defer srv.Close()
 	huge := `{"op":"halfspaceD","coef":[` + strings.Repeat("1,", maxBodyBytes) + `1]}`
+	coefs := func(n int) string { return strings.TrimSuffix(strings.Repeat("1,", n), ",") }
+	constraints := func(n, d int) string {
+		return `{"op":"conjunction","constraints":[` +
+			strings.TrimSuffix(strings.Repeat(`{"coef":[`+coefs(d)+`],"below":true},`, n), ",") + `]}`
+	}
 	for _, tc := range []struct {
 		name, method, target, body string
 		want                       int
@@ -495,6 +502,13 @@ func TestFrontDoorRejectsHostileInput(t *testing.T) {
 		{"NaN recd", "GET", "/query?op=delete&recd=0,1,NaN", "", 400},
 		{"overflowing JSON number", "POST", "/query", `{"op":"halfplane","a":1e999,"b":0}`, 400},
 		{"2 MiB body", "POST", "/query", huge, 413},
+		{"k over the bound", "GET", fmt.Sprintf("/query?op=knn&k=%d&x=0&y=0", maxK+1), "", 400},
+		{"k at the bound", "GET", fmt.Sprintf("/query?op=knn&k=%d&x=0&y=0", maxK), "", 200},
+		{"coef over the bound", "GET", "/query?op=halfspaceD&coef=" + coefs(maxCoefs+1), "", 400},
+		{"coef at the bound", "GET", "/query?op=halfspaceD&coef=" + coefs(maxCoefs), "", 200},
+		{"constraints over the bound", "POST", "/query", constraints(maxConstraints+1, 3), 400},
+		{"constraint coefs over the bound", "POST", "/query", constraints(1, maxCoefs+1), 400},
+		{"constraints at both bounds", "POST", "/query", constraints(maxConstraints, maxCoefs), 200},
 		{"finite GET", "GET", "/query?op=halfplane&a=1e308&b=-1e-308", "", 200},
 		{"finite POST", "POST", "/query", `{"op":"halfplane","a":0.5,"b":0}`, 200},
 	} {
@@ -680,5 +694,56 @@ func TestPartialResponseStatus(t *testing.T) {
 	srv.ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("healthz: status %d, want 200", rr.Code)
+	}
+}
+
+// TestServerCloseLeavesNoGoroutines: a server runs one flusher per
+// (op, stripe) and nothing else, and Close — called while requests are
+// queued and one batch is inside the backend — answers every admitted
+// request and returns only after every goroutine it started has exited.
+func TestServerCloseLeavesNoGoroutines(t *testing.T) {
+	const stripes, inFlight = 2, 12
+	settle := func(cond func() bool) bool {
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if cond() {
+				return true
+			}
+		}
+		return cond()
+	}
+	before := runtime.NumGoroutine()
+	be := &stepBackend{entered: make(chan int, inFlight), release: make(chan struct{})}
+	srv := New(be, Config{MaxBatch: 4, QueueCap: 16, Stripes: stripes})
+	if !settle(func() bool { return runtime.NumGoroutine() <= before+nOps*stripes }) {
+		t.Errorf("built server runs %d goroutines, want %d (one flusher per op and stripe)",
+			runtime.NumGoroutine()-before, nOps*stripes)
+	}
+	statuses := make(chan Status, inFlight)
+	var wg sync.WaitGroup
+	for i := 0; i < inFlight; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var resp Response
+			statuses <- srv.Do(index.Query{Op: index.OpHalfplane, A: 1, B: 0}, &resp)
+		}()
+	}
+	<-be.entered // a batch is in the backend; the rest are queued or on their way
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	close(be.release)
+	wg.Wait()
+	<-closed
+	close(statuses)
+	for st := range statuses {
+		if st != StatusOK && st != StatusClosed {
+			t.Errorf("request in flight at Close: %v, want ok or closed", st)
+		}
+	}
+	if !settle(func() bool { return runtime.NumGoroutine() <= before }) {
+		t.Errorf("%d goroutines outlive Close", runtime.NumGoroutine()-before)
 	}
 }

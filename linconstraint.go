@@ -399,6 +399,10 @@ const (
 // static index family.
 var ErrImmutable = engine.ErrImmutable
 
+// ErrNonFinite is wrapped by the error of a query, explain or update
+// with a NaN or infinite coordinate; probe with errors.Is.
+var ErrNonFinite = index.ErrNonFinite
+
 // RebalanceOptions tune one Engine.Rebalance call: the per-call move
 // budget (MaxMoves), how many moves apply per exclusive lock
 // acquisition (BatchSize), and an optional replacement layout
@@ -550,6 +554,8 @@ type PlanVerdict = planner.Verdict
 // Explain is Engine.ExplainInto's reusable answer: the planner's
 // per-shard verdict for one query, computed without running it. A
 // reused Explain keeps its buffers, so polling stays allocation-free.
+// A query with a NaN or infinite operand gets Explain.Err, wrapping
+// ErrNonFinite, and no verdicts: Batch would not run it either.
 type Explain = engine.Explain
 
 // Engine is a sharded concurrent front-end over one of the paper's
