@@ -243,6 +243,9 @@ func (e *Engine) Repair(si int) (int, error) {
 	if si < 0 || si >= len(e.shards) {
 		return 0, fmt.Errorf("engine: Repair: shard %d out of range [0,%d)", si, len(e.shards))
 	}
+	if e.closed.Load() {
+		return 0, errClosed
+	}
 	sh := e.shards[si]
 	// The replica set is stable under rebalMu (every mutation holds it),
 	// so the sick scan needs no lock of its own.

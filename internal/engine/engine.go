@@ -61,10 +61,10 @@
 // Hot-shard replication: each logical shard owns a replica set —
 // identical copies of its index on private devices, each with its own
 // persistent worker. Reads pick the least-loaded replica by in-flight
-// count, writes fan out to every replica of the target shard, and an
-// always-on traffic sketch (internal/sketch) records shard visits so
-// Replicate/Drop/AutoReplicate (replicate.go) can promote hot shards
-// and demote cold ones without changing any answer. See DESIGN.md §10.
+// count, writes fan out to every replica of the target shard, and
+// always-on exact per-shard visit counts (traffic.go) tell
+// Replicate/Drop/AutoReplicate (replicate.go) which shards to promote
+// and which to demote, without changing any answer. See DESIGN.md §10.
 package engine
 
 import (
@@ -80,7 +80,6 @@ import (
 	"linconstraint/internal/index"
 	"linconstraint/internal/metrics"
 	"linconstraint/internal/partition"
-	"linconstraint/internal/sketch"
 )
 
 // Options configure an engine.
@@ -206,6 +205,9 @@ func (o Options) normalized() Options {
 // ErrImmutable is returned by Insert/Delete on an engine whose index
 // family does not implement index.Mutable.
 var ErrImmutable = errors.New("engine: index family does not support updates")
+
+// errClosed is returned by replica-set changes on a closed engine.
+var errClosed = errors.New("engine: closed")
 
 // replica is one physical copy of a shard's index on a private device.
 // mu serializes all access to the index; it is the only synchronization
@@ -353,12 +355,11 @@ type Engine struct {
 	// which a static Rebalance leaves stale.
 	mkIdx func(si int, dev *eio.Device) index.Index
 
-	// traffic is the always-on per-shard query-frequency sketch
-	// (count-min with TinyLFU aging plus a top-k heavy-hitter table,
-	// internal/sketch). Every planned shard visit Touches it — pure
-	// atomics, so the hot path stays allocation-free — and
+	// traffic is the always-on per-shard visit count, halved every
+	// 2048·S visits (traffic.go). Every planned shard visit Touches it —
+	// pure atomics, so the hot path stays allocation-free — and
 	// AutoReplicate reads it to decide which shards deserve replicas.
-	traffic *sketch.Tracker
+	traffic *shardTraffic
 
 	// migMu serializes record migration against everything that reads
 	// or writes shard contents: query runs, Insert and Delete hold it
@@ -368,7 +369,8 @@ type Engine struct {
 	// to every query and update — a run can never observe half of a
 	// move — which is what keeps answers byte-identical while records
 	// are in flight. rebalMu additionally serializes whole Rebalance/
-	// Retrain calls against each other without blocking readers.
+	// Retrain calls, every replica-set change and Close's closing of
+	// the worker channels against each other without blocking readers.
 	migMu   sync.RWMutex
 	rebalMu sync.Mutex
 	// globals maps shard-local record indices back to build-set indices
@@ -392,7 +394,8 @@ type Engine struct {
 	workersWG sync.WaitGroup
 	closeOnce sync.Once
 	// closed is set first thing in Close; BatchInto checks it once, so
-	// every route (worker or inline) refuses a closed engine alike.
+	// every route (worker or inline) refuses a closed engine alike, and
+	// replica-set changes check it under rebalMu.
 	closed atomic.Bool
 
 	// arenas is the free list of batch scratch spaces (see batchArena).
@@ -519,25 +522,11 @@ func newEngine(opt Options, build func(si int, dev *eio.Device) index.Index) *En
 		opt:     opt,
 		mkIdx:   build,
 		sums:    make([]partition.ShardSummary, opt.Shards),
+		traffic: newShardTraffic(opt.Shards),
 	}
 	if opt.Workers < opt.Shards {
 		e.sem = make(chan struct{}, opt.Workers)
 	}
-	// The traffic sketch is always on: shard keys are tiny, so a few
-	// cache lines of counters buy hot-shard detection on every engine.
-	// Width 4S keeps count-min collisions negligible for S keys; the
-	// sample bounds how much history survives an aging pass, so the
-	// estimates track recent traffic.
-	topk := opt.Shards
-	if topk > 16 {
-		topk = 16
-	}
-	e.traffic = sketch.New(sketch.Config{
-		Width:  4 * opt.Shards,
-		Depth:  2,
-		Sample: 2048 * opt.Shards,
-		TopK:   topk,
-	})
 	var wg sync.WaitGroup
 	for si := range e.shards {
 		wg.Add(1)
@@ -974,9 +963,11 @@ func (e *Engine) NumWorkers() int { return e.workers }
 // every query method, panics after Close, whichever route the run would
 // have taken. Close is idempotent and waits for in-flight sub-batches —
 // abandoned stragglers included — to finish; the workers are the
-// engine's only goroutines besides the watchdog. It must not race
-// Replicate/Drop (both mutate the replica sets); engines are closed after
-// their traffic stops.
+// engine's only goroutines besides the watchdog. Replica-set changes
+// (Replicate, Drop, AutoReplicate, Repair) return errClosed once Close
+// has begun: the channels close under rebalMu, so a change either
+// lands before them — its workers are closed with the rest — or sees
+// the flag and starts and closes nothing.
 func (e *Engine) Close() {
 	e.closed.Store(true)
 	e.closeOnce.Do(func() {
@@ -984,11 +975,13 @@ func (e *Engine) Close() {
 			close(e.wd.stop)
 			<-e.wd.done
 		}
+		e.rebalMu.Lock()
 		for _, sh := range e.shards {
 			for _, rep := range sh.reps {
 				close(rep.work)
 			}
 		}
+		e.rebalMu.Unlock()
 		e.workersWG.Wait()
 	})
 }

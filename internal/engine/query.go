@@ -660,7 +660,7 @@ func (e *Engine) orderRun(a *batchArena) {
 // queue adds query qi's share of wave w to the wave's shard job lists —
 // the first wave's prefix of its plan (firstWave), or the second wave's
 // rest — and reports whether that share was non-empty. Every dispatched
-// (query, shard) job, in either wave, feeds the traffic sketch here (pure
+// (query, shard) job, in either wave, feeds the traffic counts here (pure
 // atomics), so replication decisions see exactly the load the run routed,
 // pruned and cut-off shards excluded.
 func (e *Engine) queue(a *batchArena, w, qi int) bool {

@@ -8,8 +8,8 @@ package engine
 // across the copies (least in-flight first), and fan every update out
 // to all copies so they remain identical multisets. Answers stay
 // byte-identical — a replica is indistinguishable from its primary —
-// and the traffic sketch (internal/sketch) recorded on every planned
-// visit tells AutoReplicate which shards deserve the copies.
+// and the per-shard visit counts (traffic.go) recorded on every planned
+// visit tell AutoReplicate which shards deserve the copies.
 //
 // Ownership and locking: a shard's replica slice mutates only under
 // migMu held exclusively (plus rebalMu, which serializes whole
@@ -26,12 +26,7 @@ import (
 
 	"linconstraint/internal/eio"
 	"linconstraint/internal/index"
-	"linconstraint/internal/sketch"
 )
-
-// HotShard is one heavy-hitter entry of the engine's traffic sketch:
-// a shard id and its (approximate, aged) recent visit count.
-type HotShard = sketch.Entry
 
 // Replicate sets shard si's replica degree to n (n >= 1: the primary
 // is never dropped), cloning the index onto fresh devices to grow
@@ -59,15 +54,15 @@ func (e *Engine) Replicas() []int {
 	return out
 }
 
-// ShardTraffic returns the sketch's estimate of shard si's recent
-// planned visits (an upper bound, halved by each aging pass).
+// ShardTraffic returns shard si's recent planned visits (exact, halved
+// every 2048·S visits), or 0 for a shard out of range.
 func (e *Engine) ShardTraffic(si int) uint64 {
-	return e.traffic.Estimate(uint64(si))
+	return e.traffic.Estimate(si)
 }
 
-// HotShards appends the sketch's current heavy hitters to dst, hottest
-// first, and returns it. Pass a reused dst[:0] to keep polling
-// allocation-free.
+// HotShards appends every shard with recent visits to dst, hottest
+// first (ties to the lower shard id), and returns it. Pass a reused
+// dst[:0] to keep polling allocation-free.
 func (e *Engine) HotShards(dst []HotShard) []HotShard {
 	return e.traffic.TopInto(dst)
 }
@@ -89,8 +84,7 @@ func (e *Engine) setDegreeLocked(si, n int) error {
 	case n == cur:
 		return nil
 	case n < cur:
-		e.dropLocked(sh, n)
-		return nil
+		return e.dropLocked(sh, n)
 	}
 	return e.cloneShard(si, n-cur, func(fresh []*replica) {
 		sh.reps = append(sh.reps, fresh...)
@@ -102,7 +96,12 @@ func (e *Engine) setDegreeLocked(si, n int) error {
 // acquisition waits out every in-flight run (runs hold the shared side
 // through their last worker), so each orphan's channel is empty and its
 // worker idle; no later run can reach them through the truncated slice.
-func (e *Engine) dropLocked(sh *shard, n int) {
+// On a closed engine it drops nothing: Close already closed every
+// channel.
+func (e *Engine) dropLocked(sh *shard, n int) error {
+	if e.closed.Load() {
+		return errClosed
+	}
 	e.migMu.Lock()
 	dropped := append([]*replica(nil), sh.reps[n:]...)
 	sh.reps = sh.reps[:n]
@@ -111,6 +110,7 @@ func (e *Engine) dropLocked(sh *shard, n int) {
 		close(rep.work)
 		<-rep.stopped
 	}
+	return nil
 }
 
 // cloneShard is the one way a shard gains a copy (Replicate grows with
@@ -129,8 +129,11 @@ func (e *Engine) dropLocked(sh *shard, n int) {
 // enumeration and the attach would be missing from the copy forever.
 // That pause is proportional to the shard's size, like a rebalance move
 // batch covering the whole shard. On error nothing was attached or
-// started.
+// started, and nothing is on a closed engine.
 func (e *Engine) cloneShard(si, n int, attach func(fresh []*replica)) error {
+	if e.closed.Load() {
+		return errClosed
+	}
 	prim := e.shards[si].reps[0]
 	fresh := make([]*replica, 0, n)
 	if !e.mutable {
@@ -179,7 +182,7 @@ type AutoReplicateOptions struct {
 	Budget int
 	// MaxPerShard caps one shard's replica degree (default 3).
 	MaxPerShard int
-	// MinShare is the fraction of the sketch's total estimated traffic
+	// MinShare is the fraction of the engine's total recent traffic
 	// a shard must hold to deserve a second copy (default 1.5/S — a
 	// uniform workload, where every shard holds 1/S, promotes nothing).
 	MinShare float64
@@ -193,11 +196,11 @@ type AutoReplicateStats struct {
 	Degrees []int
 }
 
-// AutoReplicate reshapes the replica layout to the traffic sketch:
+// AutoReplicate reshapes the replica layout to the traffic counts:
 // greedy water-filling gives each extra copy within Budget to the
-// shard with the highest estimated visits per existing copy, subject
-// to MaxPerShard and MinShare (ties to the lowest shard id, so the
-// outcome is deterministic for a given sketch state); shards above
+// shard with the most recent visits per existing copy, subject to
+// MaxPerShard and MinShare (ties to the lowest shard id, so the
+// outcome is deterministic for given counts); shards above
 // their computed degree demote first, freeing budget for promotions.
 // Like Rebalance, it is caller-triggered — run it from a ticker or
 // after a traffic shift — and serialized against every other layout
@@ -222,7 +225,7 @@ func (e *Engine) AutoReplicate(opt AutoReplicateOptions) (AutoReplicateStats, er
 	est := make([]float64, s)
 	var total float64
 	for si := 0; si < s; si++ {
-		est[si] = float64(e.traffic.Estimate(uint64(si)))
+		est[si] = float64(e.traffic.Estimate(si))
 		total += est[si]
 	}
 	want := make([]int, s)

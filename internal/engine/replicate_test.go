@@ -3,6 +3,7 @@ package engine
 import (
 	"cmp"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -477,5 +478,61 @@ func TestHotShardReplicationDoublesReadQPS(t *testing.T) {
 	t.Logf("zipf read qps: %.0f at 1 copy, %.0f replicated (%.2fx)", single, replicated, replicated/single)
 	if replicated < 2*single {
 		t.Errorf("replicated qps %.0f < 2x unreplicated %.0f (%.2fx)", replicated, single, replicated/single)
+	}
+}
+
+// TestReplicaChangesAfterClose: once Close has run, every replica-set
+// change returns an error instead of starting workers nobody stops or
+// closing a channel Close already closed, and the engine's goroutines
+// all exit.
+func TestReplicaChangesAfterClose(t *testing.T) {
+	pts := workload.Uniform2(rand.New(rand.NewSource(75)), 400)
+	before := runtime.NumGoroutine()
+	e := NewPlanar(pts, Options{Shards: 4, BlockSize: 64, Seed: 1})
+	if err := e.Replicate(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if err := e.Replicate(1, 3); err == nil {
+		t.Error("Replicate (grow) after Close returned nil")
+	}
+	if err := e.Drop(1); err == nil {
+		t.Error("Drop after Close returned nil")
+	}
+	// No traffic: AutoReplicate would demote shard 1's extra copy.
+	if _, err := e.AutoReplicate(AutoReplicateOptions{}); err == nil {
+		t.Error("AutoReplicate after Close returned nil")
+	}
+	if _, err := e.Repair(1); err == nil {
+		t.Error("Repair after Close returned nil")
+	}
+	if !waitFor(func() bool { return runtime.NumGoroutine() <= before }) {
+		t.Errorf("%d goroutines outlive Close", runtime.NumGoroutine()-before)
+	}
+}
+
+// TestReplicateRacesClose: Replicate/Drop running concurrently with
+// Close either lands before Close closes the workers or errors; no
+// worker outlives the engine and nothing panics. Run under -race.
+func TestReplicateRacesClose(t *testing.T) {
+	pts := workload.Uniform2(rand.New(rand.NewSource(76)), 400)
+	before := runtime.NumGoroutine()
+	for round := 0; round < 20; round++ {
+		e := NewPlanar(pts, Options{Shards: 4, BlockSize: 64, Seed: 1})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for n := 0; n < 100; n++ {
+				if e.Replicate(1+n%3, 1+n%2) != nil {
+					return
+				}
+			}
+			t.Error("Replicate kept succeeding after Close")
+		}()
+		e.Close()
+		<-done
+	}
+	if !waitFor(func() bool { return runtime.NumGoroutine() <= before }) {
+		t.Errorf("%d goroutines outlive Close", runtime.NumGoroutine()-before)
 	}
 }

@@ -102,7 +102,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // ResetStats zeroes every replica's counters (and the planner and
-// replica-read counters) and drops its cache. The traffic sketch is
+// replica-read counters) and drops its cache. The traffic counts are
 // deliberately untouched: it tracks workload heat, not measurement
 // windows, and replication decisions should survive a stats reset.
 func (e *Engine) ResetStats() {

@@ -4,10 +4,10 @@ package engine
 // off the hot path — samples the signals an operator would otherwise
 // poll by hand: runtime pressure (the GC pause clock), layout
 // health (partition.MeasureSkew over the live summaries), traffic
-// concentration (the always-on shard sketch), replica balance, and the
-// SLO bounds over the windowed histograms. A signal crossing its
-// configured bound becomes a typed HealthEvent in a fixed ring
-// (Engine.Health) and a bump of engine_health_events_total{kind=...},
+// concentration (the always-on per-shard visit counts), replica
+// balance, and the SLO bounds over the windowed histograms. A signal
+// crossing its configured bound becomes a typed HealthEvent in a fixed
+// ring (Engine.Health) and a bump of engine_health_events_total{kind=...},
 // both through engineMetrics.healthEvent; an SLO breach is the
 // p99_burn or visited_burn event, and engine_slo_evals_total counts
 // the rounds that judged the bounds, so the burn rate is the ratio of
@@ -41,7 +41,7 @@ type WatchdogConfig struct {
 	// (partition.SkewStats.Spread) exceeds it. Typical S/2.
 	MaxSpread float64
 	// HotShardShare trips HealthHotShard when one shard's share of the
-	// sketch-estimated traffic exceeds it (0..1; e.g. 0.5).
+	// recent planned visits exceeds it (0..1; e.g. 0.5).
 	HotShardShare float64
 	// GCPauseNs trips HealthGCStall when the GC pause accumulated over
 	// one interval exceeds it.
@@ -208,12 +208,12 @@ func (w *watchdog) tick() {
 		m.healthEvent(HealthSkew, now, maxSi, st.Skew, cfg.MaxSkew)
 	}
 
-	// Traffic concentration, from the always-on sketch.
+	// Traffic concentration, from the always-on visit counts.
 	if cfg.HotShardShare > 0 && len(e.shards) > 1 {
 		var tot, max uint64
 		hotSi := -1
 		for si := range e.shards {
-			c := e.traffic.Estimate(uint64(si))
+			c := e.traffic.Estimate(si)
 			tot += c
 			if c > max {
 				max, hotSi = c, si

@@ -574,9 +574,9 @@ type Explain = engine.Explain
 //
 // Hot shards can be replicated onto extra private devices (Replicate,
 // Drop, AutoReplicate): reads spread across the copies, updates fan
-// out to all of them, and an always-on traffic sketch (ShardTraffic,
-// HotShards) measures which shards deserve the copies — answers are
-// byte-identical under any replica layout.
+// out to all of them, and always-on exact per-shard visit counts
+// (ShardTraffic, HotShards) measure which shards deserve the copies —
+// answers are byte-identical under any replica layout.
 //
 // The scalar query methods (Halfplane, Halfspace3, HalfspaceD,
 // Conjunction, KNN and the *Recs variants) panic when called on an
@@ -618,8 +618,8 @@ type AutoReplicateOptions = engine.AutoReplicateOptions
 // copies promoted and demoted, and the resulting per-shard degrees.
 type AutoReplicateStats = engine.AutoReplicateStats
 
-// HotShard is one heavy-hitter entry of the engine's traffic sketch: a
-// shard id and its approximate (aged) recent visit count.
+// HotShard is one entry of the engine's traffic ranking: a shard id and
+// its exact recent visit count (halved every 2048·S visits).
 type HotShard = engine.HotShard
 
 // --- Serving front-end (DESIGN.md §13) -------------------------------
