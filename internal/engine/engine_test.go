@@ -382,6 +382,41 @@ func TestCloseIsIdempotentAndFinal(t *testing.T) {
 	}
 }
 
+// TestUpdatesAfterCloseChangeNothing: every mutation of a closed engine
+// is refused with errClosed and leaves the record count as it was.
+func TestUpdatesAfterCloseChangeNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	e := NewDynamicPartition(Options{Shards: 3, BlockSize: 16})
+	var pts []geom.PointD
+	for i := 0; i < 300; i++ {
+		p := geom.PointD{rng.Float64(), rng.Float64(), rng.Float64()}
+		if err := e.Insert(index.Record{PD: p}); err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, p)
+	}
+	e.Close()
+	n := e.Len()
+	if err := e.Insert(index.Record{PD: geom.PointD{0.5, 0.5, 0.5}}); !errors.Is(err, errClosed) {
+		t.Errorf("Insert after Close: err %v, want errClosed", err)
+	}
+	if got := e.Len(); got != n {
+		t.Errorf("Len after a refused Insert = %d, want %d", got, n)
+	}
+	if ok, err := e.Delete(index.Record{PD: pts[0]}); ok || !errors.Is(err, errClosed) {
+		t.Errorf("Delete after Close: (%v, %v), want (false, errClosed)", ok, err)
+	}
+	if st, err := e.Rebalance(RebalanceOptions{Partitioner: partition.NewKDCut()}); st.Moved != 0 || !errors.Is(err, errClosed) {
+		t.Errorf("Rebalance after Close: moved %d, err %v, want 0 and errClosed", st.Moved, err)
+	}
+	if err := e.Retrain(pts); !errors.Is(err, errClosed) {
+		t.Errorf("Retrain after Close: err %v, want errClosed", err)
+	}
+	if got := e.Len(); got != n {
+		t.Errorf("Len after refused Delete, Rebalance and Retrain = %d, want %d", got, n)
+	}
+}
+
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
