@@ -35,7 +35,7 @@ func TestAllTwoDimensionalStructuresAgree(t *testing.T) {
 		pts := gen.pts
 		ptsD := make([]geom.PointD, len(pts))
 		for i, p := range pts {
-			ptsD[i] = geom.PointDOf2(p)
+			ptsD[i] = geom.PointD{p.X, p.Y}
 		}
 		dev := eio.NewDevice(16, 0)
 		optimal := halfspace2d.NewPoints(dev, pts, halfspace2d.Options{Seed: 2})

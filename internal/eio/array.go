@@ -63,45 +63,3 @@ func (a *Array[T]) Scan(from, to int, fn func(i int, v T) bool) {
 
 // All scans every record.
 func (a *Array[T]) All(fn func(i int, v T) bool) { a.Scan(0, len(a.data), fn) }
-
-// Reader is a sequential cursor over an Array that charges one read per
-// block rather than per record, modelling a process that keeps the
-// current block buffered in memory (as the merge phases of external
-// sorting do).
-type Reader[T any] struct {
-	arr  *Array[T]
-	next int
-	end  int // one past the last record of the buffered block
-}
-
-// NewReader returns a cursor at the start of the array.
-func NewReader[T any](arr *Array[T]) *Reader[T] {
-	return &Reader[T]{arr: arr}
-}
-
-// Next returns the next record, charging an I/O only on block
-// boundaries. Each boundary crossing also prefetches the following
-// block of the array (Device.Prefetch): under a nonzero miss latency
-// the scan then pays the stall only for its first block — subsequent
-// blocks arrive while the caller consumes the current one, the overlap
-// a real sequential reader gets from read-ahead. I/O counts are
-// unchanged in every configuration (the hinted block is charged when
-// read, or never); on the default zero-latency device the prefetch is
-// a no-op.
-func (r *Reader[T]) Next() (T, bool) {
-	var zero T
-	if r.next >= len(r.arr.data) {
-		return zero, false
-	}
-	if r.next == r.end { // block boundary: one division per block, not per record
-		k := r.next / r.arr.dev.b
-		r.arr.dev.Read(r.arr.base + BlockID(k))
-		r.end = min((k+1)*r.arr.dev.b, len(r.arr.data))
-		if r.end < len(r.arr.data) {
-			r.arr.dev.Prefetch(r.arr.base + BlockID(k+1))
-		}
-	}
-	v := r.arr.data[r.next]
-	r.next++
-	return v, true
-}

@@ -110,12 +110,6 @@ type Device struct {
 
 	lru     *list.List // of BlockID, front = most recent
 	present map[BlockID]*list.Element
-
-	// ahead is the one-block read-ahead register (see Prefetch): a
-	// block whose asynchronous fetch is in flight. Consuming it charges
-	// the read as usual but skips the miss stall.
-	ahead    BlockID
-	hasAhead bool
 }
 
 // NewDevice returns a Device with block size b records and an LRU cache
@@ -154,9 +148,6 @@ func NewDeviceLike(d *Device) *Device {
 // B returns the block size in records.
 func (d *Device) B() int { return d.b }
 
-// CacheBlocks returns the LRU cache capacity in blocks.
-func (d *Device) CacheBlocks() int { return d.cacheBlocks }
-
 // SetMissLatency makes every cache miss additionally sleep for lat,
 // simulating the access time of the underlying disk. The default is
 // zero (counting only). A positive latency lets concurrency experiments
@@ -170,9 +161,6 @@ func (d *Device) SetMissLatency(lat time.Duration) {
 	}
 	d.missLatency = lat
 }
-
-// MissLatency returns the simulated per-miss access time.
-func (d *Device) MissLatency() time.Duration { return d.missLatency }
 
 // enter acquires the busy flag, enforcing the ownership invariant.
 func (d *Device) enter() {
@@ -203,21 +191,16 @@ func (d *Device) SpaceBlocks() int64 { return int64(d.next) }
 func (d *Device) Stats() Stats { return d.stats }
 
 // ResetCounters zeroes the I/O counters (allocations are kept) and empties
-// the cache and the read-ahead register, so the next measurement starts
-// cold.
+// the cache, so the next measurement starts cold.
 func (d *Device) ResetCounters() {
 	d.stats = Stats{}
-	d.lru.Init()
-	d.present = make(map[BlockID]*list.Element)
-	d.hasAhead = false
+	d.DropCache()
 }
 
-// DropCache empties the cache and the read-ahead register without
-// touching the counters.
+// DropCache empties the cache without touching the counters.
 func (d *Device) DropCache() {
 	d.lru.Init()
 	d.present = make(map[BlockID]*list.Element)
-	d.hasAhead = false
 }
 
 // touch records an access to block id, charging an I/O on a cache miss.
@@ -256,17 +239,7 @@ func (d *Device) touch(id BlockID, write bool) {
 	} else {
 		d.stats.Reads++
 	}
-	hit := !write && d.hasAhead && d.ahead == id
-	// Any miss consumes the register: a real one-block read-ahead
-	// buffer is overwritten by the next transfer, so a stale hint from
-	// an abandoned scan can at most cover the immediately following
-	// miss, never a read far in the future.
-	d.hasAhead = false
-	if hit {
-		// The read-ahead issued for this block completed while the
-		// caller consumed the previous one: charge the transfer (just
-		// done above) but not the stall.
-	} else if d.missLatency > 0 {
+	if d.missLatency > 0 {
 		d.stall()
 	}
 	if d.fault != nil {
@@ -297,29 +270,6 @@ func (d *Device) insert(id BlockID) {
 		delete(d.present, back.Value.(BlockID))
 	}
 	d.present[id] = d.lru.PushFront(id)
-}
-
-// Prefetch hints that block id is about to be read sequentially,
-// modeling an asynchronous read-ahead: the block lands in a one-block
-// read-ahead register, and the eventual Read of it charges the transfer
-// as usual but skips the miss stall — the fetch completed while the
-// caller consumed the current block. I/O counts are therefore exactly
-// what they would be without prefetching, under every cache
-// configuration and even for scans that stop early (a hinted block
-// that is never read is never charged); only wall-clock changes. A
-// competing hint (another Reader on the same device) simply replaces
-// the register, degrading the overlap, never the counts. With zero
-// miss latency there is nothing to hide and Prefetch is a no-op.
-func (d *Device) Prefetch(id BlockID) {
-	if d.missLatency == 0 {
-		return
-	}
-	d.enter()
-	defer d.exit()
-	if _, ok := d.present[id]; ok {
-		return // already cached: nothing in flight
-	}
-	d.ahead, d.hasAhead = id, true
 }
 
 // Read records a read access to block id.

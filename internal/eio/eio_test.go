@@ -275,91 +275,6 @@ func TestSerializedSharingAllowed(t *testing.T) {
 	}
 }
 
-func TestReaderBlockCharging(t *testing.T) {
-	d := NewDevice(4, 0)
-	data := make([]int, 10)
-	for i := range data {
-		data[i] = i
-	}
-	a := NewArray(d, data)
-	d.ResetCounters()
-	r := NewReader(a)
-	for i := 0; ; i++ {
-		v, ok := r.Next()
-		if !ok {
-			if i != 10 {
-				t.Fatalf("reader stopped at %d", i)
-			}
-			break
-		}
-		if v != i {
-			t.Fatalf("Next() = %d, want %d", v, i)
-		}
-	}
-	if got := d.Stats().Reads; got != 3 { // ceil(10/4)
-		t.Fatalf("reader cost %d reads, want 3", got)
-	}
-	if _, ok := r.Next(); ok {
-		t.Fatal("Next past end")
-	}
-}
-
-// TestPrefetchCountInvariance pins the read-ahead contract: prefetching
-// never changes I/O counts — not with a cache, not under contention
-// from interleaved readers, not for early-terminated scans — it only
-// skips miss stalls.
-func TestPrefetchCountInvariance(t *testing.T) {
-	scan := func(lat time.Duration, cache, records, stop int) Stats {
-		d := NewDevice(4, cache)
-		d.SetMissLatency(lat)
-		data := make([]int, records)
-		a := NewArray(d, data)
-		base := d.Stats()
-		r := NewReader(a)
-		for i := 0; i < stop; i++ {
-			if _, ok := r.Next(); !ok {
-				break
-			}
-		}
-		return d.Stats().Sub(base)
-	}
-	for _, cache := range []int{0, 2, 64} {
-		for _, stop := range []int{33, 5, 1} { // full scan, early stops
-			plain := scan(0, cache, 33, stop)
-			ahead := scan(time.Microsecond, cache, 33, stop)
-			// StallNs is a time rollup, not a count: the zero-latency
-			// baseline never stalls, the latency run stalls on hints the
-			// prefetcher could not cover (at least the first block). The
-			// invariance contract is about block-transfer counts only.
-			plain.StallNs, ahead.StallNs = 0, 0
-			if plain != ahead {
-				t.Errorf("cache=%d stop=%d: counts with prefetch %+v != without %+v", cache, stop, ahead, plain)
-			}
-		}
-	}
-	// Two readers interleaving on one device: the shared read-ahead
-	// register degrades overlap, never counts.
-	d := NewDevice(4, 8)
-	d.SetMissLatency(time.Microsecond)
-	a1 := NewArray(d, make([]int, 32))
-	a2 := NewArray(d, make([]int, 32))
-	base := d.Stats()
-	r1, r2 := NewReader(a1), NewReader(a2)
-	for {
-		_, ok1 := r1.Next()
-		_, ok2 := r2.Next()
-		if !ok1 && !ok2 {
-			break
-		}
-	}
-	got := d.Stats().Sub(base)
-	// 32 records at B=4 => 8 blocks each; with an 8-block LRU shared by
-	// both scans, every block misses exactly once: 16 reads.
-	if got.Reads != 16 {
-		t.Errorf("interleaved scans: %d reads, want 16 (%+v)", got.Reads, got)
-	}
-}
-
 func TestStatsSubAddHitRate(t *testing.T) {
 	a := Stats{Reads: 10, Writes: 4, Hits: 6, StallNs: 900}
 	b := Stats{Reads: 3, Writes: 1, Hits: 2, StallNs: 300}
@@ -388,17 +303,5 @@ func TestStallNsRollup(t *testing.T) {
 	st := d.Stats()
 	if st.StallNs != 2*int64(time.Microsecond) {
 		t.Fatalf("StallNs = %d, want %d", st.StallNs, 2*int64(time.Microsecond))
-	}
-	// Prefetched sequential reads charge the transfer but not the stall.
-	d.ResetCounters()
-	d.Read(id)
-	d.Prefetch(id + 1)
-	d.Read(id + 1)
-	st = d.Stats()
-	if st.Reads != 2 {
-		t.Fatalf("Reads = %d, want 2", st.Reads)
-	}
-	if st.StallNs != int64(time.Microsecond) {
-		t.Fatalf("StallNs with prefetch = %d, want %d (prefetched read hides its stall)", st.StallNs, int64(time.Microsecond))
 	}
 }

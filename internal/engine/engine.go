@@ -206,7 +206,8 @@ func (o Options) normalized() Options {
 // family does not implement index.Mutable.
 var ErrImmutable = errors.New("engine: index family does not support updates")
 
-// errClosed is returned by replica-set changes on a closed engine.
+// errClosed is returned by updates, Rebalance, Retrain and replica-set
+// changes on a closed engine.
 var errClosed = errors.New("engine: closed")
 
 // replica is one physical copy of a shard's index on a private device.
@@ -394,8 +395,9 @@ type Engine struct {
 	workersWG sync.WaitGroup
 	closeOnce sync.Once
 	// closed is set first thing in Close; BatchInto checks it once, so
-	// every route (worker or inline) refuses a closed engine alike, and
-	// replica-set changes check it under rebalMu.
+	// every route (worker or inline) refuses a closed engine alike;
+	// Insert and Delete check it under shared migMu, and Rebalance,
+	// Retrain and replica-set changes under rebalMu.
 	closed atomic.Bool
 
 	// arenas is the free list of batch scratch spaces (see batchArena).
@@ -827,6 +829,9 @@ func (e *Engine) Insert(r index.Record) error {
 	// entirely after any rebalance move batch (rebalance.go).
 	e.migMu.RLock()
 	defer e.migMu.RUnlock()
+	if e.closed.Load() {
+		return errClosed
+	}
 	// Pin the PD dimension before inserting so two concurrent first
 	// inserts of different dimensions cannot both land (on different
 	// shards); a failed shard insert releases a pin it took, so a
@@ -901,6 +906,9 @@ func (e *Engine) Delete(r index.Record) (bool, error) {
 	// destination) and miss it, nor a layout swap mid-Place.
 	e.migMu.RLock()
 	defer e.migMu.RUnlock()
+	if e.closed.Load() {
+		return false, errClosed
+	}
 	home := e.part.Place(recPoint(r), len(e.shards))
 	if home >= 0 && home < len(e.shards) {
 		if ok, err := e.deleteFrom(home, r); ok || err != nil {
@@ -967,9 +975,14 @@ func (e *Engine) NumWorkers() int { return e.workers }
 // (Replicate, Drop, AutoReplicate, Repair) return errClosed once Close
 // has begun: the channels close under rebalMu, so a change either
 // lands before them — its workers are closed with the rest — or sees
-// the flag and starts and closes nothing.
+// the flag and starts and closes nothing. Insert, Delete, Rebalance
+// and Retrain return errClosed too and change nothing; updates check
+// the flag under shared migMu, so once Close has taken migMu
+// exclusively no update that passed the check is still running.
 func (e *Engine) Close() {
 	e.closed.Store(true)
+	e.migMu.Lock()
+	e.migMu.Unlock()
 	e.closeOnce.Do(func() {
 		if e.wd != nil {
 			close(e.wd.stop)

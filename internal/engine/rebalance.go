@@ -91,6 +91,9 @@ type RebalanceStats struct {
 func (e *Engine) Rebalance(opt RebalanceOptions) (RebalanceStats, error) {
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
+	if e.closed.Load() {
+		return RebalanceStats{}, errClosed
+	}
 	if opt.BatchSize <= 0 {
 		opt.BatchSize = 64
 	}
@@ -184,6 +187,9 @@ func (e *Engine) Rebalance(opt RebalanceOptions) (RebalanceStats, error) {
 func (e *Engine) Retrain(sample []geom.PointD) error {
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
+	if e.closed.Load() {
+		return errClosed
+	}
 	if !e.mutable {
 		return errors.New("engine: Retrain has no effect on a static engine; Rebalance retrains and rebuilds")
 	}

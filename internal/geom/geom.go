@@ -100,23 +100,6 @@ func DualOfHyperplaneD(h HyperplaneD) PointD {
 
 // --- Conversions -------------------------------------------------------
 
-// Line2D converts a 2D hyperplane to a Line2.
-func (h HyperplaneD) Line2() Line2 { return Line2{A: h.Coef[0], B: h.Coef[1]} }
-
-// Plane3D converts a 3D hyperplane to a Plane3.
-func (h HyperplaneD) Plane3() Plane3 { return Plane3{A: h.Coef[0], B: h.Coef[1], C: h.Coef[2]} }
-
-// HyperplaneOfLine2 lifts a Line2 into HyperplaneD form.
-func HyperplaneOfLine2(l Line2) HyperplaneD { return HyperplaneD{Coef: []float64{l.A, l.B}} }
-
-// HyperplaneOfPlane3 lifts a Plane3 into HyperplaneD form.
-func HyperplaneOfPlane3(h Plane3) HyperplaneD {
-	return HyperplaneD{Coef: []float64{h.A, h.B, h.C}}
-}
-
-// PointDOf2 converts a Point2 to a PointD.
-func PointDOf2(p Point2) PointD { return PointD{p.X, p.Y} }
-
 // PointDOf3 converts a Point3 to a PointD.
 func PointDOf3(p Point3) PointD { return PointD{p.X, p.Y, p.Z} }
 

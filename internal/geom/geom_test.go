@@ -201,19 +201,6 @@ func TestOrient2D(t *testing.T) {
 	}
 }
 
-func TestOrient3D(t *testing.T) {
-	a, b, c := Point3{0, 0, 0}, Point3{1, 0, 0}, Point3{0, 1, 0}
-	if Orient3D(a, b, c, Point3{0, 0, 1}) != 1 {
-		t.Fatal("above not detected")
-	}
-	if Orient3D(a, b, c, Point3{0, 0, -1}) != -1 {
-		t.Fatal("below not detected")
-	}
-	if Orient3D(a, b, c, Point3{5, 7, 0}) != 0 {
-		t.Fatal("coplanar not detected")
-	}
-}
-
 func TestCrossX(t *testing.T) {
 	x, ok := CrossX(Line2{1, 0}, Line2{-1, 4})
 	if !ok || x != 2 {
@@ -221,23 +208,6 @@ func TestCrossX(t *testing.T) {
 	}
 	if _, ok := CrossX(Line2{1, 0}, Line2{1, 5}); ok {
 		t.Fatal("parallel lines reported as crossing")
-	}
-}
-
-func TestPlaneThrough3(t *testing.T) {
-	h := Plane3{A: 2, B: -3, C: 0.5}
-	p := Point3{0, 0, h.Eval(0, 0)}
-	q := Point3{1, 0, h.Eval(1, 0)}
-	r := Point3{0, 1, h.Eval(0, 1)}
-	got, ok := PlaneThrough3(p, q, r)
-	if !ok {
-		t.Fatal("degenerate verdict on a generic triple")
-	}
-	if math.Abs(got.A-h.A)+math.Abs(got.B-h.B)+math.Abs(got.C-h.C) > 1e-12 {
-		t.Fatalf("recovered plane %+v, want %+v", got, h)
-	}
-	if _, ok := PlaneThrough3(Point3{0, 0, 0}, Point3{1, 1, 3}, Point3{2, 2, 9}); ok {
-		t.Fatal("vertically degenerate triple not rejected")
 	}
 }
 
@@ -335,18 +305,8 @@ func TestHyperplaneEvalAndConversions(t *testing.T) {
 	if got := h.Eval(PointD{1, 1, 0}); got != 4 {
 		t.Fatalf("Eval = %v", got)
 	}
-	if h.Plane3() != (Plane3{2, -1, 3}) {
-		t.Fatal("Plane3 conversion")
-	}
-	l := HyperplaneD{Coef: []float64{2, 3}}
-	if l.Line2() != (Line2{2, 3}) {
-		t.Fatal("Line2 conversion")
-	}
-	if HyperplaneOfLine2(Line2{1, 2}).Dim() != 2 || HyperplaneOfPlane3(Plane3{1, 2, 3}).Dim() != 3 {
-		t.Fatal("lift conversions")
-	}
-	if len(PointDOf2(Point2{1, 2})) != 2 || len(PointDOf3(Point3{1, 2, 3})) != 3 {
-		t.Fatal("point conversions")
+	if len(PointDOf3(Point3{1, 2, 3})) != 3 {
+		t.Fatal("point conversion")
 	}
 }
 

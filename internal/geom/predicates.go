@@ -193,44 +193,6 @@ func Orient2D(a, b, c Point2) int {
 	return e.Sign()
 }
 
-// Orient3D returns the orientation of point d relative to the plane
-// through (a, b, c): +1 if d is on the positive side (the side such that
-// (a, b, c) appears counterclockwise from d... concretely, the sign of
-// det[b-a; c-a; d-a]), -1 on the other side, 0 if coplanar.
-func Orient3D(a, b, c, d Point3) int {
-	bx, by, bz := b.X-a.X, b.Y-a.Y, b.Z-a.Z
-	cx, cy, cz := c.X-a.X, c.Y-a.Y, c.Z-a.Z
-	dx, dy, dz := d.X-a.X, d.Y-a.Y, d.Z-a.Z
-
-	t1 := bx * (cy*dz - cz*dy)
-	t2 := by * (cz*dx - cx*dz)
-	t3 := bz * (cx*dy - cy*dx)
-	det := t1 + t2 + t3
-	mag := abs(bx)*(abs(cy*dz)+abs(cz*dy)) +
-		abs(by)*(abs(cz*dx)+abs(cx*dz)) +
-		abs(bz)*(abs(cx*dy)+abs(cy*dx))
-	bound := filterEps * 16 * mag
-	if abs(det) > bound {
-		return sign(det)
-	}
-	return orient3DExact(a, b, c, d)
-}
-
-func orient3DExact(a, b, c, d Point3) int {
-	sub := func(p, q float64) *big.Rat { return new(big.Rat).Sub(rat(p), rat(q)) }
-	bx, by, bz := sub(b.X, a.X), sub(b.Y, a.Y), sub(b.Z, a.Z)
-	cx, cy, cz := sub(c.X, a.X), sub(c.Y, a.Y), sub(c.Z, a.Z)
-	dx, dy, dz := sub(d.X, a.X), sub(d.Y, a.Y), sub(d.Z, a.Z)
-	mul := func(p, q *big.Rat) *big.Rat { return new(big.Rat).Mul(p, q) }
-	m1 := new(big.Rat).Sub(mul(cy, dz), mul(cz, dy))
-	m2 := new(big.Rat).Sub(mul(cz, dx), mul(cx, dz))
-	m3 := new(big.Rat).Sub(mul(cx, dy), mul(cy, dx))
-	e := mul(bx, m1)
-	e.Add(e, mul(by, m2))
-	e.Add(e, mul(bz, m3))
-	return e.Sign()
-}
-
 // CrossX returns the x-coordinate of the intersection of two non-vertical
 // lines, and false if they are parallel.
 func CrossX(l1, l2 Line2) (float64, bool) {
@@ -238,21 +200,4 @@ func CrossX(l1, l2 Line2) (float64, bool) {
 		return 0, false
 	}
 	return (l2.B - l1.B) / (l1.A - l2.A), true
-}
-
-// PlaneThrough3 returns the non-vertical plane z = a·x + b·y + c through
-// three points, and false if the points are vertically degenerate (their
-// xy-projections are collinear).
-func PlaneThrough3(p, q, r Point3) (Plane3, bool) {
-	// Solve the 2x2 system for (a, b) from the two edge constraints.
-	ux, uy, uz := q.X-p.X, q.Y-p.Y, q.Z-p.Z
-	vx, vy, vz := r.X-p.X, r.Y-p.Y, r.Z-p.Z
-	det := ux*vy - uy*vx
-	if det == 0 {
-		return Plane3{}, false
-	}
-	a := (uz*vy - uy*vz) / det
-	b := (ux*vz - uz*vx) / det
-	c := p.Z - a*p.X - b*p.Y
-	return Plane3{A: a, B: b, C: c}, true
 }

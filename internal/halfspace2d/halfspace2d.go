@@ -12,7 +12,7 @@
 // remaining lines H_i, compresses it into the greedy 3λ_i-clustering Γ_i
 // (Lemma 3.2), and peels off L_i = the union of Γ_i's clusters. Each
 // clustering stores its clusters slope-sorted in blocked arrays plus a
-// B-tree over its boundary x-coordinates.
+// static search directory (eio.Dir) over its boundary x-coordinates.
 //
 // A query (§3.3) visits layers in order. In layer i it locates the
 // relevant cluster with O(log_B n) I/Os, scans it (O(λ_i/B) = O(log_B n)
@@ -29,7 +29,6 @@ import (
 	"math"
 	"math/rand"
 
-	"linconstraint/internal/btree"
 	"linconstraint/internal/cluster"
 	"linconstraint/internal/eio"
 	"linconstraint/internal/geom"
@@ -74,7 +73,7 @@ type rec struct {
 }
 
 // phase is one layer (L_i, Γ_i): the clustering's blocked clusters plus
-// the boundary B-tree T_i.
+// the boundary directory T_i.
 type phase struct {
 	lambda   int
 	clusters []*eio.Array[rec]
@@ -82,8 +81,8 @@ type phase struct {
 	// block order; cluster j's block k is lim[first[j]+k].
 	lim    []blockMax
 	first  []int32
-	bounds *btree.Tree[int32] // boundary x -> index of cluster right of it
-	single bool               // final layer stored as one cluster
+	bounds *eio.Dir // boundary x-coordinates; Rank(x) is the cluster holding x
+	single bool     // final layer stored as one cluster
 }
 
 // blockMax is the largest |A| and |B| over one cluster block's lines
@@ -150,11 +149,7 @@ func (x *Index) storePhase(lines []geom.Line2, cl *cluster.Clustering, lambda in
 		p.clusters = append(p.clusters, eio.NewArray(x.dev, rs))
 	}
 	if !single {
-		pairs := make([]btree.Pair[int32], len(cl.Boundaries))
-		for i, bx := range cl.Boundaries {
-			pairs[i] = btree.Pair[int32]{Key: bx, Value: int32(i + 1)}
-		}
-		p.bounds = btree.BulkLoad(x.dev, pairs)
+		p.bounds = eio.NewDir(x.dev, cl.Boundaries)
 	}
 	return p
 }
@@ -190,11 +185,8 @@ func (x *Index) BelowAppend(q geom.Point2, out []int) []int {
 			x.scan(p, 0, q, false)
 			break
 		}
-		// Locate the relevant cluster via the boundary B-tree.
-		j := 0
-		if pr, ok := p.bounds.Predecessor(q.X); ok {
-			j = int(pr.Value)
-		}
+		// Locate the relevant cluster via the boundary directory.
+		j := p.bounds.Rank(q.X)
 		// Scan it once, reporting its lines below q and counting them.
 		if below, _ := x.scan(p, j, q, false); below < p.lambda {
 			// Lemma 3.1: the relevant cluster contains every line of H_i

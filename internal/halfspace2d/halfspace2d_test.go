@@ -99,8 +99,8 @@ func TestSpaceLinear(t *testing.T) {
 	New(dev, lines, Options{})
 	blocks := dev.SpaceBlocks()
 	// Each line is stored once per cluster it appears in; the retirement
-	// argument bounds total cluster volume by ~3x the input plus B-tree and
-	// per-cluster rounding overhead.
+	// argument bounds total cluster volume by ~3x the input plus boundary
+	// directory and per-cluster rounding overhead.
 	budget := int64(8 * n / b)
 	if blocks > budget {
 		t.Fatalf("space %d blocks for n=%d B=%d, budget %d", blocks, n, b, budget)

@@ -7,16 +7,15 @@
 // substitute a slab structure (DESIGN.md substitution 3): slab boundaries
 // are the x-coordinates of all triangle vertices, so within a slab every
 // triangle either spans it completely or misses it, and the spanning
-// triangles are totally ordered vertically. A B-tree over the slab
-// boundaries finds the slab in O(log_B s) I/Os and a blocked binary
-// search over the slab's vertically ordered triangles finds the hit in
-// O(log_2 m) I/Os.
+// triangles are totally ordered vertically. A static directory over the
+// slab boundaries (eio.Dir) finds the slab in O(log_B s) I/Os and a
+// B-ary descent through the slab's vertically ordered triangles finds
+// the hit in O(log_B m) I/Os.
 package pointloc
 
 import (
 	"sort"
 
-	"linconstraint/internal/btree"
 	"linconstraint/internal/eio"
 	"linconstraint/internal/geom"
 	"linconstraint/internal/hull3d"
@@ -42,8 +41,8 @@ type slabEntry struct {
 // binary-probing one block per halving.
 type Slab struct {
 	dev    *eio.Device
-	xs     []float64          // slab boundaries (sorted, deduped)
-	dir    *btree.Tree[int32] // boundary x -> slab index right of it
+	xs     []float64 // slab boundaries (sorted, deduped)
+	dir    *eio.Dir  // over xs[:len(slabs)]; Rank(x)-1 is the slab holding x
 	slabs  []slabLevels
 	window hull3d.Window
 }
@@ -93,7 +92,6 @@ func NewSlab(dev *eio.Device, env *hull3d.Envelope) *Slab {
 		}
 	}
 
-	pairs := make([]btree.Pair[int32], nSlabs)
 	for k := 0; k < nSlabs; k++ {
 		xc := (s.xs[k] + s.xs[k+1]) / 2
 		sort.Slice(bySlab[k], func(a, b int) bool {
@@ -115,9 +113,8 @@ func NewSlab(dev *eio.Device, env *hull3d.Envelope) *Slab {
 			cur = up
 		}
 		s.slabs = append(s.slabs, lv)
-		pairs[k] = btree.Pair[int32]{Key: s.xs[k], Value: int32(k)}
 	}
-	s.dir = btree.BulkLoad(dev, pairs)
+	s.dir = eio.NewDir(dev, s.xs[:nSlabs])
 	return s
 }
 
@@ -166,17 +163,14 @@ func (s *Slab) SpaceBlocks() int {
 	return total
 }
 
-// Locate implements Locator with O(log_B s + log_B m) I/Os: a B-tree
+// Locate implements Locator with O(log_B s + log_B m) I/Os: a directory
 // descent to the slab, then a B-ary descent through the slab's index
 // levels, reading ~one block per level.
 func (s *Slab) Locate(x, y float64) (int, bool) {
 	if !s.window.Contains(x, y) {
 		return 0, false
 	}
-	k := 0
-	if pr, ok := s.dir.Predecessor(x); ok {
-		k = int(pr.Value)
-	}
+	k := max(s.dir.Rank(x)-1, 0)
 	if k >= len(s.slabs) {
 		k = len(s.slabs) - 1
 	}

@@ -96,7 +96,7 @@ func TestLocateIOCost(t *testing.T) {
 			worst = io
 		}
 	}
-	// log2 of max slab size plus B-tree height; generous budget 40.
+	// slab directory height plus the slab's B-ary levels; generous budget 40.
 	if worst > 40 {
 		t.Fatalf("worst locate cost %d I/Os", worst)
 	}
