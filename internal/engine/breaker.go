@@ -244,7 +244,7 @@ func (e *Engine) Repair(si int) (int, error) {
 		return 0, fmt.Errorf("engine: Repair: shard %d out of range [0,%d)", si, len(e.shards))
 	}
 	if e.closed.Load() {
-		return 0, errClosed
+		return 0, ErrClosed
 	}
 	sh := e.shards[si]
 	// The replica set is stable under rebalMu (every mutation holds it),

@@ -206,9 +206,10 @@ func (o Options) normalized() Options {
 // family does not implement index.Mutable.
 var ErrImmutable = errors.New("engine: index family does not support updates")
 
-// errClosed is returned by updates, Rebalance, Retrain and replica-set
-// changes on a closed engine.
-var errClosed = errors.New("engine: closed")
+// ErrClosed is returned by updates, Rebalance, Retrain and replica-set
+// changes on a closed engine, and is the Err of every query Result a
+// closed engine answers.
+var ErrClosed = errors.New("engine: closed")
 
 // replica is one physical copy of a shard's index on a private device.
 // mu serializes all access to the index; it is the only synchronization
@@ -830,7 +831,7 @@ func (e *Engine) Insert(r index.Record) error {
 	e.migMu.RLock()
 	defer e.migMu.RUnlock()
 	if e.closed.Load() {
-		return errClosed
+		return ErrClosed
 	}
 	// Pin the PD dimension before inserting so two concurrent first
 	// inserts of different dimensions cannot both land (on different
@@ -907,7 +908,7 @@ func (e *Engine) Delete(r index.Record) (bool, error) {
 	e.migMu.RLock()
 	defer e.migMu.RUnlock()
 	if e.closed.Load() {
-		return false, errClosed
+		return false, ErrClosed
 	}
 	home := e.part.Place(recPoint(r), len(e.shards))
 	if home >= 0 && home < len(e.shards) {
@@ -967,18 +968,20 @@ func (e *Engine) NumShards() int { return len(e.shards) }
 func (e *Engine) NumWorkers() int { return e.workers }
 
 // Close stops the watchdog (synchronously — its final tick completes
-// before teardown proceeds) and every replica worker. BatchInto, and so
-// every query method, panics after Close, whichever route the run would
-// have taken. Close is idempotent and waits for in-flight sub-batches —
+// before teardown proceeds) and every replica worker. After Close every
+// query BatchInto runs answers with Err = ErrClosed, whichever route the
+// run would have taken (the scalar query methods panic with it). Close
+// is idempotent and waits for in-flight sub-batches —
 // abandoned stragglers included — to finish; the workers are the
 // engine's only goroutines besides the watchdog. Replica-set changes
-// (Replicate, Drop, AutoReplicate, Repair) return errClosed once Close
+// (Replicate, Drop, AutoReplicate, Repair) return ErrClosed once Close
 // has begun: the channels close under rebalMu, so a change either
 // lands before them — its workers are closed with the rest — or sees
 // the flag and starts and closes nothing. Insert, Delete, Rebalance
-// and Retrain return errClosed too and change nothing; updates check
-// the flag under shared migMu, so once Close has taken migMu
-// exclusively no update that passed the check is still running.
+// and Retrain return ErrClosed too and change nothing. Query runs and
+// updates check the flag under shared migMu, so once Close has taken
+// migMu exclusively no run or update that passed the check is still
+// running, and none can reach a worker channel Close is about to close.
 func (e *Engine) Close() {
 	e.closed.Store(true)
 	e.migMu.Lock()

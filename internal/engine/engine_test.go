@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"linconstraint/internal/chan3d"
@@ -357,33 +359,91 @@ func TestDegenerateShapes(t *testing.T) {
 // TestCloseIsIdempotentAndFinal: Close twice is fine, and afterwards
 // every route into BatchInto — a multi-shard run (worker route), a
 // one-shard run (answered inline on the caller) and a planned k-NN query
-// (also inline) — panics with the one documented message instead of
+// (also inline) — answers every Result with ErrClosed instead of
 // answering or dying on a closed channel.
 func TestCloseIsIdempotentAndFinal(t *testing.T) {
 	pts := []geom.Point2{{X: 0.1, Y: 0.1}, {X: 0.9, Y: 0.9}}
+	halfplanes := []Query{{Op: OpHalfplane, A: 0, B: 1}, {Op: OpHalfplane, A: 1, B: 0}}
 	for name, tc := range map[string]struct {
-		e     *Engine
-		query func(e *Engine)
+		e  *Engine
+		qs []Query
 	}{
-		"multi-shard": {NewPlanar(pts, Options{Shards: 2}), func(e *Engine) { e.Halfplane(0, 1) }},
-		"one-shard":   {NewPlanar(pts, Options{Shards: 1}), func(e *Engine) { e.Halfplane(0, 1) }},
-		"knn":         {NewKNN(pts, Options{Shards: 2, Partitioner: partition.NewKDCut()}), func(e *Engine) { e.KNN(1, pts[0]) }},
+		"multi-shard": {NewPlanar(pts, Options{Shards: 2}), halfplanes},
+		"one-shard":   {NewPlanar(pts, Options{Shards: 1}), halfplanes},
+		"knn":         {NewKNN(pts, Options{Shards: 2, Partitioner: partition.NewKDCut()}), []Query{{Op: OpKNN, K: 1, Pt: pts[0]}}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			tc.e.Close()
 			tc.e.Close()
-			defer func() {
-				if got := recover(); got != "engine: BatchInto after Close" {
-					t.Fatalf("query after Close: recovered %v, want the BatchInto-after-Close panic", got)
+			res := tc.e.BatchInto(tc.qs, nil)
+			if len(res) != len(tc.qs) {
+				t.Fatalf("%d results for %d queries", len(res), len(tc.qs))
+			}
+			for i, r := range res {
+				if !errors.Is(r.Err, ErrClosed) || len(r.IDs)+len(r.Neighbors) != 0 {
+					t.Errorf("query %d after Close: err %v, %d ids, %d neighbours; want ErrClosed and no answer",
+						i, r.Err, len(r.IDs), len(r.Neighbors))
 				}
-			}()
-			tc.query(tc.e)
+			}
 		})
 	}
 }
 
+// TestBatchRacesClose: runs issued while Close tears the engine down
+// either answer in full or answer ErrClosed, never panic on a closed
+// worker channel, and once a run has seen ErrClosed every later one
+// does. The first run completes before Close starts, so the two overlap.
+func TestBatchRacesClose(t *testing.T) {
+	pts := workload.Uniform2(rand.New(rand.NewSource(77)), 400)
+	qs := []Query{{Op: OpHalfplane, A: 0.3, B: 0.4}, {Op: OpHalfplane, A: -0.5, B: 0.8}}
+	before := runtime.NumGoroutine()
+	for round := 0; round < 20; round++ {
+		e := NewPlanar(pts, Options{Shards: 4, BlockSize: 64, Seed: 1})
+		var want [][]int
+		for _, r := range e.Batch(qs) {
+			want = append(want, slices.Clone(r.IDs))
+		}
+		started, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			var res []Result
+			closed := false
+			for n := 0; !closed; n++ {
+				res = e.BatchInto(qs, res)
+				if n == 0 {
+					close(started)
+				}
+				for i, r := range res {
+					switch {
+					case errors.Is(r.Err, ErrClosed):
+						closed = true
+					case r.Err != nil:
+						t.Errorf("run %d query %d: %v", n, i, r.Err)
+						return
+					case closed:
+						t.Errorf("run %d query %d answered after an earlier ErrClosed", n, i)
+						return
+					case !slices.Equal(r.IDs, want[i]):
+						t.Errorf("run %d query %d: %d ids, want %d", n, i, len(r.IDs), len(want[i]))
+						return
+					}
+				}
+			}
+		}()
+		select {
+		case <-started:
+		case <-done:
+		}
+		e.Close()
+		<-done
+	}
+	if !waitFor(func() bool { return runtime.NumGoroutine() <= before }) {
+		t.Errorf("%d goroutines outlive Close", runtime.NumGoroutine()-before)
+	}
+}
+
 // TestUpdatesAfterCloseChangeNothing: every mutation of a closed engine
-// is refused with errClosed and leaves the record count as it was.
+// is refused with ErrClosed and leaves the record count as it was.
 func TestUpdatesAfterCloseChangeNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	e := NewDynamicPartition(Options{Shards: 3, BlockSize: 16})
@@ -397,20 +457,20 @@ func TestUpdatesAfterCloseChangeNothing(t *testing.T) {
 	}
 	e.Close()
 	n := e.Len()
-	if err := e.Insert(index.Record{PD: geom.PointD{0.5, 0.5, 0.5}}); !errors.Is(err, errClosed) {
-		t.Errorf("Insert after Close: err %v, want errClosed", err)
+	if err := e.Insert(index.Record{PD: geom.PointD{0.5, 0.5, 0.5}}); !errors.Is(err, ErrClosed) {
+		t.Errorf("Insert after Close: err %v, want ErrClosed", err)
 	}
 	if got := e.Len(); got != n {
 		t.Errorf("Len after a refused Insert = %d, want %d", got, n)
 	}
-	if ok, err := e.Delete(index.Record{PD: pts[0]}); ok || !errors.Is(err, errClosed) {
-		t.Errorf("Delete after Close: (%v, %v), want (false, errClosed)", ok, err)
+	if ok, err := e.Delete(index.Record{PD: pts[0]}); ok || !errors.Is(err, ErrClosed) {
+		t.Errorf("Delete after Close: (%v, %v), want (false, ErrClosed)", ok, err)
 	}
-	if st, err := e.Rebalance(RebalanceOptions{Partitioner: partition.NewKDCut()}); st.Moved != 0 || !errors.Is(err, errClosed) {
-		t.Errorf("Rebalance after Close: moved %d, err %v, want 0 and errClosed", st.Moved, err)
+	if st, err := e.Rebalance(RebalanceOptions{Partitioner: partition.NewKDCut()}); st.Moved != 0 || !errors.Is(err, ErrClosed) {
+		t.Errorf("Rebalance after Close: moved %d, err %v, want 0 and ErrClosed", st.Moved, err)
 	}
-	if err := e.Retrain(pts); !errors.Is(err, errClosed) {
-		t.Errorf("Retrain after Close: err %v, want errClosed", err)
+	if err := e.Retrain(pts); !errors.Is(err, ErrClosed) {
+		t.Errorf("Retrain after Close: err %v, want ErrClosed", err)
 	}
 	if got := e.Len(); got != n {
 		t.Errorf("Len after refused Delete, Rebalance and Retrain = %d, want %d", got, n)

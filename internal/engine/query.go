@@ -432,9 +432,6 @@ func (e *Engine) Batch(qs []Query) []Result {
 // the same storage — copy out anything that must outlive it. See
 // DESIGN.md §7.
 func (e *Engine) BatchInto(qs []Query, results []Result) []Result {
-	if e.closed.Load() {
-		panic("engine: BatchInto after Close")
-	}
 	// Re-expose dormant entries up to capacity before growing: a caller
 	// passing results[:0] gets back the same warmed Result buffers, not
 	// zero values (overwriting them would throw away every reused
@@ -533,6 +530,13 @@ func (e *Engine) runQueries(a *batchArena, qs []Query, results []Result) {
 	// runs and updates still proceed in parallel.
 	e.migMu.RLock()
 	defer e.migMu.RUnlock()
+	if e.closed.Load() {
+		for i := range results {
+			results[i].reset()
+			results[i].Err = ErrClosed
+		}
+		return
+	}
 	// Only instrumented runs read the clock — and deadline runs once,
 	// for the start the deadline measures from. A zero stamp is unused.
 	m := e.met

@@ -92,7 +92,7 @@ func (e *Engine) Rebalance(opt RebalanceOptions) (RebalanceStats, error) {
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
 	if e.closed.Load() {
-		return RebalanceStats{}, errClosed
+		return RebalanceStats{}, ErrClosed
 	}
 	if opt.BatchSize <= 0 {
 		opt.BatchSize = 64
@@ -188,7 +188,7 @@ func (e *Engine) Retrain(sample []geom.PointD) error {
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
 	if e.closed.Load() {
-		return errClosed
+		return ErrClosed
 	}
 	if !e.mutable {
 		return errors.New("engine: Retrain has no effect on a static engine; Rebalance retrains and rebuilds")

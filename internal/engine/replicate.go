@@ -100,7 +100,7 @@ func (e *Engine) setDegreeLocked(si, n int) error {
 // channel.
 func (e *Engine) dropLocked(sh *shard, n int) error {
 	if e.closed.Load() {
-		return errClosed
+		return ErrClosed
 	}
 	e.migMu.Lock()
 	dropped := append([]*replica(nil), sh.reps[n:]...)
@@ -132,7 +132,7 @@ func (e *Engine) dropLocked(sh *shard, n int) error {
 // started, and nothing is on a closed engine.
 func (e *Engine) cloneShard(si, n int, attach func(fresh []*replica)) error {
 	if e.closed.Load() {
-		return errClosed
+		return ErrClosed
 	}
 	prim := e.shards[si].reps[0]
 	fresh := make([]*replica, 0, n)

@@ -22,7 +22,8 @@ const (
 	// StatusShed: every stripe's admission ring was full; the query
 	// never reached the engine. Retry later.
 	StatusShed
-	// StatusClosed: the server is shutting down.
+	// StatusClosed: the server is shutting down, or its engine is
+	// closed (engine.ErrClosed).
 	StatusClosed
 	// StatusBadRequest: unparseable query or an op outside the
 	// engine's family (index.ErrUnsupported).

@@ -4,19 +4,20 @@
 // hot path is optimized for.
 //
 // Requests land in a per-op striped batcher. Each op family owns
-// Stripes independent stripes; a stripe is a bounded MPMC admission
-// ring (mpmc.go) drained by one flusher goroutine that collects up to
-// MaxBatch requests and runs them as a single Backend.BatchInto call
-// on stripe-owned, capacity-reusing query/result arenas. A stripe
-// flushes when it holds MaxBatch requests or its ring runs dry,
-// whichever comes first — the flusher runs the batch itself, so
-// requests that arrive while the engine is busy pile up in the ring and
-// the next flush takes them all: batches form exactly when the engine
-// is the bottleneck and an idle engine answers at once. MaxBatch=1 is
-// exact passthrough. Admission is shed-not-buffer: a push into a full ring
-// fails and the request is rejected with StatusShed (HTTP 429) and
-// counted, so queued memory is bounded by ops × Stripes × QueueCap
-// requests plus the in-flight batches, no matter the offered load.
+// Stripes independent stripes; a stripe is a buffered admission
+// channel of QueueCap requests drained by one flusher goroutine that
+// collects up to MaxBatch requests and runs them as a single
+// Backend.BatchInto call on stripe-owned, capacity-reusing query/result
+// arenas. A stripe flushes when it holds MaxBatch requests or its
+// channel runs dry, whichever comes first — the flusher runs the batch
+// itself, so requests that arrive while the engine is busy pile up in
+// the channel and the next flush takes them all: batches form exactly
+// when the engine is the bottleneck and an idle engine answers at once.
+// MaxBatch=1 is exact passthrough. Admission is shed-not-buffer: a
+// request that finds every stripe of its op full is rejected with
+// StatusShed (HTTP 429) and counted, so queued memory is bounded by
+// ops × Stripes × QueueCap requests plus the in-flight batches, no
+// matter the offered load.
 //
 // Responses are demultiplexed back to the blocked request goroutines:
 // the flusher deep-copies each engine Result into the request's
@@ -29,11 +30,11 @@
 // (HTTP 206) with the missing shards listed, so clients see graceful
 // degradation rather than silent truncation.
 //
-// Shutdown ordering is server before engine: Close stops admission
-// (StatusClosed / HTTP 503), waits out in-flight admissions, then has
-// every flusher drain and answer its ring before exiting — no waiter
-// is ever stranded. Only after Close returns may the engine be closed;
-// the server never owns its backend.
+// Close stops admission (StatusClosed / HTTP 503) and closes every
+// stripe's channel; each flusher drains and answers what its channel
+// holds before exiting, so no waiter is ever stranded. The server never
+// owns its backend: a query that reaches an engine closed before the
+// server is answered StatusClosed too.
 package server
 
 import (
@@ -63,9 +64,9 @@ type Config struct {
 	// single engine run (default 64). 1 means exact passthrough: every
 	// request becomes its own engine run.
 	MaxBatch int
-	// QueueCap is each stripe's admission-ring capacity (default 256,
-	// rounded up to a power of two). A push into a full ring sheds the
-	// request instead of buffering it.
+	// QueueCap is the number of requests each stripe's admission
+	// channel holds (default 256). A request that finds its op's
+	// stripes all full is shed instead of buffered.
 	QueueCap int
 	// Stripes is the number of independent stripes per op family
 	// (default GOMAXPROCS capped at 4). Requests round-robin across
@@ -93,16 +94,14 @@ type request struct {
 	out    *Response // caller-owned; filled by the flusher before done
 	status Status
 	tEnq   time.Time     // admission (submit entry)
-	tDeq   time.Time     // popped from the ring by the flusher
+	tDeq   time.Time     // received from the stripe by the flusher
 	tFlush time.Time     // batch handed to the backend
 	done   chan struct{} // capacity 1; exactly one token per admission
 }
 
-// stripe is one admission ring plus the arenas its flusher owns.
+// stripe is one admission channel plus the arenas its flusher owns.
 type stripe struct {
-	ring   *mpmc
-	notify chan struct{} // capacity 1: producer kick, collapsed under load
-	stop   chan struct{} // closed by Close after admission quiesces
+	ring chan *request // closed by Close under Server.mu
 
 	// Flusher-owned; reused across flushes (the BatchInto arena contract).
 	batch []*request
@@ -122,13 +121,16 @@ type stripe struct {
 // handler beside it (cmd/lcserve mounts /debug/pprof/profile, which
 // streams for as long as the client asks) would be cut off.
 type Server struct {
-	be        Backend
-	cfg       Config
-	met       *serverMetrics
-	stripes   [nOps][]*stripe
-	rr        [nOps]atomic.Uint32
-	closed    atomic.Bool
-	admitting atomic.Int64 // producers between the closed check and their push
+	be      Backend
+	cfg     Config
+	met     *serverMetrics
+	stripes [nOps][]*stripe
+	rr      [nOps]atomic.Uint32
+	// mu is read-held by submit from the closed check to the push and
+	// write-held by Close to set closed and close the rings, so no
+	// push ever meets a closed ring.
+	mu        sync.RWMutex
+	closed    bool
 	wg        sync.WaitGroup
 	reqPool   sync.Pool
 	replyPool sync.Pool // *reply, the HTTP handler's per-request state
@@ -153,11 +155,7 @@ func New(be Backend, cfg Config) *Server {
 	for op := range s.stripes {
 		sts := make([]*stripe, cfg.Stripes)
 		for i := range sts {
-			st := &stripe{
-				ring:   newMPMC(cfg.QueueCap),
-				notify: make(chan struct{}, 1),
-				stop:   make(chan struct{}),
-			}
+			st := &stripe{ring: make(chan *request, cfg.QueueCap)}
 			sts[i] = st
 			s.wg.Add(1)
 			go s.flusher(st)
@@ -171,10 +169,11 @@ func New(be Backend, cfg Config) *Server {
 // has flushed: the transport-independent entry point (the HTTP handler
 // is a thin wrapper over it; a raw-TCP framing would call it the same
 // way). resp is reset and refilled in place, so a caller that reuses
-// it keeps its buffer capacity. On StatusShed or StatusClosed the
-// backend was never touched and resp stays empty. An inserted record's
-// Rec.PD must not be reused by the caller: the index keeps it (see
-// request).
+// it keeps its buffer capacity. On StatusShed, or StatusClosed from a
+// closed server, the backend was never touched and resp stays empty; a
+// closed engine's StatusClosed carries its error in resp.Err. An
+// inserted record's Rec.PD must not be reused by the caller: the index
+// keeps it (see request).
 func (s *Server) Do(q index.Query, resp *Response) Status {
 	resp.reset()
 	r := s.getReq()
@@ -196,32 +195,25 @@ func (s *Server) submit(r *request) Status {
 	if m != nil {
 		m.requests.Inc(planner.OpIndex(r.q.Op))
 	}
-	// The admitting counter brackets the closed check and the push, so
-	// Close can wait for every producer that saw closed=false to land
-	// in a ring before it tells the flushers to drain.
-	s.admitting.Add(1)
-	if s.closed.Load() {
-		s.admitting.Add(-1)
+	s.mu.RLock()
+	if s.closed {
+		s.mu.RUnlock()
 		return StatusClosed
 	}
 	sts := s.stripes[op]
 	start := int(s.rr[op].Add(1))
 	pushed := false
-	for i := 0; i < len(sts); i++ {
-		st := sts[(start+i)%len(sts)]
-		if st.ring.tryPush(r) {
+	for i := 0; i < len(sts) && !pushed; i++ {
+		select {
+		case sts[(start+i)%len(sts)].ring <- r:
 			if m != nil {
 				m.queueDepth.Add(1)
 			}
-			select {
-			case st.notify <- struct{}{}:
-			default:
-			}
 			pushed = true
-			break
+		default:
 		}
 	}
-	s.admitting.Add(-1)
+	s.mu.RUnlock()
 	if !pushed {
 		if m != nil {
 			m.shed.Inc()
@@ -232,45 +224,37 @@ func (s *Server) submit(r *request) Status {
 	return r.status
 }
 
-// flusher drains one stripe until stop: gather what the ring holds (up
-// to MaxBatch) and flush it at once, park only on an empty ring. It
-// never waits on a clock — whatever arrives during a flush is the next
-// batch. After stop, admission has quiesced (Close waited out
-// admitting), so once gather runs dry the stripe is truly empty and no
-// waiter is stranded.
+// flusher drains one stripe until Close closes its ring: take what
+// the ring holds (up to MaxBatch) and flush it at once, block only on
+// an empty ring. It never waits on a clock — whatever arrives during a
+// flush is the next batch. Once the ring is closed the range drains
+// what is left, so no waiter is stranded.
 func (s *Server) flusher(st *stripe) {
 	defer s.wg.Done()
-	for {
-		if s.gather(st) {
-			s.flush(st)
-			continue
-		}
-		select {
-		case <-st.notify:
-		case <-st.stop:
-			for s.gather(st) {
-				s.flush(st)
-			}
-			return
-		}
+	for r := range st.ring {
+		s.gather(st, r)
+		s.flush(st)
 	}
 }
 
-// gather pops up to MaxBatch requests off the ring into st.batch and
-// reports whether it collected any.
-func (s *Server) gather(st *stripe) bool {
-	for len(st.batch) < s.cfg.MaxBatch {
-		r, ok := st.ring.tryPop()
-		if !ok {
-			break
-		}
+// gather collects r, then whatever else the ring holds without waiting,
+// up to MaxBatch requests, into st.batch.
+func (s *Server) gather(st *stripe, r *request) {
+	for ok := true; ok; {
 		r.tDeq = time.Now()
 		if s.met != nil {
 			s.met.queueDepth.Add(-1)
 		}
 		st.batch = append(st.batch, r)
+		if len(st.batch) == s.cfg.MaxBatch {
+			return
+		}
+		select {
+		case r, ok = <-st.ring:
+		default:
+			ok = false
+		}
 	}
-	return len(st.batch) > 0
 }
 
 // flush runs the collected batch as one BatchInto and demultiplexes:
@@ -297,9 +281,12 @@ func (s *Server) flush(st *stripe) {
 		switch {
 		case res.Err != nil:
 			r.out.Err = res.Err.Error()
-			if errors.Is(res.Err, index.ErrUnsupported) {
+			switch {
+			case errors.Is(res.Err, engine.ErrClosed):
+				r.status = StatusClosed
+			case errors.Is(res.Err, index.ErrUnsupported):
 				r.status = StatusBadRequest
-			} else {
+			default:
 				r.status = StatusError
 			}
 		case res.Degraded:
@@ -322,23 +309,21 @@ func (s *Server) flush(st *stripe) {
 	st.batch = st.batch[:0]
 }
 
-// Close stops admission (new submissions get StatusClosed), waits out
-// producers already past the closed check, then stops the flushers —
-// each drains its ring and answers every admitted request before
-// exiting. Safe to call more than once; every call returns only after
-// the flushers have exited. Close the backend engine only after Close
-// returns (shutdown ordering: server, then engine).
+// Close stops admission (new submissions get StatusClosed) and closes
+// every stripe's ring; each flusher drains and answers what its ring
+// holds before exiting. Safe to call more than once; every call returns
+// only after the flushers have exited.
 func (s *Server) Close() {
-	if s.closed.CompareAndSwap(false, true) {
-		for s.admitting.Load() != 0 {
-			runtime.Gosched()
-		}
+	s.mu.Lock()
+	if !s.closed {
+		s.closed = true
 		for op := range s.stripes {
 			for _, st := range s.stripes[op] {
-				close(st.stop)
+				close(st.ring)
 			}
 		}
 	}
+	s.mu.Unlock()
 	s.wg.Wait()
 }
 

@@ -747,3 +747,138 @@ func TestServerCloseLeavesNoGoroutines(t *testing.T) {
 		t.Errorf("%d goroutines outlive Close", runtime.NumGoroutine()-before)
 	}
 }
+
+// TestClosedEngineAnswers503: a server whose engine was closed first
+// answers every op StatusClosed through Do and 503 over HTTP — the
+// flusher neither panics nor hangs — and the server still closes
+// cleanly, leaving no goroutine behind.
+func TestClosedEngineAnswers503(t *testing.T) {
+	before := runtime.NumGoroutine()
+	eng := engine.NewDynamicPartition(engine.Options{Shards: 2, BlockSize: 16})
+	rec := geom.PointD{0.5, 0.5, 0.5}
+	if err := eng.Insert(index.Record{PD: rec}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	srv := New(eng, Config{MaxBatch: 4, Stripes: 2})
+
+	for _, q := range []index.Query{
+		{Op: index.OpHalfplane, A: 1},
+		{Op: index.OpHalfspace3, A: 1},
+		{Op: index.OpHalfspaceD, Coef: []float64{0, 0, 1}},
+		{Op: index.OpConjunction, Constraints: []index.Constraint{{Coef: []float64{0, 0, 1}, Below: true}}},
+		{Op: index.OpKNN, K: 1},
+		{Op: index.OpInsert, Rec: index.Record{PD: geom.PointD{0.1, 0.2, 0.3}}},
+		{Op: index.OpDelete, Rec: index.Record{PD: rec}},
+	} {
+		var resp Response
+		if st := srv.Do(q, &resp); st != StatusClosed {
+			t.Errorf("Do %v on a closed engine: %v (%s), want StatusClosed", q.Op, st, resp.Err)
+		}
+	}
+	for _, target := range []string{
+		"/query?op=halfplane&a=1&b=0",
+		"/query?op=halfspace3&a=1&b=0&c=0",
+		"/query?op=halfspaceD&coef=0,0,1",
+		"/query?op=conjunction&constraint=below:0,0,1",
+		"/query?op=knn&k=1&x=0&y=0",
+		"/query?op=insert&recd=0.1,0.2,0.3",
+		"/query?op=delete&recd=0.5,0.5,0.5",
+	} {
+		rr := httptest.NewRecorder()
+		srv.ServeHTTP(rr, httptest.NewRequest("GET", target, nil))
+		if rr.Code != http.StatusServiceUnavailable {
+			t.Errorf("GET %s on a closed engine: status %d (%s), want 503", target, rr.Code, rr.Body)
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close never returned")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive Close", runtime.NumGoroutine()-before)
+		}
+	}
+}
+
+// TestFullStripeSpillsToSibling: a request whose round-robin stripe is
+// full is admitted by the next stripe of its op, so with every flusher
+// held inside the backend exactly Stripes × QueueCap requests are
+// admitted before the first is shed, even though every request starts
+// at the same stripe.
+func TestFullStripeSpillsToSibling(t *testing.T) {
+	const stripes, queueCap = 3, 4
+	be := &stepBackend{entered: make(chan int, 1+stripes*(queueCap+1)), release: make(chan struct{})}
+	srv := New(be, Config{MaxBatch: 1, QueueCap: queueCap, Stripes: stripes, Metrics: metrics.NewRegistry()})
+	q := index.Query{Op: index.OpHalfplane, A: 1}
+	op := int(q.Op)
+	// pin makes the next submit of op start its round at stripe i.
+	pin := func(i int) { srv.rr[op].Store(uint32(stripes + i - 1)) }
+
+	statuses := make(chan Status, 2*stripes*(queueCap+1))
+	var wg sync.WaitGroup
+	do := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var resp Response
+			statuses <- srv.Do(q, &resp)
+		}()
+	}
+	// Hold every flusher in the backend with one request each.
+	for i := 0; i < stripes; i++ {
+		pin(i)
+		do()
+		if n := <-be.entered; n != 1 {
+			t.Fatalf("stripe %d's first batch carried %d requests", i, n)
+		}
+	}
+	// Offer requests one at a time, each starting at stripe 0, until
+	// one is shed.
+	admitted := 0
+	for srv.met.shed.Load() == 0 {
+		if admitted > stripes*queueCap {
+			t.Fatalf("%d requests admitted with every flusher held, want %d", admitted, stripes*queueCap)
+		}
+		pin(0)
+		do()
+		for deadline := time.Now().Add(5 * time.Second); srv.met.queueDepth.Load()+srv.met.shed.Load() == int64(admitted); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("request %d neither admitted nor shed", admitted+1)
+			}
+		}
+		if srv.met.shed.Load() == 0 {
+			admitted++
+		}
+	}
+	if admitted != stripes*queueCap {
+		t.Errorf("%d requests admitted before the first 429, want Stripes × QueueCap = %d", admitted, stripes*queueCap)
+	}
+
+	close(be.release)
+	srv.Close()
+	wg.Wait()
+	close(statuses)
+	var ok, shed int
+	for st := range statuses {
+		switch st {
+		case StatusOK:
+			ok++
+		case StatusShed:
+			shed++
+		default:
+			t.Errorf("unexpected status %v", st)
+		}
+	}
+	if ok != stripes+admitted || shed != 1 {
+		t.Errorf("%d answered and %d shed, want %d and 1", ok, shed, stripes+admitted)
+	}
+}

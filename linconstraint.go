@@ -399,6 +399,11 @@ const (
 // static index family.
 var ErrImmutable = engine.ErrImmutable
 
+// ErrClosed is returned by updates, Rebalance, Retrain and replica-set
+// changes on a closed engine, and is the Err of every query Result it
+// answers.
+var ErrClosed = engine.ErrClosed
+
 // ErrNonFinite is wrapped by the error of a query, explain or update
 // with a NaN or infinite coordinate; probe with errors.Is.
 var ErrNonFinite = index.ErrNonFinite
@@ -625,17 +630,19 @@ type HotShard = engine.HotShard
 // --- Serving front-end (DESIGN.md §13) -------------------------------
 
 // ServerConfig tunes the serving front-end's striped batcher: the
-// coalescing cap (MaxBatch — a stripe flushes what its ring holds the
-// moment it runs dry, never on a timer), per-stripe admission-ring capacity
-// (QueueCap, full rings shed with HTTP 429), stripes per op family,
-// and an optional metrics registry for the server_* series (share the
-// engine's registry — the name sets are disjoint).
+// coalescing cap (MaxBatch — a stripe flushes what its channel holds
+// the moment it runs dry, never on a timer), the exact number of
+// requests each stripe's admission channel holds (QueueCap; a request
+// that finds its op's stripes all full is shed with HTTP 429), stripes
+// per op family, and an optional metrics registry for the server_*
+// series (share the engine's registry — the name sets are disjoint).
 type ServerConfig = server.Config
 
 // Server is the batching network front-end over an Engine: requests
 // submitted via Do or HTTP coalesce in per-op stripes into single
 // BatchInto runs. It implements http.Handler (POST/GET /query,
-// /healthz). Stop with Close, then close the engine — in that order.
+// /healthz). Stop with Close. A query that reaches an engine closed
+// before the server is answered ServeClosed (HTTP 503).
 type Server = server.Server
 
 // ServerResponse is one query's answer from the front-end, deep-copied
@@ -659,7 +666,9 @@ const (
 )
 
 // Serve starts a batching front-end over eng. The server does not own
-// the engine: call Server.Close first, Engine.Close after.
+// the engine: closing the server first, then the engine, drains every
+// admitted query with an answer; queries that reach a closed engine are
+// answered ServeClosed.
 //
 // The returned handler sets no connection timeouts. Mount it on an
 // http.Server with ReadHeaderTimeout, ReadTimeout and IdleTimeout set,
