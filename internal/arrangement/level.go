@@ -8,9 +8,11 @@
 // line l, the next level vertex is the first crossing of l with any other
 // line to the right, at which the level always switches to the crossing
 // line. The paper finds that crossing with the dynamic envelope structure
-// of Overmars–van Leeuwen [43]; we substitute a goroutine-parallel scan
-// over the live lines (DESIGN.md substitution 1), which visits the exact
-// same vertices.
+// of Overmars–van Leeuwen [43]; WalkEW, the walk the §3 build runs, asks
+// the square-root envelopes of internal/envelope instead (DESIGN.md
+// substitution 1). Walk finds it with a goroutine-parallel scan over the
+// live lines; it is WalkEW's reference and visits the exact same
+// vertices.
 //
 // General position is assumed (no two parallel live lines carrying the
 // level through the same crossing chain, no three lines concurrent);
@@ -23,6 +25,7 @@ import (
 	"sort"
 	"sync"
 
+	"linconstraint/internal/envelope"
 	"linconstraint/internal/geom"
 )
 
@@ -36,16 +39,27 @@ type Vertex struct {
 }
 
 // OrderAtMinusInf returns the live line indices ordered bottom-to-top at
-// x = -infinity: by slope descending, ties by intercept ascending.
-func OrderAtMinusInf(lines []geom.Line2, live []int) []int {
-	out := append([]int(nil), live...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := lines[out[i]], lines[out[j]]
-		if a.A != b.A {
-			return a.A > b.A
+// x = -infinity: by slope descending, ties by intercept ascending. It
+// sorts nothing: it keeps the live lines of u's slope order and reverses
+// the runs of equal slope, in O(U).
+func OrderAtMinusInf(u *envelope.Universe, live []int) []int {
+	in := make([]bool, len(u.Lines))
+	for _, id := range live {
+		in[id] = true
+	}
+	out := make([]int, 0, len(live))
+	for i := len(u.Order); i > 0; {
+		a, j := u.Lines[u.Order[i-1]].A, i-1
+		for j > 0 && u.Lines[u.Order[j-1]].A == a {
+			j--
 		}
-		return a.B < b.B
-	})
+		for _, id := range u.Order[j:i] {
+			if in[id] {
+				out = append(out, id)
+			}
+		}
+		i = j
+	}
 	return out
 }
 
@@ -60,7 +74,7 @@ func Walk(lines []geom.Line2, live []int, k int, visit func(Vertex) bool) int {
 	if k < 0 || k >= len(live) {
 		panic("arrangement: level index out of range")
 	}
-	order := OrderAtMinusInf(lines, live)
+	order := OrderAtMinusInf(envelope.NewUniverse(lines), live)
 	cur := order[k]
 	start := cur
 	if visit == nil {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"linconstraint/internal/envelope"
 	"linconstraint/internal/geom"
 )
 
@@ -36,7 +37,7 @@ func levelAtBruteForce(lines []geom.Line2, live []int, k int, x float64) int {
 
 func TestOrderAtMinusInf(t *testing.T) {
 	lines := []geom.Line2{{A: 1, B: 0}, {A: 3, B: 0}, {A: 2, B: 5}, {A: 2, B: -5}}
-	got := OrderAtMinusInf(lines, allLive(4))
+	got := OrderAtMinusInf(envelope.NewUniverse(lines), allLive(4))
 	want := []int{1, 3, 2, 0} // slope desc, intercept asc on ties
 	for i := range want {
 		if got[i] != want[i] {

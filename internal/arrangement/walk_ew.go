@@ -1,9 +1,6 @@
 package arrangement
 
-import (
-	"linconstraint/internal/envelope"
-	"linconstraint/internal/geom"
-)
+import "linconstraint/internal/envelope"
 
 // WalkEW traverses the k-level exactly as Walk does, but finds each next
 // vertex with the Edelsbrunner–Welzl two-envelope oracle (§2.3): the
@@ -14,32 +11,31 @@ import (
 // Overmars–van Leeuwen structure [43] replaced by the square-root
 // envelope of internal/envelope (DESIGN.md substitution 1).
 //
+// The walk's live lines are given as order, bottom-to-top at
+// x = -infinity as OrderAtMinusInf(u, live) returns them; the two
+// envelopes are bulk-loaded from it over u's slope order, so a walk
+// sorts nothing.
+//
 // Walk and WalkEW visit identical vertex sequences on inputs in general
 // position; TestWalkEWMatchesWalk asserts this.
-func WalkEW(lines []geom.Line2, live []int, k int, visit func(Vertex) bool) int {
-	if k < 0 || k >= len(live) {
+func WalkEW(u *envelope.Universe, order []int, k int, visit func(Vertex) bool) int {
+	if k < 0 || k >= len(order) {
 		panic("arrangement: level index out of range")
 	}
-	order := OrderAtMinusInf(lines, live)
 	cur := order[k]
 	start := cur
 	if visit == nil {
 		return start
 	}
 
-	above := envelope.NewDynamic(lines, envelope.Lower) // lines above the walk point
-	below := envelope.NewDynamic(lines, envelope.Upper) // lines below the walk point
-	for i, id := range order {
-		switch {
-		case i < k:
-			below.Activate(id)
-		case i > k:
-			above.Activate(id)
-		}
-	}
+	above := envelope.NewDynamic(u, envelope.Lower) // lines above the walk point
+	below := envelope.NewDynamic(u, envelope.Upper) // lines below the walk point
+	below.Load(order[:k])
+	above.Load(order[k+1:])
 
+	lines := u.Lines
 	x0 := negInf
-	maxSteps := len(live)*(len(live)-1)/2 + 4
+	maxSteps := len(order)*(len(order)-1)/2 + 4
 	for step := 0; step < maxSteps; step++ {
 		xa, ga, oka := above.FirstCrossing(lines[cur], x0)
 		xb, gb, okb := below.FirstCrossing(lines[cur], x0)

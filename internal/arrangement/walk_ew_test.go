@@ -4,8 +4,15 @@ import (
 	"math/rand"
 	"testing"
 
+	"linconstraint/internal/envelope"
 	"linconstraint/internal/geom"
 )
+
+// walkEW runs WalkEW over the live subset of lines, as Walk is called.
+func walkEW(lines []geom.Line2, live []int, k int, visit func(Vertex) bool) int {
+	u := envelope.NewUniverse(lines)
+	return WalkEW(u, OrderAtMinusInf(u, live), k, visit)
+}
 
 // TestWalkEWMatchesWalk: both oracles must visit the identical vertex
 // sequence on generic inputs.
@@ -17,7 +24,7 @@ func TestWalkEWMatchesWalk(t *testing.T) {
 		k := rng.Intn(n)
 		var a, b []Vertex
 		s1 := Walk(lines, allLive(n), k, func(v Vertex) bool { a = append(a, v); return true })
-		s2 := WalkEW(lines, allLive(n), k, func(v Vertex) bool { b = append(b, v); return true })
+		s2 := walkEW(lines, allLive(n), k, func(v Vertex) bool { b = append(b, v); return true })
 		if s1 != s2 {
 			t.Fatalf("trial %d: different start lines %d vs %d", trial, s1, s2)
 		}
@@ -39,7 +46,7 @@ func TestWalkEWSubset(t *testing.T) {
 	k := 4
 	var a, b []Vertex
 	Walk(lines, live, k, func(v Vertex) bool { a = append(a, v); return true })
-	WalkEW(lines, live, k, func(v Vertex) bool { b = append(b, v); return true })
+	walkEW(lines, live, k, func(v Vertex) bool { b = append(b, v); return true })
 	if len(a) != len(b) {
 		t.Fatalf("%d vs %d vertices", len(a), len(b))
 	}
@@ -54,7 +61,7 @@ func TestWalkEWEarlyStopAndPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	lines := randomLines(rng, 30)
 	count := 0
-	WalkEW(lines, allLive(30), 3, func(v Vertex) bool { count++; return count < 3 })
+	walkEW(lines, allLive(30), 3, func(v Vertex) bool { count++; return count < 3 })
 	if count != 3 {
 		t.Fatalf("early stop visited %d", count)
 	}
@@ -63,12 +70,12 @@ func TestWalkEWEarlyStopAndPanics(t *testing.T) {
 			t.Fatal("no panic for bad k")
 		}
 	}()
-	WalkEW(lines, allLive(30), 30, nil)
+	walkEW(lines, allLive(30), 30, nil)
 }
 
 func TestWalkEWNilVisit(t *testing.T) {
 	lines := []geom.Line2{{A: 1, B: 0}, {A: -1, B: 0}}
-	if got := WalkEW(lines, allLive(2), 0, nil); got != 0 {
+	if got := walkEW(lines, allLive(2), 0, nil); got != 0 {
 		t.Fatalf("start = %d", got)
 	}
 }
@@ -86,9 +93,10 @@ func BenchmarkWalkScanOracle(b *testing.B) {
 func BenchmarkWalkEWOracle(b *testing.B) {
 	rng := rand.New(rand.NewSource(24))
 	lines := randomLines(rng, 4000)
-	live := allLive(4000)
+	u := envelope.NewUniverse(lines)
+	order := OrderAtMinusInf(u, allLive(4000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		WalkEW(lines, live, 60, func(Vertex) bool { return true })
+		WalkEW(u, order, 60, func(Vertex) bool { return true })
 	}
 }

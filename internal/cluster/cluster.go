@@ -16,17 +16,18 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 
 	"linconstraint/internal/arrangement"
-	"linconstraint/internal/geom"
+	"linconstraint/internal/envelope"
 )
 
 // Clustering is a greedy 3k-clustering of a k-level.
 type Clustering struct {
 	K          int       // the level parameter (λ in §3.2)
 	Boundaries []float64 // x of w_1..w_{u-1}; cluster i covers [w_i, w_{i+1}) with w_0 = -inf
-	Clusters   [][]int   // line indices, each sorted by slope ascending
+	Clusters   [][]int   // line indices, each sorted by slope ascending, ties by intercept
 	Members    []int     // union of all clusters, deduplicated
 }
 
@@ -40,33 +41,54 @@ func (c *Clustering) Relevant(x float64) int {
 }
 
 // BuildGreedy computes the greedy 3k-clustering of the k-level of the
-// live subset of lines, walking the level with the Edelsbrunner–Welzl
-// oracle (arrangement.WalkEW) the §3 construction runs. It requires
+// live subset of u's lines, walking the level with the
+// Edelsbrunner–Welzl oracle (arrangement.WalkEW) the §3 construction
+// runs. Every order it needs comes from u's slope order. It requires
 // 1 <= k < len(live).
-func BuildGreedy(lines []geom.Line2, live []int, k int) *Clustering {
+func BuildGreedy(u *envelope.Universe, live []int, k int) *Clustering {
 	if k < 1 || k >= len(live) {
 		panic("cluster: level parameter out of range")
 	}
-	order := arrangement.OrderAtMinusInf(lines, live)
+	order := arrangement.OrderAtMinusInf(u, live)
 
-	below := make(map[int]bool, k) // lines strictly below the current level point
-	for _, id := range order[:k] {
-		below[id] = true
+	// below lists the lines strictly below the current level point, and
+	// at[id] is id's index in it whenever id is there.
+	below := append(make([]int, 0, k), order[:k]...)
+	at := make([]int, len(u.Lines))
+	for i, id := range below {
+		at[id] = i
+	}
+	isBelow := func(id int) bool { i := at[id]; return i < len(below) && below[i] == id }
+	// pass moves the below-set past a convex vertex: the entering line
+	// (minimum slope through v) drops below the level, the leaving line
+	// rises out of the below-set.
+	pass := func(v arrangement.Vertex) {
+		if isBelow(v.Leave) {
+			i, last := at[v.Leave], below[len(below)-1]
+			below[i], at[last] = last, i
+			below = below[:len(below)-1]
+		}
+		if !isBelow(v.Enter) {
+			at[v.Enter] = len(below)
+			below = append(below, v.Enter)
+		}
 	}
 
 	cl := &Clustering{K: k}
-	cur := make(map[int]bool, 3*k) // current cluster under construction
+	inCur := make([]bool, len(u.Lines)) // the cluster under construction
+	inAny := make([]bool, len(u.Lines)) // membership across all clusters (for Members)
 	var curList []int
-	for id := range below {
-		cur[id] = true
-		curList = append(curList, id)
+	openCluster := func() {
+		curList = append(curList[:0], below...)
+		for _, id := range curList {
+			inCur[id] = true
+		}
 	}
-	inAny := make(map[int]bool) // membership across all clusters (for Members)
-
 	closeCluster := func() {
-		sort.Slice(curList, func(a, b int) bool { return lines[curList[a]].A < lines[curList[b]].A })
+		slices.SortFunc(curList, u.BySlope)
 		cl.Clusters = append(cl.Clusters, append([]int(nil), curList...))
 		for _, id := range curList {
+			inCur[id] = false
 			if !inAny[id] {
 				inAny[id] = true
 				cl.Members = append(cl.Members, id)
@@ -74,49 +96,40 @@ func BuildGreedy(lines []geom.Line2, live []int, k int) *Clustering {
 		}
 	}
 
-	arrangement.WalkEW(lines, live, k, func(v arrangement.Vertex) bool {
+	openCluster()
+	arrangement.WalkEW(u, order, k, func(v arrangement.Vertex) bool {
 		if !v.Convex {
 			// Concave (upward) vertex: the below-set is unchanged (§3.1).
 			return true
 		}
-		// Convex vertex: the entering line (minimum slope through v) drops
-		// below the level; the leaving line rises out of the below-set.
-		cand := v.Enter
-		if !cur[cand] {
+		if cand := v.Enter; !inCur[cand] {
 			if len(curList) >= 3*k {
 				// Close the cluster at boundary v and open the next one
 				// from the below-set just right of v.
 				closeCluster()
 				cl.Boundaries = append(cl.Boundaries, v.X)
-				cur = make(map[int]bool, 3*k)
-				curList = curList[:0]
-				delete(below, v.Leave)
-				below[v.Enter] = true
-				for id := range below {
-					cur[id] = true
-					curList = append(curList, id)
-				}
+				pass(v)
+				openCluster()
 				return true
 			}
-			cur[cand] = true
+			inCur[cand] = true
 			curList = append(curList, cand)
 		}
-		delete(below, v.Leave)
-		below[v.Enter] = true
+		pass(v)
 		return true
 	})
 	closeCluster()
-	sort.Ints(cl.Members)
+	slices.Sort(cl.Members)
 	return cl
 }
 
 // Single returns a degenerate clustering with one cluster holding every
 // live line, used for the final phase of the §3 structure when too few
 // lines remain to define a λ-level.
-func Single(lines []geom.Line2, live []int) *Clustering {
+func Single(u *envelope.Universe, live []int) *Clustering {
 	c := append([]int(nil), live...)
-	sort.Slice(c, func(a, b int) bool { return lines[c[a]].A < lines[c[b]].A })
+	slices.SortFunc(c, u.BySlope)
 	members := append([]int(nil), live...)
-	sort.Ints(members)
+	slices.Sort(members)
 	return &Clustering{K: 0, Clusters: [][]int{c}, Members: members}
 }

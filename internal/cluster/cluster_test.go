@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"linconstraint/internal/envelope"
 	"linconstraint/internal/geom"
 )
 
@@ -43,7 +44,7 @@ func TestLemma32ClusterSizes(t *testing.T) {
 		n := 30 + rng.Intn(120)
 		k := 1 + rng.Intn(n/4)
 		lines := randomLines(rng, n)
-		cl := BuildGreedy(lines, allLive(n), k)
+		cl := BuildGreedy(envelope.NewUniverse(lines), allLive(n), k)
 		if cl.Size() > n/k+1 {
 			t.Fatalf("trial %d: %d clusters for N=%d k=%d exceeds N/k", trial, cl.Size(), n, k)
 		}
@@ -73,7 +74,7 @@ func TestLemma32Retirement(t *testing.T) {
 		n := 60 + rng.Intn(100)
 		k := 2 + rng.Intn(8)
 		lines := randomLines(rng, n)
-		cl := BuildGreedy(lines, allLive(n), k)
+		cl := BuildGreedy(envelope.NewUniverse(lines), allLive(n), k)
 		for i := 0; i+1 < cl.Size(); i++ {
 			later := make(map[int]bool)
 			for _, c := range cl.Clusters[i+1:] {
@@ -102,7 +103,7 @@ func TestCorollary33Interval(t *testing.T) {
 		n := 60 + rng.Intn(100)
 		k := 2 + rng.Intn(8)
 		lines := randomLines(rng, n)
-		cl := BuildGreedy(lines, allLive(n), k)
+		cl := BuildGreedy(envelope.NewUniverse(lines), allLive(n), k)
 		appear := make(map[int][]int)
 		for i, c := range cl.Clusters {
 			for _, id := range c {
@@ -129,7 +130,7 @@ func TestClusterCoverage(t *testing.T) {
 		k := 2 + rng.Intn(6)
 		lines := randomLines(rng, n)
 		live := allLive(n)
-		cl := BuildGreedy(lines, live, k)
+		cl := BuildGreedy(envelope.NewUniverse(lines), live, k)
 		for s := 0; s < 200; s++ {
 			x := rng.NormFloat64() * 2
 			rel := cl.Relevant(x)
@@ -150,7 +151,7 @@ func TestClusterCoverage(t *testing.T) {
 func TestMembersIsUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	lines := randomLines(rng, 80)
-	cl := BuildGreedy(lines, allLive(80), 5)
+	cl := BuildGreedy(envelope.NewUniverse(lines), allLive(80), 5)
 	want := make(map[int]bool)
 	for _, c := range cl.Clusters {
 		for _, id := range c {
@@ -185,7 +186,7 @@ func TestRelevantBuckets(t *testing.T) {
 
 func TestSingle(t *testing.T) {
 	lines := []geom.Line2{{A: 3}, {A: 1}, {A: 2}}
-	cl := Single(lines, []int{0, 1, 2})
+	cl := Single(envelope.NewUniverse(lines), []int{0, 1, 2})
 	if cl.Size() != 1 || len(cl.Boundaries) != 0 {
 		t.Fatal("Single shape")
 	}
@@ -206,7 +207,7 @@ func TestBuildGreedyPanics(t *testing.T) {
 					t.Fatalf("no panic for k=%d", k)
 				}
 			}()
-			BuildGreedy(lines, []int{0, 1}, k)
+			BuildGreedy(envelope.NewUniverse(lines), []int{0, 1}, k)
 		}()
 	}
 }

@@ -130,17 +130,6 @@ func (d *Device) SetFaultPlan(p FaultPlan) {
 	d.fault = &faultState{plan: p, rng: uint64(p.Seed)*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3}
 }
 
-// FaultPlan returns the installed plan (the zero plan when healthy).
-// Serialized like SetFaultPlan.
-func (d *Device) FaultPlan() FaultPlan {
-	d.enter()
-	defer d.exit()
-	if d.fault == nil {
-		return FaultPlan{FailStall: d.failStall}
-	}
-	return d.fault.plan
-}
-
 // Fail latches the device hard-failed: every subsequent touch charges a
 // fault and stalls FailStall (defaultFailStall if the plan names none)
 // until Heal. The latch is atomic — unlike SetFaultPlan it is safe to

@@ -237,8 +237,18 @@ func TestBreakerTripRouteAroundRepair(t *testing.T) {
 	if e.shards[0].reps[0].dev.Failed() {
 		t.Fatal("Repair left the primary's fail latch set")
 	}
-	if e.shards[0].reps[0].dev.FaultPlan() != (eio.FaultPlan{}) {
-		t.Fatal("Repair left the primary's fault plan installed")
+	// The fault plan is cleared: a healthy touch injects nothing, and a
+	// hard-failed one stalls the default FailStall, not the plan's 10 µs.
+	// The engine is idle between batches, so the test may touch its
+	// device.
+	dev := e.shards[0].reps[0].dev
+	before := dev.Stats()
+	dev.Read(0)
+	dev.Fail()
+	dev.Read(0)
+	dev.Heal()
+	if d := dev.Stats().Sub(before); d.Faults != 1 || d.FaultStallNs != int64(time.Millisecond) {
+		t.Fatalf("Repair left the primary's fault plan installed: %d faults, %d ns stalled", d.Faults, d.FaultStallNs)
 	}
 	check("repaired primary")
 	grown := e.Stats().ReplicaReads[0][0]

@@ -17,10 +17,16 @@
 // query line, so queries cost O(√U · log) and updates O(√U) — the same
 // interface as [43] with different constants (DESIGN.md substitution 1
 // discusses how this affects only construction cost, not query bounds).
+//
+// The slope order is a Universe, sorted once and shared read-only: a §3
+// build sorts its lines once, and every envelope of every layer's walk
+// reads that order. A walk starts by loading each envelope with Load,
+// O(U) for the whole set, then takes O(√U · log) per step.
 package envelope
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"linconstraint/internal/geom"
@@ -36,12 +42,47 @@ const (
 	Upper
 )
 
+// Universe is a fixed set of non-vertical lines together with its slope
+// order, sorted once: every Dynamic over the universe, and every level
+// walk of a §3 build, reads Order instead of sorting again.
+type Universe struct {
+	Lines []geom.Line2
+	Order []int // line ids by slope ascending, ties by intercept ascending
+	pos   []int // pos[id] is id's index in Order
+}
+
+// NewUniverse sorts lines by slope, ties by intercept.
+func NewUniverse(lines []geom.Line2) *Universe {
+	u := &Universe{Lines: lines, Order: make([]int, len(lines)), pos: make([]int, len(lines))}
+	for i := range u.Order {
+		u.Order[i] = i
+	}
+	slices.SortFunc(u.Order, func(a, b int) int {
+		la, lb := lines[a], lines[b]
+		switch {
+		case la.A < lb.A || la.A == lb.A && la.B < lb.B:
+			return -1
+		case lb.A < la.A || la.A == lb.A && lb.B < la.B:
+			return 1
+		}
+		return 0
+	})
+	for p, id := range u.Order {
+		u.pos[id] = p
+	}
+	return u
+}
+
+// BySlope compares line ids by their place in the slope order, for
+// slices.SortFunc.
+func (u *Universe) BySlope(a, b int) int { return u.pos[a] - u.pos[b] }
+
 // Dynamic is a dynamic envelope over a fixed universe of lines.
 type Dynamic struct {
 	side   Side
 	lines  []geom.Line2
-	order  []int // universe indices sorted by slope
-	pos    []int // inverse of order
+	order  []int // the universe's slope order, shared
+	pos    []int // its inverse, shared
 	active []bool
 	groups []group
 	gsize  int
@@ -58,34 +99,15 @@ type group struct {
 }
 
 // NewDynamic builds a structure over the universe with no active lines.
-func NewDynamic(lines []geom.Line2, side Side) *Dynamic {
-	d := &Dynamic{side: side, lines: lines}
-	d.order = make([]int, len(lines))
-	for i := range d.order {
-		d.order[i] = i
-	}
-	sort.Slice(d.order, func(a, b int) bool {
-		la, lb := lines[d.order[a]], lines[d.order[b]]
-		if la.A != lb.A {
-			return la.A < lb.A
-		}
-		return la.B < lb.B
-	})
-	d.pos = make([]int, len(lines))
-	for p, id := range d.order {
-		d.pos[id] = p
-	}
-	d.active = make([]bool, len(lines))
+func NewDynamic(u *Universe, side Side) *Dynamic {
+	n := len(u.Lines)
+	d := &Dynamic{side: side, lines: u.Lines, order: u.Order, pos: u.pos, active: make([]bool, n)}
 	d.gsize = 16
-	for d.gsize*d.gsize < len(lines) {
+	for d.gsize*d.gsize < n {
 		d.gsize *= 2
 	}
-	for lo := 0; lo < len(lines); lo += d.gsize {
-		hi := lo + d.gsize
-		if hi > len(lines) {
-			hi = len(lines)
-		}
-		d.groups = append(d.groups, group{lo: lo, hi: hi})
+	for lo := 0; lo < n; lo += d.gsize {
+		d.groups = append(d.groups, group{lo: lo, hi: min(lo+d.gsize, n)})
 	}
 	return d
 }
@@ -104,6 +126,25 @@ func (d *Dynamic) Activate(id int) {
 	d.active[id] = true
 	d.count++
 	d.rebuild(d.pos[id] / d.gsize)
+}
+
+// Load activates every line of ids in one pass: it marks them, then
+// rebuilds each group that gained a line once. That is O(U) however many
+// lines it loads, where one Activate per line rebuilds a group each time.
+func (d *Dynamic) Load(ids []int) {
+	dirty := make([]bool, len(d.groups))
+	for _, id := range ids {
+		if !d.active[id] {
+			d.active[id] = true
+			d.count++
+			dirty[d.pos[id]/d.gsize] = true
+		}
+	}
+	for gi, ok := range dirty {
+		if ok {
+			d.rebuild(gi)
+		}
+	}
 }
 
 // Deactivate removes universe line id.

@@ -56,7 +56,7 @@ func TestEvalMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, side := range []Side{Lower, Upper} {
 		lines := randomLines(rng, 300)
-		d := NewDynamic(lines, side)
+		d := NewDynamic(NewUniverse(lines), side)
 		// Random activation pattern.
 		for id := range lines {
 			if rng.Intn(3) > 0 {
@@ -83,7 +83,7 @@ func TestEvalMatchesBrute(t *testing.T) {
 func TestDynamicOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	lines := randomLines(rng, 200)
-	d := NewDynamic(lines, Lower)
+	d := NewDynamic(NewUniverse(lines), Lower)
 	model := make(map[int]bool)
 	for op := 0; op < 2000; op++ {
 		id := rng.Intn(200)
@@ -126,7 +126,7 @@ func TestFirstCrossingFromBelow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 40; trial++ {
 		lines := randomLines(rng, 100)
-		d := NewDynamic(lines, Lower)
+		d := NewDynamic(NewUniverse(lines), Lower)
 		// Query line and starting point.
 		l := geom.Line2{A: rng.NormFloat64(), B: rng.NormFloat64()}
 		x0 := rng.NormFloat64()
@@ -155,7 +155,7 @@ func TestFirstCrossingFromAbove(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 40; trial++ {
 		lines := randomLines(rng, 100)
-		d := NewDynamic(lines, Upper)
+		d := NewDynamic(NewUniverse(lines), Upper)
 		l := geom.Line2{A: rng.NormFloat64(), B: rng.NormFloat64()}
 		x0 := rng.NormFloat64()
 		for id, cand := range lines {
@@ -179,7 +179,7 @@ func TestFirstCrossingFromAbove(t *testing.T) {
 
 func TestParallelLines(t *testing.T) {
 	lines := []geom.Line2{{A: 1, B: 0}, {A: 1, B: -2}, {A: 1, B: 3}}
-	d := NewDynamic(lines, Lower)
+	d := NewDynamic(NewUniverse(lines), Lower)
 	for i := range lines {
 		d.Activate(i)
 	}
@@ -194,7 +194,7 @@ func TestParallelLines(t *testing.T) {
 }
 
 func TestEmpty(t *testing.T) {
-	d := NewDynamic(randomLines(rand.New(rand.NewSource(5)), 10), Lower)
+	d := NewDynamic(NewUniverse(randomLines(rand.New(rand.NewSource(5)), 10)), Lower)
 	if _, _, ok := d.EvalAt(0); ok {
 		t.Fatal("EvalAt on empty")
 	}
@@ -203,10 +203,57 @@ func TestEmpty(t *testing.T) {
 	}
 }
 
+// TestLoadMatchesActivate: bulk-loading a set answers every EvalAt and
+// FirstCrossing exactly as activating its members one at a time does,
+// on lines drawn from few slopes and intercepts, so that equal slopes,
+// parallel ties and concurrent crossings are common.
+func TestLoadMatchesActivate(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	coarse := func() float64 { return float64(rng.Intn(9)-4) / 2 }
+	for trial := 0; trial < 60; trial++ {
+		lines := make([]geom.Line2, 20+rng.Intn(300))
+		for i := range lines {
+			lines[i] = geom.Line2{A: coarse(), B: coarse()}
+		}
+		u := NewUniverse(lines)
+		var ids []int
+		for id := range lines {
+			if rng.Intn(2) == 0 {
+				ids = append(ids, id)
+			}
+		}
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		for _, side := range []Side{Lower, Upper} {
+			bulk, one := NewDynamic(u, side), NewDynamic(u, side)
+			bulk.Load(ids)
+			for _, id := range ids {
+				one.Activate(id)
+			}
+			if bulk.Len() != one.Len() {
+				t.Fatalf("trial %d side %v: Len %d, want %d", trial, side, bulk.Len(), one.Len())
+			}
+			for s := 0; s < 50; s++ {
+				x := coarse() + float64(rng.Intn(3)-1)/4
+				l := geom.Line2{A: coarse(), B: coarse()}
+				gid, gv, gok := bulk.EvalAt(x)
+				wid, wv, wok := one.EvalAt(x)
+				if gid != wid || gv != wv || gok != wok {
+					t.Fatalf("trial %d side %v: EvalAt(%v) = (%d, %v, %v), want (%d, %v, %v)", trial, side, x, gid, gv, gok, wid, wv, wok)
+				}
+				gx, gid, gok := bulk.FirstCrossing(l, x)
+				wx, wid, wok := one.FirstCrossing(l, x)
+				if gx != wx || gid != wid || gok != wok {
+					t.Fatalf("trial %d side %v: FirstCrossing(%v, %v) = (%v, %d, %v), want (%v, %d, %v)", trial, side, l, x, gx, gid, gok, wx, wid, wok)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkFirstCrossing(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	lines := randomLines(rng, 10000)
-	d := NewDynamic(lines, Lower)
+	d := NewDynamic(NewUniverse(lines), Lower)
 	l := geom.Line2{A: 0, B: -100} // far below: everything active is above
 	for id := range lines {
 		d.Activate(id)
@@ -220,7 +267,7 @@ func BenchmarkFirstCrossing(b *testing.B) {
 func BenchmarkActivateDeactivate(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	lines := randomLines(rng, 10000)
-	d := NewDynamic(lines, Lower)
+	d := NewDynamic(NewUniverse(lines), Lower)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := i % 10000

@@ -8,19 +8,6 @@ type Box struct {
 	Min, Max PointD
 }
 
-// Dim returns the dimension of the box.
-func (b Box) Dim() int { return len(b.Min) }
-
-// Contains reports whether p lies in the closed box.
-func (b Box) Contains(p PointD) bool {
-	for i := range b.Min {
-		if p[i] < b.Min[i] || p[i] > b.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // BoundingBox returns the smallest box containing all points. It panics
 // if pts is empty.
 func BoundingBox(pts []PointD) Box {

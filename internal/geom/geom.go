@@ -49,19 +49,6 @@ type HyperplaneD struct {
 	Coef []float64
 }
 
-// Dim returns the dimension d of the ambient space.
-func (h HyperplaneD) Dim() int { return len(h.Coef) }
-
-// Eval returns the hyperplane's x_d value above the projection p[0..d-2].
-func (h HyperplaneD) Eval(p PointD) float64 {
-	d := len(h.Coef)
-	v := h.Coef[d-1]
-	for i := 0; i < d-1; i++ {
-		v += h.Coef[i] * p[i]
-	}
-	return v
-}
-
 // --- Duality (§2.1) ---------------------------------------------------
 //
 // The dual of the point (a_1, …, a_d) is the hyperplane

@@ -299,11 +299,12 @@ func TestLiftDistanceOrder(t *testing.T) {
 
 func TestHyperplaneEvalAndConversions(t *testing.T) {
 	h := HyperplaneD{Coef: []float64{2, -1, 3}}
-	if h.Dim() != 3 {
+	if len(h.Coef) != 3 {
 		t.Fatal("Dim")
 	}
-	if got := h.Eval(PointD{1, 1, 0}); got != 4 {
-		t.Fatalf("Eval = %v", got)
+	// x_3 = 2·1 − 1·1 + 3 = 4 above (1, 1): that point is on h.
+	if got := SideOfHyperplane(h, PointD{1, 1, 4}); got != 0 {
+		t.Fatalf("(1, 1, 4) on side %d of h, want 0", got)
 	}
 	if len(PointDOf3(Point3{1, 2, 3})) != 3 {
 		t.Fatal("point conversion")
@@ -317,7 +318,7 @@ func TestBoundingBox(t *testing.T) {
 		t.Fatalf("bbox %+v", b)
 	}
 	for _, p := range pts {
-		if !b.Contains(p) {
+		if p[0] < b.Min[0] || p[0] > b.Max[0] || p[1] < b.Min[1] || p[1] > b.Max[1] {
 			t.Fatalf("bbox excludes %v", p)
 		}
 	}
@@ -354,7 +355,7 @@ func randomBox(rng *rand.Rand, d int) Box {
 }
 
 func forEachCorner(b Box, fn func(PointD)) {
-	d := b.Dim()
+	d := len(b.Min)
 	for mask := 0; mask < 1<<d; mask++ {
 		p := make(PointD, d)
 		for i := 0; i < d; i++ {

@@ -41,6 +41,23 @@ func TestBuildFingerprintGolden(t *testing.T) {
 	}
 }
 
+// TestBuildDeterministicOnEqualSlopes: lattice points share
+// x-coordinates, so their dual lines share slopes, which every order of
+// the build must break the same way each time: repeated builds of one
+// input are identical.
+func TestBuildDeterministicOnEqualSlopes(t *testing.T) {
+	pts := workload.Lattice2(rand.New(rand.NewSource(3)), 3_000, 1<<16)
+	first := ""
+	for i := 0; i < 4; i++ {
+		idx := NewPoints(eio.NewDevice(16, 0), pts, Options{Seed: 3})
+		if got := fingerprint(idx.Index); i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("build %d: fingerprint %s, first build %s", i, got, first)
+		}
+	}
+}
+
 func uniform(n int, seed int64) func() []geom.Point2 {
 	return func() []geom.Point2 { return workload.Uniform2(rand.New(rand.NewSource(seed)), n) }
 }
@@ -101,4 +118,20 @@ func unordered(u uint64) float64 {
 		return math.Float64frombits(u &^ (1 << 63))
 	}
 	return math.Float64frombits(^u)
+}
+
+// BenchmarkPlanarBuild times the §3 construction over uniform points at
+// B = 128: ns/line is the build's wall time per input line, and
+// allocs/op counts its heap allocations.
+func BenchmarkPlanarBuild(b *testing.B) {
+	for _, n := range []int{12_500, 50_000} {
+		pts := uniform(n, 1)()
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewPoints(eio.NewDevice(128, 0), pts, Options{Seed: 1})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/line")
+		})
+	}
 }

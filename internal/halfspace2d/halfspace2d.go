@@ -31,6 +31,7 @@ import (
 
 	"linconstraint/internal/cluster"
 	"linconstraint/internal/eio"
+	"linconstraint/internal/envelope"
 	"linconstraint/internal/geom"
 	"linconstraint/internal/idset"
 )
@@ -105,6 +106,7 @@ func New(dev *eio.Device, lines []geom.Line2, opt Options) *Index {
 	}
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
 
+	u := envelope.NewUniverse(lines) // the build's one slope sort
 	live := make([]int, len(lines))
 	for i := range live {
 		live[i] = i
@@ -113,11 +115,11 @@ func New(dev *eio.Device, lines []geom.Line2, opt Options) *Index {
 		lambda := idx.beta + rng.Intn(idx.beta+1) // uniform in [β, 2β]
 		if lambda >= len(live) {
 			// Too few lines to define a λ-level: final single-cluster layer.
-			cl := cluster.Single(lines, live)
+			cl := cluster.Single(u, live)
 			idx.phases = append(idx.phases, idx.storePhase(lines, cl, lambda, true))
 			break
 		}
-		cl := cluster.BuildGreedy(lines, live, lambda)
+		cl := cluster.BuildGreedy(u, live, lambda)
 		idx.phases = append(idx.phases, idx.storePhase(lines, cl, lambda, false))
 		if len(cl.Members) == len(live) {
 			break // L_i = H_i: the paper's stopping condition

@@ -10,6 +10,7 @@ import (
 	"linconstraint/internal/chan3d"
 	"linconstraint/internal/cluster"
 	"linconstraint/internal/eio"
+	"linconstraint/internal/envelope"
 	"linconstraint/internal/geom"
 	"linconstraint/internal/halfspace2d"
 	"linconstraint/internal/hull3d"
@@ -596,7 +597,7 @@ func F3(cfg Config) Result {
 		lines[i] = geom.Line2{A: rng.NormFloat64(), B: rng.NormFloat64()}
 		live[i] = i
 	}
-	cl := cluster.BuildGreedy(lines, live, k)
+	cl := cluster.BuildGreedy(envelope.NewUniverse(lines), live, k)
 	bad := 0
 	for s := 0; s < 300; s++ {
 		x := rng.NormFloat64()
@@ -639,7 +640,7 @@ func F45(cfg Config) Result {
 		lines[i] = geom.Line2{A: rng.NormFloat64(), B: rng.NormFloat64()}
 		live[i] = i
 	}
-	cl := cluster.BuildGreedy(lines, live, k)
+	cl := cluster.BuildGreedy(envelope.NewUniverse(lines), live, k)
 	maxSize, retireMin := 0, 1<<30
 	for i, c := range cl.Clusters {
 		if len(c) > maxSize {

@@ -24,7 +24,7 @@ func slabD(rng *rand.Rand, pts []geom.PointD, lo, sel float64) geom.Simplex {
 	}
 	res := make([]float64, len(pts))
 	for i, p := range pts {
-		res[i] = p[d-1] - geom.HyperplaneD{Coef: coef}.Eval(p) // coef[d-1] is still 0
+		res[i] = p[d-1] - heightD(coef, p) // coef[d-1] is still 0
 	}
 	sort.Float64s(res)
 	at := func(q float64) float64 { return res[min(int(q*float64(len(res))), len(res)-1)] }
@@ -34,6 +34,17 @@ func slabD(rng *rand.Rand, pts []geom.PointD, lo, sel float64) geom.Simplex {
 		Planes: []geom.HyperplaneD{{Coef: hi}, {Coef: low}},
 		Below:  []bool{true, false},
 	}
+}
+
+// heightD returns the x_d value of the hyperplane with coefficients
+// coef above the projection p[0..d-2].
+func heightD(coef []float64, p geom.PointD) float64 {
+	d := len(coef)
+	v := coef[d-1]
+	for i := 0; i < d-1; i++ {
+		v += coef[i] * p[i]
+	}
+	return v
 }
 
 // reportQueries builds the §5 tree of BenchmarkPartitionReport: d = 3,
@@ -247,7 +258,7 @@ func FuzzLeafFilter(f *testing.F) {
 			for i := 0; i < d-1; i++ {
 				q[i] = math.Round(p[i])
 			}
-			q[d-1] = s.Planes[len(pts)%k].Eval(q)
+			q[d-1] = heightD(s.Planes[len(pts)%k].Coef, q)
 			if !math.IsInf(q[d-1], 0) && !math.IsNaN(q[d-1]) {
 				pts = append(pts, q)
 			}

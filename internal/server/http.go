@@ -22,7 +22,8 @@ import (
 //
 // Status codes: 200 complete, 206 degraded/partial, 400 unparseable,
 // non-finite operand, a k, constraint count or coefficient count over
-// its bound, or unsupported op, 413 body over maxBodyBytes, 429
+// its bound, unsupported op, or an insert or delete on a static engine
+// (engine.ErrImmutable, open or closed), 413 body over maxBodyBytes, 429
 // shed by admission control, 503 shutting down, 500 engine error. The
 // body is always a Response (plus an error string when not 200/206).
 

@@ -25,8 +25,9 @@ const (
 	// StatusClosed: the server is shutting down, or its engine is
 	// closed (engine.ErrClosed).
 	StatusClosed
-	// StatusBadRequest: unparseable query or an op outside the
-	// engine's family (index.ErrUnsupported).
+	// StatusBadRequest: unparseable query, an op outside the engine's
+	// family (index.ErrUnsupported), or an insert or delete on an engine
+	// whose family takes no updates (engine.ErrImmutable).
 	StatusBadRequest
 	// StatusError: the engine reported an error.
 	StatusError

@@ -284,7 +284,7 @@ func (s *Server) flush(st *stripe) {
 			switch {
 			case errors.Is(res.Err, engine.ErrClosed):
 				r.status = StatusClosed
-			case errors.Is(res.Err, index.ErrUnsupported):
+			case errors.Is(res.Err, index.ErrUnsupported), errors.Is(res.Err, engine.ErrImmutable):
 				r.status = StatusBadRequest
 			default:
 				r.status = StatusError

@@ -809,6 +809,42 @@ func TestClosedEngineAnswers503(t *testing.T) {
 	}
 }
 
+// TestUpdateOnStaticEngineIs400: an insert or delete sent to an engine
+// whose family takes no updates (engine.ErrImmutable) is the client's
+// fault, so it answers StatusBadRequest through Do and 400 over HTTP,
+// with the engine's error in the body — before the engine is closed and
+// after, since no retry could make it succeed.
+func TestUpdateOnStaticEngineIs400(t *testing.T) {
+	pts := workload.Uniform2(rand.New(rand.NewSource(5)), 200)
+	eng := engine.NewPlanar(pts, engine.Options{Shards: 2, BlockSize: 16})
+	srv := New(eng, Config{MaxBatch: 4, Stripes: 2})
+	defer srv.Close()
+	check := func(when string) {
+		for _, q := range []index.Query{
+			{Op: index.OpInsert, Rec: index.Record{P2: geom.Point2{X: 0.5, Y: 0.5}}},
+			{Op: index.OpDelete, Rec: index.Record{P2: pts[0]}},
+		} {
+			var resp Response
+			if st := srv.Do(q, &resp); st != StatusBadRequest || !strings.Contains(resp.Err, engine.ErrImmutable.Error()) {
+				t.Errorf("%s: Do %v: %v (%q), want StatusBadRequest with ErrImmutable", when, q.Op, st, resp.Err)
+			}
+		}
+		for _, target := range []string{
+			"/query?op=insert&rec2=0.5,0.5",
+			fmt.Sprintf("/query?op=delete&rec2=%v,%v", pts[0].X, pts[0].Y),
+		} {
+			rr := httptest.NewRecorder()
+			srv.ServeHTTP(rr, httptest.NewRequest("GET", target, nil))
+			if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), engine.ErrImmutable.Error()) {
+				t.Errorf("%s: GET %s: status %d (%s), want 400 with ErrImmutable", when, target, rr.Code, rr.Body)
+			}
+		}
+	}
+	check("open engine")
+	eng.Close()
+	check("closed engine")
+}
+
 // TestFullStripeSpillsToSibling: a request whose round-robin stripe is
 // full is admitted by the next stripe of its op, so with every flusher
 // held inside the backend exactly Stripes × QueueCap requests are
