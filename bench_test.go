@@ -93,7 +93,7 @@ func BenchmarkPlanarHalfplaneQuery(b *testing.B) {
 				a := rng.NormFloat64() * 0.2
 				idx.Halfplane(a, 0.05)
 			}
-			b.ReportMetric(float64(idx.Stats().IOs())/float64(b.N), "IOs/op")
+			b.ReportMetric(float64(idx.Stats().IO.IOs())/float64(b.N), "IOs/op")
 		})
 	}
 }
@@ -111,7 +111,7 @@ func BenchmarkIndex3DHalfspaceQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		idx.Halfspace(rng.NormFloat64()*0.2, rng.NormFloat64()*0.2, 0.05)
 	}
-	b.ReportMetric(float64(idx.Stats().IOs())/float64(b.N), "IOs/op")
+	b.ReportMetric(float64(idx.Stats().IO.IOs())/float64(b.N), "IOs/op")
 }
 
 func BenchmarkKNNQuery(b *testing.B) {
@@ -120,9 +120,9 @@ func BenchmarkKNNQuery(b *testing.B) {
 	idx.ResetStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx.Query(16, Point2{X: rng.Float64(), Y: rng.Float64()})
+		idx.Nearest(16, Point2{X: rng.Float64(), Y: rng.Float64()})
 	}
-	b.ReportMetric(float64(idx.Stats().IOs())/float64(b.N), "IOs/op")
+	b.ReportMetric(float64(idx.Stats().IO.IOs())/float64(b.N), "IOs/op")
 }
 
 func BenchmarkPartitionTreeQuery(b *testing.B) {
@@ -138,7 +138,7 @@ func BenchmarkPartitionTreeQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Halfspace([]float64{rng.NormFloat64() * 0.3, rng.NormFloat64() * 0.3, 0.05})
 	}
-	b.ReportMetric(float64(tr.Stats().IOs())/float64(b.N), "IOs/op")
+	b.ReportMetric(float64(tr.Stats().IO.IOs())/float64(b.N), "IOs/op")
 }
 
 func BenchmarkPlanarBuild(b *testing.B) {
@@ -180,7 +180,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			})
 			defer e.Close()
 			for _, q := range queries[:3] {
-				if got, want := e.Halfplane(q.A, q.B), ref.Halfplane(q.A, q.B); !sameInts(got, want) {
+				if got, want := ask(b, e, Query{Op: OpHalfplane, A: q.A, B: q.B}).IDs, ref.Halfplane(q.A, q.B); !sameInts(got, want) {
 					b.Fatalf("sharded result set differs from unsharded (%d vs %d hits)", len(got), len(want))
 				}
 			}
@@ -248,7 +248,7 @@ func BenchmarkEnginePruning(b *testing.B) {
 			})
 			defer e.Close()
 			for _, q := range queries[:8] {
-				if got, want := e.Halfplane(q.A, q.B), baseline.Halfplane(q.A, q.B); !sameInts(got, want) {
+				if got, want := ask(b, e, Query{Op: OpHalfplane, A: q.A, B: q.B}).IDs, ask(b, baseline, Query{Op: OpHalfplane, A: q.A, B: q.B}).IDs; !sameInts(got, want) {
 					b.Fatalf("planned result set differs from unpruned (%d vs %d hits)", len(got), len(want))
 				}
 			}
@@ -257,7 +257,7 @@ func BenchmarkEnginePruning(b *testing.B) {
 			nq := 0
 			for i := 0; i < b.N; i++ {
 				for _, hq := range queries {
-					e.Halfplane(hq.A, hq.B)
+					ask(b, e, Query{Op: OpHalfplane, A: hq.A, B: hq.B})
 					nq++
 				}
 			}

@@ -38,7 +38,7 @@ func main() {
 	q := workload.DiagonalAdversarialQuery(rng)
 	opt.ResetStats()
 	res := opt.Halfplane(q.A, q.B)
-	fmt.Printf("%-22s %6d I/Os  (%d results)\n", "optimal 2D (paper §3):", opt.Stats().IOs(), len(res))
+	fmt.Printf("%-22s %6d I/Os  (%d results)\n", "optimal 2D (paper §3):", opt.Stats().IO.IOs(), len(res))
 
 	// The heuristic baselines.
 	run := func(name string, mk func(*eio.Device, []geom.Point2) interface {

@@ -38,7 +38,7 @@ func main() {
 	tr.ResetStats()
 	cons := tr.Halfspace([]float64{0.4, 0, 0, 20})
 	fmt.Printf("conservative loans (amount <= 0.4*income + 20): %d rows, %d I/Os\n",
-		len(cons), tr.Stats().IOs())
+		len(cons), tr.Stats().IO.IOs())
 
 	// Conjunction: risky loans.
 	//   amount >= 1.2*debt - 10          (x4 >= 1.2*x2 - 10)
@@ -51,7 +51,7 @@ func main() {
 		{Coef: []float64{0, 2.0, 0, 60}, Below: true},
 	})
 	fmt.Printf("risky loans (3-constraint conjunction): %d rows, %d I/Os\n",
-		len(risky), tr.Stats().IOs())
+		len(risky), tr.Stats().IO.IOs())
 	for _, i := range risky[:min(5, len(risky))] {
 		l := loans[i]
 		fmt.Printf("  loan %5d: income=%.0f debt=%.0f rate=%.1f amount=%.0f\n",

@@ -38,12 +38,14 @@ func main() {
 		switch r := rng.Intn(10); {
 		case r < 6 || len(book) == 0: // new offer
 			p := newOffer(rng)
-			idx.Insert(p)
+			if err := idx.Insert(linconstraint.Rec2(p)); err != nil {
+				panic(err)
+			}
 			book = append(book, p)
 			arrivals++
 		case r < 8: // cancellation
 			i := rng.Intn(len(book))
-			if !idx.Delete(book[i]) {
+			if ok, err := idx.Delete(linconstraint.Rec2(book[i])); err != nil || !ok {
 				panic("cancelled offer was not in the index")
 			}
 			book[i] = book[len(book)-1]
@@ -70,7 +72,7 @@ func main() {
 	fmt.Printf("unsharded: processed %d arrivals, %d cancels, %d verified queries\n",
 		arrivals, cancels, queries)
 	fmt.Printf("book size %d; matching offers %d; last query cost %d I/Os\n",
-		idx.Len(), len(hits), st.IOs())
+		idx.Len(), len(hits), st.IO.IOs())
 
 	// --- Part 2: the sharded mutable engine -----------------------------
 	eng := linconstraint.NewDynamicPlanarEngine(linconstraint.EngineConfig{
@@ -88,21 +90,27 @@ func main() {
 			if err := eng.Insert(linconstraint.Rec2(p)); err != nil {
 				panic(err)
 			}
-			ref.Insert(p)
+			if err := ref.Insert(linconstraint.Rec2(p)); err != nil {
+				panic(err)
+			}
 			book = append(book, p)
 			arrivals++
 		case r < 8:
 			i := rng.Intn(len(book))
 			ok, err := eng.Delete(linconstraint.Rec2(book[i]))
-			if err != nil || !ok || !ref.Delete(book[i]) {
+			refOK, refErr := ref.Delete(linconstraint.Rec2(book[i]))
+			if err != nil || !ok || refErr != nil || !refOK {
 				panic("cancelled offer was not in the engine")
 			}
 			book[i] = book[len(book)-1]
 			book = book[:len(book)-1]
 			cancels++
 		default:
-			got := eng.HalfplaneRecs(-0.05, 98)
-			want := ref.Halfplane(-0.05, 98)
+			res := eng.Batch([]linconstraint.Query{{Op: linconstraint.OpHalfplane, A: -0.05, B: 98}})[0]
+			if res.Err != nil {
+				panic(res.Err)
+			}
+			got, want := res.Recs, ref.Halfplane(-0.05, 98)
 			if len(got) != len(want) {
 				panic(fmt.Sprintf("tick %d: engine %d vs unsharded %d", tick, len(got), len(want)))
 			}

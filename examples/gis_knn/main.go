@@ -39,19 +39,19 @@ func main() {
 	idx.ResetStats()
 	flooded := idx.Halfspace(0.35, 0.05, 0.8)
 	fmt.Printf("flood-plane query: %d stations below the plane, %d I/Os\n",
-		len(flooded), idx.Stats().IOs())
+		len(flooded), idx.Stats().IO.IOs())
 
 	// Steeper visibility plane.
 	idx.ResetStats()
 	vis := idx.Halfspace(0.42, 0.12, 0.3)
 	fmt.Printf("visibility query:  %d stations below the plane, %d I/Os\n",
-		len(vis), idx.Stats().IOs())
+		len(vis), idx.Stats().IO.IOs())
 
 	// Nearest stations to an incident at (5, 5).
 	knn := linconstraint.NewKNNIndex(sites, linconstraint.Config{BlockSize: 64, Seed: 2})
 	knn.ResetStats()
-	near := knn.Query(8, linconstraint.Point2{X: 5, Y: 5})
-	fmt.Printf("8 nearest stations to (5,5) in %d I/Os:\n", knn.Stats().IOs())
+	near := knn.Nearest(8, linconstraint.Point2{X: 5, Y: 5})
+	fmt.Printf("8 nearest stations to (5,5) in %d I/Os:\n", knn.Stats().IO.IOs())
 	for _, nb := range near {
 		s := stations[nb.ID]
 		fmt.Printf("  station %5d at (%.2f, %.2f) elev %.2f, dist %.3f\n",

@@ -39,7 +39,7 @@ func main() {
 	rows := idx.Halfplane(10, 0)
 	st := idx.Stats()
 	fmt.Printf("P/E < 10 query: %d of %d companies, %d I/Os (vs %d for a scan)\n",
-		len(rows), n, st.IOs(), (n+127)/128)
+		len(rows), n, st.IO.IOs(), (n+127)/128)
 	for _, i := range rows[:min(5, len(rows))] {
 		fmt.Printf("  %s  earnings=%.2f price=%.2f P/E=%.2f\n",
 			names[i], points[i].X, points[i].Y, points[i].Y/points[i].X)
@@ -48,5 +48,5 @@ func main() {
 	// A more selective screen: P/E below 5.5.
 	idx.ResetStats()
 	rows = idx.Halfplane(5.5, 0)
-	fmt.Printf("P/E < 5.5 query: %d companies, %d I/Os\n", len(rows), idx.Stats().IOs())
+	fmt.Printf("P/E < 5.5 query: %d companies, %d I/Os\n", len(rows), idx.Stats().IO.IOs())
 }

@@ -63,7 +63,11 @@ func main() {
 	ref := linconstraint.NewPlanarIndex(items, linconstraint.Config{BlockSize: 128, Seed: 1})
 	for i := 0; i < 3; i++ {
 		q := screen()
-		got, want := eng.Halfplane(q.A, q.B), ref.Halfplane(q.A, q.B)
+		res := eng.Batch([]linconstraint.Query{q})[0]
+		if res.Err != nil {
+			panic(res.Err)
+		}
+		got, want := res.IDs, ref.Halfplane(q.A, q.B)
 		if len(got) != len(want) {
 			panic("sharded and unsharded result sets differ")
 		}

@@ -116,7 +116,9 @@ func TestStaticAndDynamicAgree(t *testing.T) {
 	static := NewPlanarIndex(lp, Config{BlockSize: 16, Seed: 1})
 	dyn := NewDynamicPlanarIndex(Config{BlockSize: 16, Seed: 1})
 	for _, p := range lp {
-		dyn.Insert(p)
+		if err := dyn.Insert(Rec2(p)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for s := 0; s < 25; s++ {
 		q := workload.HalfplaneWithSelectivity(rng, pts, rng.Float64()*0.4)
@@ -144,7 +146,7 @@ func TestCacheMonotonicity(t *testing.T) {
 		for s := 0; s < 30; s++ {
 			idx.Halfplane(r.NormFloat64()*0.3, r.Float64())
 		}
-		return idx.Stats().IOs()
+		return idx.Stats().IO.IOs()
 	}
 	cold := run(0)
 	warm := run(1 << 16)

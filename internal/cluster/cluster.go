@@ -31,9 +31,6 @@ type Clustering struct {
 	Members    []int     // union of all clusters, deduplicated
 }
 
-// Size returns the number of clusters.
-func (c *Clustering) Size() int { return len(c.Clusters) }
-
 // Relevant returns the index of the cluster whose x-range contains x: the
 // number of boundaries at or left of x.
 func (c *Clustering) Relevant(x float64) int {

@@ -45,8 +45,8 @@ func TestLemma32ClusterSizes(t *testing.T) {
 		k := 1 + rng.Intn(n/4)
 		lines := randomLines(rng, n)
 		cl := BuildGreedy(envelope.NewUniverse(lines), allLive(n), k)
-		if cl.Size() > n/k+1 {
-			t.Fatalf("trial %d: %d clusters for N=%d k=%d exceeds N/k", trial, cl.Size(), n, k)
+		if len(cl.Clusters) > n/k+1 {
+			t.Fatalf("trial %d: %d clusters for N=%d k=%d exceeds N/k", trial, len(cl.Clusters), n, k)
 		}
 		for i, c := range cl.Clusters {
 			if len(c) > 3*k {
@@ -56,8 +56,8 @@ func TestLemma32ClusterSizes(t *testing.T) {
 				t.Fatalf("trial %d: cluster %d not slope-sorted", trial, i)
 			}
 		}
-		if len(cl.Boundaries) != cl.Size()-1 {
-			t.Fatalf("trial %d: %d boundaries for %d clusters", trial, len(cl.Boundaries), cl.Size())
+		if len(cl.Boundaries) != len(cl.Clusters)-1 {
+			t.Fatalf("trial %d: %d boundaries for %d clusters", trial, len(cl.Boundaries), len(cl.Clusters))
 		}
 		if !sort.Float64sAreSorted(cl.Boundaries) {
 			t.Fatalf("trial %d: boundaries unsorted", trial)
@@ -75,7 +75,7 @@ func TestLemma32Retirement(t *testing.T) {
 		k := 2 + rng.Intn(8)
 		lines := randomLines(rng, n)
 		cl := BuildGreedy(envelope.NewUniverse(lines), allLive(n), k)
-		for i := 0; i+1 < cl.Size(); i++ {
+		for i := 0; i+1 < len(cl.Clusters); i++ {
 			later := make(map[int]bool)
 			for _, c := range cl.Clusters[i+1:] {
 				for _, id := range c {
@@ -187,7 +187,7 @@ func TestRelevantBuckets(t *testing.T) {
 func TestSingle(t *testing.T) {
 	lines := []geom.Line2{{A: 3}, {A: 1}, {A: 2}}
 	cl := Single(envelope.NewUniverse(lines), []int{0, 1, 2})
-	if cl.Size() != 1 || len(cl.Boundaries) != 0 {
+	if len(cl.Clusters) != 1 || len(cl.Boundaries) != 0 {
 		t.Fatal("Single shape")
 	}
 	if got := cl.Clusters[0]; got[0] != 1 || got[1] != 2 || got[2] != 0 {

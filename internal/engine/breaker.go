@@ -211,8 +211,12 @@ func (e *Engine) HealReplica(si, ri int) error {
 	return nil
 }
 
-// replicaAt resolves (si, ri) under the caller's shared migMu.
+// replicaAt resolves (si, ri) under the caller's shared migMu. A closed
+// engine serves no replica, so it resolves none.
 func (e *Engine) replicaAt(si, ri int) (*replica, error) {
+	if e.closed.Load() {
+		return nil, ErrClosed
+	}
 	if si < 0 || si >= len(e.shards) {
 		return nil, fmt.Errorf("engine: shard %d out of range [0,%d)", si, len(e.shards))
 	}

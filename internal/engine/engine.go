@@ -970,18 +970,19 @@ func (e *Engine) NumWorkers() int { return e.workers }
 // Close stops the watchdog (synchronously — its final tick completes
 // before teardown proceeds) and every replica worker. After Close every
 // query BatchInto runs answers with Err = ErrClosed, whichever route the
-// run would have taken (the scalar query methods panic with it). Close
-// is idempotent and waits for in-flight sub-batches —
-// abandoned stragglers included — to finish; the workers are the
-// engine's only goroutines besides the watchdog. Replica-set changes
-// (Replicate, Drop, AutoReplicate, Repair) return ErrClosed once Close
-// has begun: the channels close under rebalMu, so a change either
+// run would have taken. Close is idempotent and waits for in-flight
+// sub-batches — abandoned stragglers included — to finish; the workers
+// are the engine's only goroutines besides the watchdog. Replica-set
+// changes (Replicate, Drop, AutoReplicate, Repair) return ErrClosed once
+// Close has begun: the channels close under rebalMu, so a change either
 // lands before them — its workers are closed with the rest — or sees
-// the flag and starts and closes nothing. Insert, Delete, Rebalance
-// and Retrain return ErrClosed too and change nothing. Query runs and
-// updates check the flag under shared migMu, so once Close has taken
-// migMu exclusively no run or update that passed the check is still
-// running, and none can reach a worker channel Close is about to close.
+// the flag and starts and closes nothing. Insert, Delete, Rebalance,
+// Retrain, InjectFaults, FailReplica and HealReplica return ErrClosed
+// too and change nothing; the read-only methods keep answering, and
+// ResetStats still zeroes the counters. Query runs and updates check
+// the flag under shared migMu, so once Close has taken migMu
+// exclusively no run or update that passed the check is still running,
+// and none can reach a worker channel Close is about to close.
 func (e *Engine) Close() {
 	e.closed.Store(true)
 	e.migMu.Lock()

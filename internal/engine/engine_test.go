@@ -2,12 +2,15 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"linconstraint/internal/chan3d"
 	"linconstraint/internal/eio"
@@ -15,6 +18,7 @@ import (
 	"linconstraint/internal/halfspace2d"
 	"linconstraint/internal/hull3d"
 	"linconstraint/internal/index"
+	"linconstraint/internal/metrics"
 	"linconstraint/internal/partition"
 	"linconstraint/internal/workload"
 )
@@ -38,7 +42,7 @@ func TestPlanarMatchesUnsharded(t *testing.T) {
 			for _, sel := range []float64{0, 0.01, 0.1, 0.5, 0.95} {
 				q := workload.HalfplaneWithSelectivity(rng, pts, sel)
 				want := ref.Halfplane(q.A, q.B)
-				got := e.Halfplane(q.A, q.B)
+				got := ask(t, e, Query{Op: OpHalfplane, A: q.A, B: q.B}).IDs
 				if !equalInts(got, want) {
 					t.Fatalf("%s S=%d sel=%g: sharded %d hits != unsharded %d hits",
 						name, s, sel, len(got), len(want))
@@ -59,7 +63,7 @@ func TestPartitionMatchesUnsharded(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			q := workload.HalfspaceWithSelectivityD(rng, pts, 0.05+0.15*float64(i))
 			want := ref.Halfspace(q.H)
-			got := e.HalfspaceD(q.H.Coef)
+			got := ask(t, e, Query{Op: OpHalfspaceD, Coef: q.H.Coef}).IDs
 			if !equalInts(got, want) {
 				t.Fatalf("S=%d halfspace query %d: %d hits != %d hits", s, i, len(got), len(want))
 			}
@@ -80,7 +84,7 @@ func TestPartitionMatchesUnsharded(t *testing.T) {
 			sx.Below = append(sx.Below, c.Below)
 		}
 		want := ref.Simplex(sx)
-		got := e.Conjunction(cs)
+		got := ask(t, e, Query{Op: OpConjunction, Constraints: cs}).IDs
 		if !equalInts(got, want) {
 			t.Fatalf("S=%d conjunction: %d hits != %d hits", s, len(got), len(want))
 		}
@@ -201,7 +205,7 @@ func Test3DMatchesUnsharded(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			pl := workload.Plane3WithSelectivity(rng, pts, 0.02+0.1*float64(i))
 			want := ref.Halfspace(pl.A, pl.B, pl.C)
-			got := e.Halfspace3(pl.A, pl.B, pl.C)
+			got := ask(t, e, Query{Op: OpHalfspace3, A: pl.A, B: pl.B, C: pl.C}).IDs
 			if !equalInts(got, want) {
 				t.Fatalf("S=%d query %d: %d hits != %d hits", s, i, len(got), len(want))
 			}
@@ -220,7 +224,7 @@ func TestKNNMatchesUnsharded(t *testing.T) {
 		for _, k := range []int{1, 8, 33} {
 			q := geom.Point2{X: rng.Float64(), Y: rng.Float64()}
 			want := ref.Query(k, q)
-			got := e.KNN(k, q)
+			got := ask(t, e, Query{Op: OpKNN, K: k, Pt: q}).Neighbors
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("S=%d k=%d at %v: %v != %v", s, k, q, got, want)
 			}
@@ -248,7 +252,7 @@ func TestKNNTiesAtCutoff(t *testing.T) {
 			q := pts[i*3] // query exactly at a duplicated point
 			for _, k := range []int{1, 2, 5} {
 				want := ref.Query(k, q)
-				got := e.KNN(k, q)
+				got := ask(t, e, Query{Op: OpKNN, K: k, Pt: q}).Neighbors
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("S=%d k=%d at duplicated point %d: %v != %v", s, k, i, got, want)
 				}
@@ -275,16 +279,16 @@ func TestBatchOrderAndRouting(t *testing.T) {
 		t.Fatalf("got %d results for %d queries", len(res), len(qs))
 	}
 	for i := 0; i < 8; i++ {
-		want := e.Halfplane(qs[i].A, qs[i].B)
+		want := ask(t, e, Query{Op: OpHalfplane, A: qs[i].A, B: qs[i].B}).IDs
 		if res[i].Err != nil || !equalInts(res[i].IDs, want) {
-			t.Fatalf("batch result %d disagrees with scalar query (err=%v)", i, res[i].Err)
+			t.Fatalf("batch result %d disagrees with its one-query batch (err=%v)", i, res[i].Err)
 		}
 	}
 	if res[8].Err == nil {
 		t.Fatal("mismatched op must surface a per-query error")
 	}
-	if e.one(Query{Op: OpHalfplane, A: 0, B: 2}).Err != nil {
-		t.Fatal("valid scalar query errored")
+	if ask(t, e, Query{Op: OpHalfplane, A: 0, B: 2}).Err != nil {
+		t.Fatal("valid one-query batch errored")
 	}
 }
 
@@ -296,13 +300,13 @@ func TestStatsAggregation(t *testing.T) {
 	e.ResetStats()
 	for i := 0; i < 10; i++ {
 		h := workload.HalfplaneWithSelectivity(rng, pts, 0.2)
-		e.Halfplane(h.A, h.B)
+		ask(t, e, Query{Op: OpHalfplane, A: h.A, B: h.B})
 	}
 	// A query reads each block once, so the hits come from repeating a
 	// small query whose blocks fit in the 8-block caches.
 	h := workload.HalfplaneWithSelectivity(rng, pts, 0.01)
-	e.Halfplane(h.A, h.B)
-	e.Halfplane(h.A, h.B)
+	ask(t, e, Query{Op: OpHalfplane, A: h.A, B: h.B})
+	ask(t, e, Query{Op: OpHalfplane, A: h.A, B: h.B})
 	st := e.Stats()
 	if st.Shards != 4 || len(st.PerShard) != 4 {
 		t.Fatalf("bad shard count in %+v", st)
@@ -339,7 +343,7 @@ func TestStatsAggregation(t *testing.T) {
 func TestDegenerateShapes(t *testing.T) {
 	// No points at all.
 	e := NewPlanar(nil, Options{Shards: 4})
-	if got := e.Halfplane(0, 1); len(got) != 0 {
+	if got := ask(t, e, Query{Op: OpHalfplane, A: 0, B: 1}).IDs; len(got) != 0 {
 		t.Fatalf("empty engine reported %v", got)
 	}
 	e.Close()
@@ -348,7 +352,7 @@ func TestDegenerateShapes(t *testing.T) {
 	pts := []geom.Point2{{X: 0.5, Y: 0.1}, {X: 0.2, Y: 0.9}, {X: 0.9, Y: 0.4}}
 	e = NewPlanar(pts, Options{Shards: 8, Workers: 2, BlockSize: 4})
 	defer e.Close()
-	if got := e.Halfplane(0, 0.5); !equalInts(got, []int{0, 2}) {
+	if got := ask(t, e, Query{Op: OpHalfplane, A: 0, B: 0.5}).IDs; !equalInts(got, []int{0, 2}) {
 		t.Fatalf("tiny engine reported %v, want [0 2]", got)
 	}
 	if e.Len() != 3 || e.NumShards() != 8 {
@@ -475,6 +479,213 @@ func TestUpdatesAfterCloseChangeNothing(t *testing.T) {
 	if got := e.Len(); got != n {
 		t.Errorf("Len after refused Delete, Rebalance and Retrain = %d, want %d", got, n)
 	}
+}
+
+// TestEveryMethodAgainstClose calls every exported Engine method on a
+// closed engine and concurrently with Close. After Close, each call
+// returns ErrClosed, answers its queries with Result.Err = ErrClosed or
+// returns its documented value, and Len and Stats do not move; only
+// ResetStats, called last, changes Stats, by zeroing the counters as
+// documented. Raced against Close, no call panics and every error is
+// ErrClosed. Either way the engine's goroutines all exit.
+func TestEveryMethodAgainstClose(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	pts := workload.Uniform2(rng, 600)
+	sample := make([]geom.PointD, len(pts))
+	for i, p := range pts {
+		sample[i] = geom.PointD{p.X, p.Y}
+	}
+	build := func() *Engine {
+		e := NewDynamicPlanar(Options{
+			Shards: 3, BlockSize: 16, Seed: 1, Partitioner: partition.NewKDCut(), PretrainSample: sample,
+			Metrics: metrics.NewRegistry(), FlightRecorder: FlightRecorderConfig{TotalNs: 1},
+			Watchdog: &WatchdogConfig{Interval: time.Millisecond}, Breaker: &BreakerConfig{},
+		})
+		for _, p := range pts {
+			if err := e.Insert(Record{P2: p}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Replicate(0, 2); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	q := Query{Op: OpHalfplane, A: 0.2, B: 0.5}
+	// closedOr accepts ErrClosed, and success while the engine was
+	// open when the call began.
+	closedOr := func(err error, closed bool) error {
+		if errors.Is(err, ErrClosed) || !closed && err == nil {
+			return nil
+		}
+		return fmt.Errorf("err %v, want ErrClosed", err)
+	}
+	results := func(res []Result) error {
+		for i, r := range res {
+			if r.Err != nil && !errors.Is(r.Err, ErrClosed) {
+				return fmt.Errorf("result %d: %v", i, r.Err)
+			}
+		}
+		return nil
+	}
+	// Each call returns its contract violation, or nil; c is true when
+	// the engine was closed before the call began.
+	type call struct {
+		name string
+		call func(e *Engine, c bool) error
+	}
+	calls := []call{
+		{"Insert", func(e *Engine, c bool) error { return closedOr(e.Insert(Record{P2: geom.Point2{X: 2, Y: 2}}), c) }},
+		{"Delete", func(e *Engine, c bool) error {
+			ok, err := e.Delete(Record{P2: geom.Point2{X: 2, Y: 2}})
+			if ok && c {
+				return errors.New("deleted from a closed engine")
+			}
+			return closedOr(err, c)
+		}},
+		{"Batch", func(e *Engine, c bool) error {
+			res := e.Batch([]Query{q, {Op: OpInsert, Rec: Record{P2: geom.Point2{X: 3, Y: 3}}}, {Op: OpDelete, Rec: Record{P2: geom.Point2{X: 3, Y: 3}}}})
+			if err := results(res); err != nil {
+				return err
+			}
+			if c && !errors.Is(res[0].Err, ErrClosed) {
+				return fmt.Errorf("query err %v, want ErrClosed", res[0].Err)
+			}
+			return nil
+		}},
+		{"BatchInto", func(e *Engine, c bool) error {
+			res := e.BatchInto([]Query{q, {Op: OpKNN, K: 1}}, nil)
+			if err := res[1].Err; !errors.Is(err, ErrClosed) && !errors.Is(err, index.ErrUnsupported) {
+				return fmt.Errorf("wrong-family query: err %v", err)
+			}
+			return results(res[:1])
+		}},
+		{"ExplainInto", func(e *Engine, c bool) error {
+			var ex Explain
+			e.ExplainInto(q, &ex)
+			if ex.Err != nil || len(ex.Verdicts) != e.NumShards() {
+				return fmt.Errorf("explain err %v, %d verdicts", ex.Err, len(ex.Verdicts))
+			}
+			return nil
+		}},
+		{"Rebalance", func(e *Engine, c bool) error {
+			_, err := e.Rebalance(RebalanceOptions{})
+			return closedOr(err, c)
+		}},
+		{"Retrain", func(e *Engine, c bool) error { return closedOr(e.Retrain(nil), c) }},
+		{"Replicate", func(e *Engine, c bool) error { return closedOr(e.Replicate(1, 2), c) }},
+		{"Replicate to the current degree", func(e *Engine, c bool) error { return closedOr(e.Replicate(0, e.Replicas()[0]), c) }},
+		{"Drop", func(e *Engine, c bool) error { return closedOr(e.Drop(1), c) }},
+		{"AutoReplicate", func(e *Engine, c bool) error {
+			_, err := e.AutoReplicate(AutoReplicateOptions{})
+			return closedOr(err, c)
+		}},
+		{"Repair", func(e *Engine, c bool) error {
+			_, err := e.Repair(0)
+			return closedOr(err, c)
+		}},
+		{"InjectFaults", func(e *Engine, c bool) error { return closedOr(e.InjectFaults(0, 0, eio.FaultPlan{}), c) }},
+		{"FailReplica", func(e *Engine, c bool) error { return closedOr(e.FailReplica(2, 0), c) }},
+		{"HealReplica", func(e *Engine, c bool) error { return closedOr(e.HealReplica(2, 0), c) }},
+		{"BreakerStates", func(e *Engine, c bool) error {
+			if st, err := e.BreakerStates(0); err != nil || len(st) == 0 {
+				return fmt.Errorf("states %v, err %v", st, err)
+			}
+			return nil
+		}},
+		{"Replicas", func(e *Engine, c bool) error {
+			if r := e.Replicas(); len(r) != e.NumShards() {
+				return fmt.Errorf("replicas %v", r)
+			}
+			return nil
+		}},
+		{"ShardTraffic", func(e *Engine, c bool) error { e.ShardTraffic(0); return nil }},
+		{"HotShards", func(e *Engine, c bool) error { e.HotShards(nil); return nil }},
+		{"SlowQueries", func(e *Engine, c bool) error { e.SlowQueries(nil); return nil }},
+		{"Health", func(e *Engine, c bool) error { e.Health(nil); return nil }},
+		{"Metrics", func(e *Engine, c bool) error {
+			if e.Metrics() == nil {
+				return errors.New("no registry")
+			}
+			return nil
+		}},
+		{"Mutable", func(e *Engine, c bool) error {
+			if !e.Mutable() {
+				return errors.New("not mutable")
+			}
+			return nil
+		}},
+		{"Len", func(e *Engine, c bool) error { e.Len(); return nil }},
+		{"NumShards", func(e *Engine, c bool) error {
+			if e.NumShards() != 3 {
+				return fmt.Errorf("%d shards", e.NumShards())
+			}
+			return nil
+		}},
+		{"NumWorkers", func(e *Engine, c bool) error { e.NumWorkers(); return nil }},
+		{"Stats", func(e *Engine, c bool) error { e.Stats(); return nil }},
+		{"Close", func(e *Engine, c bool) error { e.Close(); return nil }},
+	}
+
+	before := runtime.NumGoroutine()
+	t.Run("after", func(t *testing.T) {
+		e := build()
+		e.Close()
+		n, st := e.Len(), e.Stats()
+		for _, c := range calls {
+			if err := c.call(e, true); err != nil {
+				t.Errorf("%s after Close: %v", c.name, err)
+			}
+			if e.Len() != n || !reflect.DeepEqual(e.Stats(), st) {
+				t.Errorf("%s after Close moved Len %d -> %d or Stats %+v -> %+v", c.name, n, e.Len(), st, e.Stats())
+			}
+		}
+		e.ResetStats()
+		if got := e.Stats(); got.Total != (eio.Stats{}) || got.ShardsVisited != 0 {
+			t.Errorf("ResetStats after Close left %+v", got.Total)
+		}
+	})
+	t.Run("during", func(t *testing.T) {
+		for round := 0; round < 3; round++ {
+			e := build()
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for _, c := range append(calls, call{"ResetStats", func(e *Engine, _ bool) error { e.ResetStats(); return nil }}) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if err := c.call(e, false); err != nil {
+							t.Errorf("round %d: %s raced against Close: %v", round, c.name, err)
+							return
+						}
+					}
+				}()
+			}
+			e.Close()
+			close(stop)
+			wg.Wait()
+		}
+	})
+	if !waitFor(func() bool { return runtime.NumGoroutine() <= before }) {
+		t.Errorf("%d goroutines outlive Close", runtime.NumGoroutine()-before)
+	}
+}
+
+// ask answers q with a one-query Batch on e, failing the test (with
+// Errorf, so goroutines may call it) on a Result.Err.
+func ask(t testing.TB, e *Engine, q Query) Result {
+	t.Helper()
+	r := e.Batch([]Query{q})[0]
+	if r.Err != nil {
+		t.Errorf("%v query: %v", q.Op, r.Err)
+	}
+	return r
 }
 
 func equalInts(a, b []int) bool {

@@ -9,6 +9,7 @@ package engine
 // verdict the planner reached for every shard.
 
 import (
+	"linconstraint/internal/index"
 	"linconstraint/internal/partition"
 	"linconstraint/internal/planner"
 )
@@ -44,10 +45,9 @@ type Explain struct {
 // the explain exists to show what pruning is available, and the engine
 // ignoring it is itself worth seeing.
 func (e *Engine) ExplainInto(q Query, ex *Explain) {
-	ex.Op, ex.Err = q.Op, nil
+	ex.Op = q.Op
 	ex.Verdicts, ex.MinDist2 = ex.Verdicts[:0], ex.MinDist2[:0]
-	if !finiteOperands(&q) {
-		ex.Err = errNonFinite(q.Op)
+	if ex.Err = index.CheckOperands(&q); ex.Err != nil {
 		return
 	}
 	e.migMu.RLock()

@@ -210,7 +210,7 @@ func TestExplainCounters(t *testing.T) {
 	e := NewKNN(pts, Options{Shards: 8, Seed: 1, Partitioner: partition.NewKDCut(), Metrics: reg})
 	defer e.Close()
 	for i := 0; i < 32; i++ {
-		e.KNN(4, pts[rng.Intn(len(pts))])
+		ask(t, e, Query{Op: OpKNN, K: 4, Pt: pts[rng.Intn(len(pts))]})
 	}
 	verdicts := func(v planner.Verdict) int64 {
 		return e.met.planVerdicts.Load(planner.OpIndex(OpKNN), int(v))

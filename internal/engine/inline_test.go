@@ -95,7 +95,7 @@ func TestOneShardRunIsInline(t *testing.T) {
 		var p probe
 		e := probeEngine(opt, &p)
 		defer e.Close()
-		if r := e.one(q); r.Err != nil || r.ShardsVisited != wantVisits {
+		if r := ask(t, e, q); r.Err != nil || r.ShardsVisited != wantVisits {
 			t.Fatalf("visited %d shards (err %v), want %d", r.ShardsVisited, r.Err, wantVisits)
 		}
 		stacks := p.take()
@@ -149,7 +149,7 @@ func TestOneShardRunIsInline(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for n := 0; n < 20; n++ {
-					e.one(onlyShard(i))
+					ask(t, e, onlyShard(i))
 				}
 			}()
 		}

@@ -121,7 +121,7 @@ func TestMergeUnderInterleavedUpdates(t *testing.T) {
 
 // TestBatchedKNNMatchesScalar pins the concurrent multi-k-NN batch
 // path (one goroutine per planned k-NN query, private scratch each)
-// byte-identical to the scalar path, reusing one result storage across
+// byte-identical to one-query batches, reusing one result storage across
 // rounds.
 func TestBatchedKNNMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -141,7 +141,7 @@ func TestBatchedKNNMatchesScalar(t *testing.T) {
 			if res[i].Err != nil {
 				t.Fatal(res[i].Err)
 			}
-			want := e.KNN(qs[i].K, qs[i].Pt)
+			want := ask(t, e, Query{Op: OpKNN, K: qs[i].K, Pt: qs[i].Pt}).Neighbors
 			if len(res[i].Neighbors) != len(want) {
 				t.Fatalf("round %d query %d: %d neighbors, want %d", round, i, len(res[i].Neighbors), len(want))
 			}

@@ -76,7 +76,7 @@ func TestEngineMetricsContent(t *testing.T) {
 	const runs = 10
 	for i := 0; i < runs; i++ {
 		h := workload.HalfplaneWithSelectivity(rng, pts, 0.05)
-		e.Halfplane(h.A, h.B)
+		ask(t, e, Query{Op: OpHalfplane, A: h.A, B: h.B})
 	}
 	snap := reg.Snapshot()
 	h := snap.Histogram("engine_run_total_ns")
@@ -149,11 +149,11 @@ func TestFlightRecorderWithoutRegistry(t *testing.T) {
 	pts := workload.Uniform2(rng, 1_000)
 	e := NewPlanar(pts, Options{Shards: 2, Seed: 1, FlightRecorder: FlightRecorderConfig{TotalNs: 1}})
 	defer e.Close()
-	e.Halfplane(0.3, 0.1)
+	ask(t, e, Query{Op: OpHalfplane, A: 0.3, B: 0.1})
 	if got := e.SlowQueries(nil); len(got) != 1 {
 		t.Fatalf("got %d captures, want 1", len(got))
 	}
-	e.Halfplane(0.2, 0.4)
+	ask(t, e, Query{Op: OpHalfplane, A: 0.2, B: 0.4})
 	if got := e.SlowQueries(nil); len(got) != 2 {
 		t.Fatalf("got %d captures after two runs, want 2", len(got))
 	}
@@ -169,7 +169,7 @@ func TestUninstrumentedEngineNoTraces(t *testing.T) {
 	pts := workload.Uniform2(rng, 500)
 	e := NewPlanar(pts, Options{Shards: 2, Seed: 1})
 	defer e.Close()
-	e.Halfplane(0.3, 0.1)
+	ask(t, e, Query{Op: OpHalfplane, A: 0.3, B: 0.1})
 	if got := e.SlowQueries(nil); len(got) != 0 {
 		t.Fatalf("uninstrumented engine captured %d runs", len(got))
 	}

@@ -70,7 +70,7 @@ func TestMutablePlanarInterleaved(t *testing.T) {
 				}
 			default: // query: engine vs unsharded vs brute force
 				a, b := rng.NormFloat64(), rng.Float64()
-				got := e.HalfplaneRecs(a, b)
+				got := ask(t, e, Query{Op: OpHalfplane, A: a, B: b}).Recs
 				ans, err := ref.Query(Query{Op: OpHalfplane, A: a, B: b})
 				if err != nil {
 					t.Fatal(err)
@@ -125,7 +125,7 @@ func TestMutablePartitionInterleaved(t *testing.T) {
 				model = model[:len(model)-1]
 			default:
 				h := geom.HyperplaneD{Coef: []float64{rng.NormFloat64() * 0.3, rng.NormFloat64() * 0.3, 0.5}}
-				got := e.HalfspaceDRecs(h.Coef)
+				got := ask(t, e, Query{Op: OpHalfspaceD, Coef: h.Coef}).Recs
 				ans, err := ref.Query(Query{Op: OpHalfspaceD, Coef: h.Coef})
 				if err != nil {
 					t.Fatal(err)
@@ -261,39 +261,6 @@ func TestRecordShapeValidation(t *testing.T) {
 	}
 }
 
-// TestScalarAccessorShapePanics: asking a family for the answer shape
-// it does not produce (ids from a mutable engine, records from a
-// static one) is a programming error and must panic, not return a
-// plausible-looking empty answer.
-func TestScalarAccessorShapePanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	e := NewDynamicPlanar(Options{Shards: 2, BlockSize: 8})
-	defer e.Close()
-	if err := e.Insert(index.Record{P2: geom.Point2{X: 0.5, Y: 0.5}}); err != nil {
-		t.Fatal(err)
-	}
-	mustPanic("Halfplane on mutable", func() { e.Halfplane(0, 1) })
-
-	s := NewPlanar([]geom.Point2{{X: 0.5, Y: 0.5}}, Options{Shards: 2, BlockSize: 8})
-	defer s.Close()
-	mustPanic("HalfplaneRecs on static", func() { s.HalfplaneRecs(0, 1) })
-
-	d := NewDynamicPartition(Options{Shards: 2, BlockSize: 8})
-	defer d.Close()
-	mustPanic("HalfspaceD on mutable", func() { d.HalfspaceD([]float64{0.5}) })
-
-	sd := NewPartition([]geom.PointD{{0.5, 0.5}}, Options{Shards: 2, BlockSize: 8})
-	defer sd.Close()
-	mustPanic("HalfspaceDRecs on static", func() { sd.HalfspaceDRecs([]float64{0.5}) })
-}
-
 // TestMutableInsertBalancesShards: inserts route to the smallest shard,
 // so a pure insert stream keeps shard sizes within one of each other.
 func TestMutableInsertBalancesShards(t *testing.T) {
@@ -399,7 +366,7 @@ func TestMutableConcurrentStress(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				// Answers vary with interleaving; they must only be sorted
 				// and race-free. Stats snapshots interleave too.
-				recs := e.HalfplaneRecs(rng.NormFloat64(), rng.Float64()*writers)
+				recs := ask(t, e, Query{Op: OpHalfplane, A: rng.NormFloat64(), B: rng.Float64() * writers}).Recs
 				if !sort.SliceIsSorted(recs, func(i, j int) bool { return recs[i].Less(recs[j]) }) {
 					t.Error("concurrent answer not canonically sorted")
 					return
@@ -420,7 +387,7 @@ func TestMutableConcurrentStress(t *testing.T) {
 		}
 	}
 	sortRecs(want)
-	got := e.HalfplaneRecs(0, 1e9) // everything
+	got := ask(t, e, Query{Op: OpHalfplane, A: 0, B: 1e9}).Recs // everything
 	if !recsEqual(got, want) {
 		t.Fatalf("final contents: %d records, want %d", len(got), len(want))
 	}
@@ -438,7 +405,7 @@ func TestMutableConcurrentStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(append([]Record{}, e.HalfplaneRecs(0.3, 1.5)...), append([]Record{}, ans.Recs...)) {
+	if !reflect.DeepEqual(append([]Record{}, ask(t, e, Query{Op: OpHalfplane, A: 0.3, B: 1.5}).Recs...), append([]Record{}, ans.Recs...)) {
 		t.Fatal("post-stress engine diverges from unsharded index")
 	}
 }

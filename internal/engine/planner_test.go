@@ -48,7 +48,8 @@ func TestPlannedStaticMatchesUnpruned(t *testing.T) {
 			e, ref, one := NewPlanar(pts2, planned), NewPlanar(pts2, unpruned), NewPlanar(pts2, single)
 			for _, sel := range []float64{0, 0.01, 0.3, 0.9} {
 				h := workload.HalfplaneWithSelectivity(rng, pts2, sel)
-				got, want, base := e.Halfplane(h.A, h.B), ref.Halfplane(h.A, h.B), one.Halfplane(h.A, h.B)
+				q := Query{Op: OpHalfplane, A: h.A, B: h.B}
+				got, want, base := ask(t, e, q).IDs, ask(t, ref, q).IDs, ask(t, one, q).IDs
 				if !equalInts(got, want) || !equalInts(got, base) {
 					t.Fatalf("halfplane sel=%g: planned %d hits, unpruned %d, unsharded %d",
 						sel, len(got), len(want), len(base))
@@ -62,7 +63,8 @@ func TestPlannedStaticMatchesUnpruned(t *testing.T) {
 			e3, ref3 := New3D(pts3, planned), New3D(pts3, unpruned)
 			for i := 0; i < 5; i++ {
 				pl := workload.Plane3WithSelectivity(rng, pts3, 0.02+0.2*float64(i))
-				if got, want := e3.Halfspace3(pl.A, pl.B, pl.C), ref3.Halfspace3(pl.A, pl.B, pl.C); !equalInts(got, want) {
+				q := Query{Op: OpHalfspace3, A: pl.A, B: pl.B, C: pl.C}
+				if got, want := ask(t, e3, q).IDs, ask(t, ref3, q).IDs; !equalInts(got, want) {
 					t.Fatalf("halfspace3 query %d: %d hits != %d", i, len(got), len(want))
 				}
 			}
@@ -75,7 +77,8 @@ func TestPlannedStaticMatchesUnpruned(t *testing.T) {
 			eD, refD := NewPartition(ptsD, pp), NewPartition(ptsD, unpruned)
 			for i := 0; i < 5; i++ {
 				hd := workload.HalfspaceWithSelectivityD(rng, ptsD, 0.01+0.2*float64(i))
-				if got, want := eD.HalfspaceD(hd.H.Coef), refD.HalfspaceD(hd.H.Coef); !equalInts(got, want) {
+				q := Query{Op: OpHalfspaceD, Coef: hd.H.Coef}
+				if got, want := ask(t, eD, q).IDs, ask(t, refD, q).IDs; !equalInts(got, want) {
 					t.Fatalf("halfspaceD query %d: %d hits != %d", i, len(got), len(want))
 				}
 				lo := append([]float64(nil), hd.H.Coef...)
@@ -84,7 +87,8 @@ func TestPlannedStaticMatchesUnpruned(t *testing.T) {
 					{Coef: hd.H.Coef, Below: true},
 					{Coef: lo, Below: false},
 				}
-				if got, want := eD.Conjunction(cs), refD.Conjunction(cs); !equalInts(got, want) {
+				q = Query{Op: OpConjunction, Constraints: cs}
+				if got, want := ask(t, eD, q).IDs, ask(t, refD, q).IDs; !equalInts(got, want) {
 					t.Fatalf("conjunction query %d: %d hits != %d", i, len(got), len(want))
 				}
 			}
@@ -98,7 +102,8 @@ func TestPlannedStaticMatchesUnpruned(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				q := geom.Point2{X: rng.Float64(), Y: rng.Float64()}
 				for _, k := range []int{1, 7, 40} {
-					if got, want := ek.KNN(k, q), refk.KNN(k, q); !reflect.DeepEqual(got, want) {
+					kq := Query{Op: OpKNN, K: k, Pt: q}
+					if got, want := ask(t, ek, kq).Neighbors, ask(t, refk, kq).Neighbors; !reflect.DeepEqual(got, want) {
 						t.Fatalf("knn k=%d at %v: %v != %v", k, q, got, want)
 					}
 				}
@@ -147,11 +152,12 @@ func TestPlannedMutableInterleaved(t *testing.T) {
 					live = live[:len(live)-1]
 				default:
 					a, b := rng.NormFloat64(), rng.Float64()
-					got := e.HalfplaneRecs(a, b)
-					if want := ref.HalfplaneRecs(a, b); !recsEqual(got, want) {
+					q := Query{Op: OpHalfplane, A: a, B: b}
+					got := ask(t, e, q).Recs
+					if want := ask(t, ref, q).Recs; !recsEqual(got, want) {
 						t.Fatalf("op %d: planned %d recs != unpruned %d", op, len(got), len(want))
 					}
-					if want := one.HalfplaneRecs(a, b); !recsEqual(got, want) {
+					if want := ask(t, one, q).Recs; !recsEqual(got, want) {
 						t.Fatalf("op %d: planned %d recs != unsharded %d", op, len(got), len(want))
 					}
 				}
@@ -191,20 +197,22 @@ func TestPlannedMutableInterleaved(t *testing.T) {
 						{Coef: coef, Below: true},
 						{Coef: []float64{coef[0], coef[1], coef[2] - 0.3}, Below: false},
 					}
-					got := e.ConjunctionRecs(cs)
-					if want := ref.ConjunctionRecs(cs); !recsEqual(got, want) {
+					q := Query{Op: OpConjunction, Constraints: cs}
+					got := ask(t, e, q).Recs
+					if want := ask(t, ref, q).Recs; !recsEqual(got, want) {
 						t.Fatalf("op %d: planned conjunction %d recs != unpruned %d", op, len(got), len(want))
 					}
-					if want := one.ConjunctionRecs(cs); !recsEqual(got, want) {
+					if want := ask(t, one, q).Recs; !recsEqual(got, want) {
 						t.Fatalf("op %d: planned conjunction %d recs != unsharded %d", op, len(got), len(want))
 					}
 				default:
 					coef := []float64{rng.NormFloat64() * 0.5, rng.NormFloat64() * 0.5, rng.Float64()}
-					got := e.HalfspaceDRecs(coef)
-					if want := ref.HalfspaceDRecs(coef); !recsEqual(got, want) {
+					q := Query{Op: OpHalfspaceD, Coef: coef}
+					got := ask(t, e, q).Recs
+					if want := ask(t, ref, q).Recs; !recsEqual(got, want) {
 						t.Fatalf("op %d: planned %d recs != unpruned %d", op, len(got), len(want))
 					}
-					if want := one.HalfspaceDRecs(coef); !recsEqual(got, want) {
+					if want := ask(t, one, q).Recs; !recsEqual(got, want) {
 						t.Fatalf("op %d: planned %d recs != unsharded %d", op, len(got), len(want))
 					}
 				}
@@ -332,7 +340,7 @@ func TestPlacedInsertSummaries(t *testing.T) {
 	}
 	// Trained placement must actually cluster: some query must prune.
 	e.ResetStats()
-	got := e.HalfplaneRecs(0, 0.1)
+	got := ask(t, e, Query{Op: OpHalfplane, A: 0, B: 0.1}).Recs
 	var want []Record
 	for _, p := range live {
 		if geom.SideOfLine2(geom.Line2{A: 0, B: 0.1}, p) <= 0 {

@@ -3,14 +3,12 @@ package engine
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sync/atomic"
 	"time"
 
 	"linconstraint/internal/chan3d"
 	"linconstraint/internal/eio"
-	"linconstraint/internal/geom"
 	"linconstraint/internal/index"
 	"linconstraint/internal/partition"
 	"linconstraint/internal/planner"
@@ -589,8 +587,8 @@ func (e *Engine) planRun(a *batchArena) {
 			a.planOf[qi] = -1
 			continue
 		}
-		if !finiteOperands(&a.qs[qi]) {
-			a.res[qi].Err = errNonFinite(op)
+		if err := index.CheckOperands(&a.qs[qi]); err != nil {
+			a.res[qi].Err = err
 			a.planOf[qi] = -1
 			continue
 		}
@@ -603,43 +601,6 @@ func (e *Engine) planRun(a *batchArena) {
 	for len(a.parts) < a.nparts {
 		a.parts = append(a.parts, partial{})
 	}
-}
-
-// finiteOperands reports whether every coordinate q's op reads is
-// finite: the exact predicates every family decides with are defined on
-// finite values only.
-func finiteOperands(q *Query) bool {
-	switch q.Op {
-	case OpHalfplane:
-		return allFinite(q.A, q.B)
-	case OpHalfspace3:
-		return allFinite(q.A, q.B, q.C)
-	case OpHalfspaceD:
-		return allFinite(q.Coef...)
-	case OpConjunction:
-		for _, c := range q.Constraints {
-			if !allFinite(c.Coef...) {
-				return false
-			}
-		}
-	case OpKNN:
-		return allFinite(q.Pt.X, q.Pt.Y)
-	}
-	return true
-}
-
-// errNonFinite is the error of a query op with a non-finite operand.
-func errNonFinite(op Op) error {
-	return fmt.Errorf("engine: %v operand: %w", op, index.ErrNonFinite)
-}
-
-func allFinite(xs ...float64) bool {
-	for _, x := range xs {
-		if math.IsInf(x, 0) || math.IsNaN(x) {
-			return false
-		}
-	}
-	return true
 }
 
 // orderRun fixes the run's queue order: arrival order, or on a family
@@ -1211,84 +1172,4 @@ func mergeSlots[T any](a *batchArena, qi, n int, runs *[][]T, field func(*index.
 		}
 	}
 	return loserMerge(dst, *runs, &a.heads, &a.loser, less, limit)
-}
-
-// --- scalar conveniences (each is a one-op batch) --------------------------
-//
-// Unlike Batch, which reports an op/capability mismatch as Result.Err,
-// the scalar helpers treat calling the wrong family on an engine as a
-// programming error and panic. That includes the id-vs-record answer
-// shape: the static families answer with ids, the mutable ones with
-// records, and asking a family for the shape it does not produce would
-// otherwise return a plausible-looking empty answer.
-
-func (e *Engine) wantStatic(method, recsMethod string) {
-	if e.mutable {
-		panic("engine: " + method + " returns record ids, but a mutable engine answers with records; use " + recsMethod)
-	}
-}
-
-func (e *Engine) wantMutable(method, idsMethod string) {
-	if !e.mutable {
-		panic("engine: " + method + " returns records, but a static engine answers with record ids; use " + idsMethod)
-	}
-}
-
-// Halfplane reports the global indices of points with y <= a·x + b.
-func (e *Engine) Halfplane(a, b float64) []int {
-	e.wantStatic("Halfplane", "HalfplaneRecs")
-	return e.one(Query{Op: OpHalfplane, A: a, B: b}).IDs
-}
-
-// HalfplaneRecs reports the live records with y <= a·x + b of a
-// mutable planar engine, in canonical order.
-func (e *Engine) HalfplaneRecs(a, b float64) []Record {
-	e.wantMutable("HalfplaneRecs", "Halfplane")
-	return e.one(Query{Op: OpHalfplane, A: a, B: b}).Recs
-}
-
-// Halfspace3 reports the global indices of points with z <= a·x + b·y + c.
-func (e *Engine) Halfspace3(a, b, c float64) []int {
-	return e.one(Query{Op: OpHalfspace3, A: a, B: b, C: c}).IDs
-}
-
-// HalfspaceD reports the global indices of points with x_d <= coef·(x,1).
-func (e *Engine) HalfspaceD(coef []float64) []int {
-	e.wantStatic("HalfspaceD", "HalfspaceDRecs")
-	return e.one(Query{Op: OpHalfspaceD, Coef: coef}).IDs
-}
-
-// HalfspaceDRecs reports the live records with x_d <= coef·(x,1) of a
-// mutable partition engine, in canonical order.
-func (e *Engine) HalfspaceDRecs(coef []float64) []Record {
-	e.wantMutable("HalfspaceDRecs", "HalfspaceD")
-	return e.one(Query{Op: OpHalfspaceD, Coef: coef}).Recs
-}
-
-// Conjunction reports the global indices of points satisfying every
-// constraint.
-func (e *Engine) Conjunction(cs []Constraint) []int {
-	e.wantStatic("Conjunction", "ConjunctionRecs")
-	return e.one(Query{Op: OpConjunction, Constraints: cs}).IDs
-}
-
-// ConjunctionRecs reports the live records satisfying every constraint
-// of a mutable partition engine, in canonical order.
-func (e *Engine) ConjunctionRecs(cs []Constraint) []Record {
-	e.wantMutable("ConjunctionRecs", "Conjunction")
-	return e.one(Query{Op: OpConjunction, Constraints: cs}).Recs
-}
-
-// KNN reports the k nearest indexed points to q, closest first, with
-// global ids.
-func (e *Engine) KNN(k int, q geom.Point2) []chan3d.Neighbor {
-	return e.one(Query{Op: OpKNN, K: k, Pt: q}).Neighbors
-}
-
-func (e *Engine) one(q Query) Result {
-	r := e.Batch([]Query{q})[0]
-	if r.Err != nil {
-		panic(r.Err)
-	}
-	return r
 }

@@ -156,7 +156,7 @@ func TestMigrationInvarianceConcurrent(t *testing.T) {
 			model = model[:len(model)-1]
 		default:
 			a, b := rng.NormFloat64(), rng.Float64()
-			got := e.HalfplaneRecs(a, b)
+			got := ask(t, e, Query{Op: OpHalfplane, A: a, B: b}).Recs
 			ans, err := ref.Query(Query{Op: OpHalfplane, A: a, B: b})
 			if err != nil {
 				t.Fatal(err)

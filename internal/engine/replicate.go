@@ -32,10 +32,13 @@ import (
 // is never dropped), cloning the index onto fresh devices to grow
 // (cloneShard) or dropping the highest-numbered copies to shrink.
 // Serialized against Rebalance, Retrain, Drop, Repair and AutoReplicate;
-// answers are unchanged throughout.
+// answers are unchanged throughout. A closed engine returns ErrClosed.
 func (e *Engine) Replicate(si, n int) error {
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
+	if e.closed.Load() {
+		return ErrClosed
+	}
 	return e.setDegreeLocked(si, n)
 }
 
@@ -69,8 +72,9 @@ func (e *Engine) HotShards(dst []HotShard) []HotShard {
 
 // setDegreeLocked grows or shrinks shard si's replica set to n. Caller
 // holds rebalMu (so degrees, globals and the builder inputs are
-// stable); this function takes migMu exclusively for every replica-set
-// mutation.
+// stable) and has found the engine open under it, so Close waits for
+// the change and then closes the new workers with the rest; this
+// function takes migMu exclusively for every replica-set mutation.
 func (e *Engine) setDegreeLocked(si, n int) error {
 	if si < 0 || si >= len(e.shards) {
 		return fmt.Errorf("engine: Replicate: shard %d out of range [0,%d)", si, len(e.shards))
@@ -84,7 +88,8 @@ func (e *Engine) setDegreeLocked(si, n int) error {
 	case n == cur:
 		return nil
 	case n < cur:
-		return e.dropLocked(sh, n)
+		e.dropLocked(sh, n)
+		return nil
 	}
 	return e.cloneShard(si, n-cur, func(fresh []*replica) {
 		sh.reps = append(sh.reps, fresh...)
@@ -96,12 +101,7 @@ func (e *Engine) setDegreeLocked(si, n int) error {
 // acquisition waits out every in-flight run (runs hold the shared side
 // through their last worker), so each orphan's channel is empty and its
 // worker idle; no later run can reach them through the truncated slice.
-// On a closed engine it drops nothing: Close already closed every
-// channel.
-func (e *Engine) dropLocked(sh *shard, n int) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
+func (e *Engine) dropLocked(sh *shard, n int) {
 	e.migMu.Lock()
 	dropped := append([]*replica(nil), sh.reps[n:]...)
 	sh.reps = sh.reps[:n]
@@ -110,7 +110,6 @@ func (e *Engine) dropLocked(sh *shard, n int) error {
 		close(rep.work)
 		<-rep.stopped
 	}
-	return nil
 }
 
 // cloneShard is the one way a shard gains a copy (Replicate grows with
@@ -129,11 +128,9 @@ func (e *Engine) dropLocked(sh *shard, n int) error {
 // enumeration and the attach would be missing from the copy forever.
 // That pause is proportional to the shard's size, like a rebalance move
 // batch covering the whole shard. On error nothing was attached or
-// started, and nothing is on a closed engine.
+// started. Like setDegreeLocked's, its caller has found the engine open
+// under rebalMu.
 func (e *Engine) cloneShard(si, n int, attach func(fresh []*replica)) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
 	prim := e.shards[si].reps[0]
 	fresh := make([]*replica, 0, n)
 	if !e.mutable {
@@ -204,10 +201,14 @@ type AutoReplicateStats struct {
 // their computed degree demote first, freeing budget for promotions.
 // Like Rebalance, it is caller-triggered — run it from a ticker or
 // after a traffic shift — and serialized against every other layout
-// mutation. Answers are unchanged throughout.
+// mutation. Answers are unchanged throughout. A closed engine returns
+// ErrClosed.
 func (e *Engine) AutoReplicate(opt AutoReplicateOptions) (AutoReplicateStats, error) {
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
+	if e.closed.Load() {
+		return AutoReplicateStats{}, ErrClosed
+	}
 	s := len(e.shards)
 	if opt.Budget <= 0 {
 		opt.Budget = 2 * s

@@ -116,7 +116,7 @@ func TestReplicateMutableFanout(t *testing.T) {
 				model = model[:len(model)-1]
 			default:
 				a, b := rng.NormFloat64(), rng.Float64()
-				got := e.HalfplaneRecs(a, b)
+				got := ask(t, e, Query{Op: OpHalfplane, A: a, B: b}).Recs
 				ans, err := ref.Query(Query{Op: OpHalfplane, A: a, B: b})
 				if err != nil {
 					t.Fatal(err)
@@ -217,7 +217,7 @@ func TestReplicaInvarianceConcurrent(t *testing.T) {
 			model = model[:len(model)-1]
 		default:
 			a, b := rng.NormFloat64(), cell+rng.Float64()
-			got := e.HalfplaneRecs(a, b)
+			got := ask(t, e, Query{Op: OpHalfplane, A: a, B: b}).Recs
 			ans, err := ref.Query(Query{Op: OpHalfplane, A: a, B: b})
 			if err != nil {
 				t.Fatal(err)
@@ -415,7 +415,7 @@ func TestHotShardReplicationDoublesReadQPS(t *testing.T) {
 	}
 	before := make([][]chan3d.Neighbor, shards)
 	for si := range before {
-		before[si] = slices.Clone(e.KNN(k, pools[si][0]))
+		before[si] = slices.Clone(ask(t, e, Query{Op: OpKNN, K: k, Pt: pools[si][0]}).Neighbors)
 	}
 
 	// window drives the zipf read mix from `clients` closed-loop callers
@@ -471,7 +471,7 @@ func TestHotShardReplicationDoublesReadQPS(t *testing.T) {
 		}
 	}
 	for si, want := range before {
-		if got := e.KNN(k, pools[si][0]); !slices.Equal(got, want) {
+		if got := ask(t, e, Query{Op: OpKNN, K: k, Pt: pools[si][0]}).Neighbors; !slices.Equal(got, want) {
 			t.Errorf("shard %d: answer changed across replication", si)
 		}
 	}

@@ -762,7 +762,7 @@ func TestRobustFlappingFaultsByteIdentical(t *testing.T) {
 			model = model[:len(model)-1]
 		default:
 			a, b := rng.NormFloat64(), cell+rng.Float64()
-			got := e.HalfplaneRecs(a, b)
+			got := ask(t, e, Query{Op: OpHalfplane, A: a, B: b}).Recs
 			ans, err := ref.Query(Query{Op: OpHalfplane, A: a, B: b})
 			if err != nil {
 				t.Fatal(err)
@@ -805,7 +805,7 @@ func TestRobustFlappingFaultsByteIdentical(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		a, b := rng.NormFloat64(), rng.Float64()
-		got := e.HalfplaneRecs(a, b)
+		got := ask(t, e, Query{Op: OpHalfplane, A: a, B: b}).Recs
 		ans, err := ref.Query(Query{Op: OpHalfplane, A: a, B: b})
 		if err != nil || !recsEqual(got, ans.Recs) {
 			t.Fatalf("post-repair sweep diverged (err %v)", err)

@@ -115,9 +115,6 @@ func NewDynamic(u *Universe, side Side) *Dynamic {
 // Len returns the number of active lines.
 func (d *Dynamic) Len() int { return d.count }
 
-// Active reports whether universe line id is active.
-func (d *Dynamic) Active(id int) bool { return d.active[id] }
-
 // Activate inserts universe line id.
 func (d *Dynamic) Activate(id int) {
 	if d.active[id] {

@@ -259,11 +259,11 @@ func (d *DynamicPlanar) Delete(r Record) (bool, error) {
 }
 
 // Halfplane returns the live points with y <= a·x + b in canonical
-// (X, Y) order.
+// (X, Y) order; an operand QueryInto rejects reports nothing.
 func (d *DynamicPlanar) Halfplane(a, b float64) []geom.Point2 {
-	recs, _ := d.set.appendMatches(Query{Op: OpHalfplane, A: a, B: b}, nil) // a Planar serves every halfplane
-	pts := make([]geom.Point2, len(recs))
-	for i, r := range recs {
+	ans, _ := d.Query(Query{Op: OpHalfplane, A: a, B: b})
+	pts := make([]geom.Point2, len(ans.Recs))
+	for i, r := range ans.Recs {
 		pts[i] = r.P2
 	}
 	return pts
@@ -303,6 +303,9 @@ func (d *DynamicPlanar) Query(q Query) (Answer, error) { return intoAnswer(d, q)
 func (d *DynamicPlanar) QueryInto(q Query, ans *Answer) error {
 	if !d.Supports(q.Op) {
 		return unsupported("dynamic planar", q.Op)
+	}
+	if err := CheckOperands(&q); err != nil {
+		return err
 	}
 	var err error
 	ans.Recs, err = d.set.appendMatches(q, ans.Recs)
@@ -365,24 +368,25 @@ func (d *DynamicPartition) Delete(r Record) (bool, error) {
 }
 
 // Halfspace returns the live points with x_d <= coef·(x,1) in
-// lexicographic order; an operand of another dimension reports nothing.
+// lexicographic order; an operand QueryInto rejects (another dimension,
+// a NaN or infinite coefficient) reports nothing.
 func (d *DynamicPartition) Halfspace(coef []float64) []geom.PointD {
 	return d.points(Query{Op: OpHalfspaceD, Coef: coef})
 }
 
 // Conjunction returns the live points satisfying every constraint (a
 // simplex or general convex-polytope query) in lexicographic order,
-// matching the static adapter's op coverage; an operand of another
-// dimension reports nothing.
+// matching the static adapter's op coverage; an operand QueryInto
+// rejects reports nothing.
 func (d *DynamicPartition) Conjunction(cs []Constraint) []geom.PointD {
 	return d.points(Query{Op: OpConjunction, Constraints: cs})
 }
 
 // points answers q as a fresh slice of points in canonical order.
 func (d *DynamicPartition) points(q Query) []geom.PointD {
-	recs, _ := d.set.appendMatches(q, nil)
-	pts := make([]geom.PointD, len(recs))
-	for i, r := range recs {
+	ans, _ := d.Query(q)
+	pts := make([]geom.PointD, len(ans.Recs))
+	for i, r := range ans.Recs {
 		pts[i] = r.PD
 	}
 	return pts
@@ -429,6 +433,9 @@ func (d *DynamicPartition) QueryInto(q Query, ans *Answer) error {
 	}
 	if !d.Supports(q.Op) {
 		return unsupported("dynamic partition", q.Op)
+	}
+	if err := CheckOperands(&q); err != nil {
+		return err
 	}
 	var err error
 	ans.Recs, err = d.set.appendMatches(q, ans.Recs)

@@ -164,11 +164,46 @@ func unsupported(family string, op Op) error {
 	return fmt.Errorf("index: %s index: %w %v", family, ErrUnsupported, op)
 }
 
-// ErrNonFinite is wrapped by the mutable families' Insert and Delete
-// errors for a record with an infinite or NaN coordinate: the exact
-// predicates every family decides with are defined on finite values
-// only.
+// ErrNonFinite is wrapped by the error of a query operand (CheckOperands)
+// or a mutable family's Insert/Delete record with an infinite or NaN
+// coordinate: the exact predicates every family decides with are
+// defined on finite values only.
 var ErrNonFinite = errors.New("non-finite coordinate")
+
+// CheckOperands returns an error wrapping ErrNonFinite when a
+// coordinate q's op reads is infinite or NaN. It is the one operand
+// check: every adapter's QueryInto, the engine's plan phase and its
+// explain call it.
+func CheckOperands(q *Query) error {
+	finite := true
+	switch q.Op {
+	case OpHalfplane:
+		finite = allFinite(q.A, q.B)
+	case OpHalfspace3:
+		finite = allFinite(q.A, q.B, q.C)
+	case OpHalfspaceD:
+		finite = allFinite(q.Coef...)
+	case OpConjunction:
+		for _, c := range q.Constraints {
+			finite = finite && allFinite(c.Coef...)
+		}
+	case OpKNN:
+		finite = allFinite(q.Pt.X, q.Pt.Y)
+	}
+	if finite {
+		return nil
+	}
+	return fmt.Errorf("index: %v operand: %w", q.Op, ErrNonFinite)
+}
+
+func allFinite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return false
+		}
+	}
+	return true
+}
 
 func checkFinite(family string, xs ...float64) error {
 	for _, x := range xs {

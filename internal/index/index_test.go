@@ -2,9 +2,11 @@ package index
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -165,6 +167,128 @@ func TestOperandDimensionChecked(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestQueryIntoRejectsNonFiniteOperands feeds NaN, +Inf and -Inf to
+// every operand coordinate of every op each of the six adapters serves.
+// QueryInto must return an error wrapping ErrNonFinite and append
+// nothing, where the exact predicates below it would panic; the
+// family's query method reports nothing. The finite operand the cases
+// start from answers without error.
+func TestQueryIntoRejectsNonFiniteOperands(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	pts2 := workload.Uniform2(rng, 300)
+	ptsD := workload.CubeD(rng, 300, 3)
+	pts3 := make([]geom.Point3, len(ptsD))
+	for i, p := range ptsD {
+		pts3[i] = geom.Point3{X: p[0], Y: p[1], Z: p[2]}
+	}
+	dynPlanar, dynPartition := NewDynamicPlanar(eio.NewDevice(16, 0), 1), NewDynamicPartition(eio.NewDevice(16, 0))
+	for i := 0; i < 100; i++ {
+		mustInsert(t, dynPlanar, Record{P2: pts2[i]})
+		mustInsert(t, dynPartition, Record{PD: ptsD[i]})
+	}
+	halfplane := Query{Op: OpHalfplane, A: 0.2, B: 0.3}
+	halfspaceD := Query{Op: OpHalfspaceD, Coef: []float64{0.1, 0.2, 0.3}}
+	conjunction := Query{Op: OpConjunction, Constraints: []Constraint{
+		{Coef: []float64{0.1, 0.2, 0.6}, Below: true}, {Coef: []float64{0, 0, 0.2}},
+	}}
+	cases := []struct {
+		name string
+		idx  Index
+		ops  []Query
+	}{
+		{"planar", NewPlanar(eio.NewDevice(16, 0), pts2, 1), []Query{halfplane}},
+		{"spatial3", NewSpatial3(eio.NewDevice(16, 0), pts3, hull3d.Window{XMin: -2, XMax: 2, YMin: -2, YMax: 2}, 1),
+			[]Query{{Op: OpHalfspace3, A: 0.1, B: 0.2, C: 0.3}}},
+		{"knn", NewKNN(eio.NewDevice(16, 0), pts2, 1), []Query{{Op: OpKNN, K: 3, Pt: geom.Point2{X: 0.5, Y: 0.5}}}},
+		{"partition", NewPartition(eio.NewDevice(16, 0), ptsD), []Query{halfspaceD, conjunction}},
+		{"dynplanar", dynPlanar, []Query{halfplane}},
+		{"dynpartition", dynPartition, []Query{halfspaceD, conjunction}},
+	}
+	for _, c := range cases {
+		for _, good := range c.ops {
+			if _, err := c.idx.Query(good); err != nil {
+				t.Fatalf("%s %v: finite operand: %v", c.name, good.Op, err)
+			}
+			for slot := range operandSlots(&good) {
+				for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					q := cloneQuery(good)
+					*operandSlots(&q)[slot] = v
+					var ans Answer
+					if err := c.idx.QueryInto(q, &ans); !errors.Is(err, ErrNonFinite) {
+						t.Errorf("%s %v slot %d = %v: QueryInto err %v, want ErrNonFinite", c.name, q.Op, slot, v, err)
+					}
+					if n := len(ans.IDs) + len(ans.Recs) + len(ans.Neighbors); n != 0 {
+						t.Errorf("%s %v slot %d = %v: QueryInto appended %d answers", c.name, q.Op, slot, v, n)
+					}
+					if n := typedQuery(c.idx, q); n != 0 {
+						t.Errorf("%s %v slot %d = %v: query method reported %d answers", c.name, q.Op, slot, v, n)
+					}
+				}
+			}
+		}
+	}
+}
+
+// operandSlots points at every coordinate q's op reads.
+func operandSlots(q *Query) []*float64 {
+	var slots []*float64
+	switch q.Op {
+	case OpHalfplane:
+		slots = append(slots, &q.A, &q.B)
+	case OpHalfspace3:
+		slots = append(slots, &q.A, &q.B, &q.C)
+	case OpKNN:
+		slots = append(slots, &q.Pt.X, &q.Pt.Y)
+	case OpHalfspaceD:
+		for i := range q.Coef {
+			slots = append(slots, &q.Coef[i])
+		}
+	case OpConjunction:
+		for _, c := range q.Constraints {
+			for i := range c.Coef {
+				slots = append(slots, &c.Coef[i])
+			}
+		}
+	}
+	return slots
+}
+
+// cloneQuery copies q with operand slices of its own.
+func cloneQuery(q Query) Query {
+	q.Coef = slices.Clone(q.Coef)
+	q.Constraints = slices.Clone(q.Constraints)
+	for i := range q.Constraints {
+		q.Constraints[i].Coef = slices.Clone(q.Constraints[i].Coef)
+	}
+	return q
+}
+
+// typedQuery answers q through idx's family query method and returns
+// the answer's length.
+func typedQuery(idx Index, q Query) int {
+	switch x := idx.(type) {
+	case *Planar:
+		return len(x.Halfplane(q.A, q.B))
+	case *Spatial3:
+		return len(x.Halfspace(q.A, q.B, q.C))
+	case *KNN:
+		return len(x.Nearest(q.K, q.Pt))
+	case *Partition:
+		if q.Op == OpHalfspaceD {
+			return len(x.Halfspace(q.Coef))
+		}
+		return len(x.Conjunction(q.Constraints))
+	case *DynamicPlanar:
+		return len(x.Halfplane(q.A, q.B))
+	case *DynamicPartition:
+		if q.Op == OpHalfspaceD {
+			return len(x.Halfspace(q.Coef))
+		}
+		return len(x.Conjunction(q.Constraints))
+	}
+	panic(fmt.Sprintf("no query method for %T", idx))
 }
 
 // TestEmptyAdapters: zero-point static adapters answer their ops with

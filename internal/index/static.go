@@ -11,7 +11,9 @@ import (
 
 // The static adapters wrap one frozen structure built over a point
 // slice. A nil inner structure (zero points) answers every supported
-// op with an empty result.
+// op with an empty result. Each family's scalar query method (Halfplane,
+// Halfspace, Nearest, Conjunction) is a one-op Query: an operand that
+// QueryInto rejects reports nothing.
 
 // Planar adapts the §3 planar structure (Theorem 3.5).
 type Planar struct {
@@ -30,10 +32,8 @@ func NewPlanar(dev *eio.Device, points []geom.Point2, seed int64) *Planar {
 
 // Halfplane reports the positions of points with y <= a·x + b, sorted.
 func (p *Planar) Halfplane(a, b float64) []int {
-	if p.idx == nil {
-		return nil
-	}
-	return p.idx.Halfplane(a, b)
+	ans, _ := p.Query(Query{Op: OpHalfplane, A: a, B: b})
+	return ans.IDs
 }
 
 // Len returns the number of indexed points.
@@ -63,6 +63,9 @@ func (p *Planar) QueryInto(q Query, ans *Answer) error {
 	if !p.Supports(q.Op) {
 		return unsupported("planar", q.Op)
 	}
+	if err := CheckOperands(&q); err != nil {
+		return err
+	}
 	if p.idx != nil {
 		ans.IDs = p.idx.HalfplaneAppend(q.A, q.B, ans.IDs)
 	}
@@ -91,12 +94,11 @@ func NewSpatial3(dev *eio.Device, points []geom.Point3, win hull3d.Window, seed 
 	return s
 }
 
-// Halfspace reports the positions of points with z <= a·x + b·y + c.
+// Halfspace reports the positions of points with z <= a·x + b·y + c,
+// sorted.
 func (s *Spatial3) Halfspace(a, b, c float64) []int {
-	if s.idx == nil {
-		return nil
-	}
-	return s.idx.Halfspace(a, b, c)
+	ans, _ := s.Query(Query{Op: OpHalfspace3, A: a, B: b, C: c})
+	return ans.IDs
 }
 
 // Len returns the number of indexed points.
@@ -124,6 +126,9 @@ func (s *Spatial3) QueryInto(q Query, ans *Answer) error {
 	if !s.Supports(q.Op) {
 		return unsupported("3d", q.Op)
 	}
+	if err := CheckOperands(&q); err != nil {
+		return err
+	}
 	if s.idx != nil {
 		ans.IDs = s.idx.HalfspaceAppend(q.A, q.B, q.C, ans.IDs)
 	}
@@ -147,10 +152,8 @@ func NewKNN(dev *eio.Device, points []geom.Point2, seed int64) *KNN {
 
 // Nearest returns the k nearest indexed points to q, closest first.
 func (k *KNN) Nearest(kk int, q geom.Point2) []chan3d.Neighbor {
-	if k.idx == nil {
-		return nil
-	}
-	return k.idx.Query(kk, q)
+	ans, _ := k.Query(Query{Op: OpKNN, K: kk, Pt: q})
+	return ans.Neighbors
 }
 
 // Len returns the number of indexed points.
@@ -178,6 +181,9 @@ func (k *KNN) QueryInto(q Query, ans *Answer) error {
 	if !k.Supports(q.Op) {
 		return unsupported("knn", q.Op)
 	}
+	if err := CheckOperands(&q); err != nil {
+		return err
+	}
 	if k.idx != nil {
 		ans.Neighbors = k.idx.QueryAppend(q.K, q.Pt, ans.Neighbors)
 	}
@@ -204,19 +210,15 @@ func NewPartition(dev *eio.Device, points []geom.PointD) *Partition {
 
 // Halfspace reports the positions of points with x_d <= coef·(x,1), sorted.
 func (p *Partition) Halfspace(coef []float64) []int {
-	if p.tr == nil {
-		return nil
-	}
-	return p.tr.Halfspace(geom.HyperplaneD{Coef: coef})
+	ans, _ := p.Query(Query{Op: OpHalfspaceD, Coef: coef})
+	return ans.IDs
 }
 
-// Conjunction reports the points satisfying every constraint (a
-// simplex or general convex-polytope query).
+// Conjunction reports the positions of the points satisfying every
+// constraint (a simplex or general convex-polytope query), sorted.
 func (p *Partition) Conjunction(cs []Constraint) []int {
-	if p.tr == nil {
-		return nil
-	}
-	return p.tr.Simplex(simplex(geom.Simplex{}, cs))
+	ans, _ := p.Query(Query{Op: OpConjunction, Constraints: cs})
+	return ans.IDs
 }
 
 // Len returns the number of indexed points.
@@ -246,6 +248,9 @@ func (p *Partition) QueryInto(q Query, ans *Answer) error {
 		if err := checkDim("partition", p.tr.Dim(), q); err != nil {
 			return err
 		}
+	}
+	if err := CheckOperands(&q); err != nil {
+		return err
 	}
 	switch q.Op {
 	case OpHalfspaceD:

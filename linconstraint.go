@@ -23,7 +23,7 @@
 //     dynamizations (§5 Remark iii; the engineering answer to §7 open
 //     problem 1) with live Insert/Delete.
 //
-// All six families implement the uniform internal/index interface
+// Each of the six index types is the family's internal/index adapter
 // (query dispatch + Stats/Len, plus Insert/Delete for the mutable
 // ones); every structure runs against a simulated external-memory
 // device (internal/eio) with exact I/O accounting, and Stats exposes
@@ -76,14 +76,11 @@ func Rec2(p Point2) Record { return Record{P2: p} }
 // RecD wraps a d-dimensional point as a Record.
 func RecD(p PointD) Record { return Record{PD: p} }
 
-// Stats reports I/O counters of an index's simulated device.
-type Stats struct {
-	Reads, Writes, CacheHits int64
-	SpaceBlocks              int64
-}
-
-// IOs returns total block transfers.
-func (s Stats) IOs() int64 { return s.Reads + s.Writes }
+// Stats is an I/O snapshot of an index's simulated device: the
+// counters IO.Reads, IO.Writes and IO.Hits (IO.IOs() is the block
+// transfers) and the blocks the index occupies, SpaceBlocks.
+// EngineStats.PerShard holds one per shard.
+type Stats = index.Stats
 
 // Config tunes the simulated external-memory device.
 type Config struct {
@@ -104,34 +101,28 @@ func (c Config) device() *eio.Device {
 	return eio.NewDevice(b, c.CacheBlocks)
 }
 
-func fromIndexStats(s index.Stats) Stats {
-	return Stats{Reads: s.IO.Reads, Writes: s.IO.Writes, CacheHits: s.IO.Hits, SpaceBlocks: s.SpaceBlocks}
-}
+// The six index types below share one method set besides their own
+// query methods: Query and QueryInto answer one Query whose Op the
+// family serves (Supports reports which), Len counts the indexed or
+// live points, Stats snapshots the device's counters (construction and
+// rebuild work included) and ResetStats zeroes them and drops the
+// cache. Query and QueryInto return an error for an op the family does
+// not serve and, wrapping ErrNonFinite, for a NaN or infinite operand;
+// the query methods report nothing for such an operand. An index is
+// single-owner: callers serialize access.
 
 // --- 2D: the §3 optimal structure ---------------------------------------
 
 // PlanarIndex answers halfplane reporting queries over planar points with
-// O(log_B n + t) worst-case I/Os and linear space (Theorem 3.5).
-type PlanarIndex struct {
-	idx *index.Planar
-}
+// O(log_B n + t) worst-case I/Os and linear space (Theorem 3.5):
+// Halfplane(a, b) reports the indices of all points with y <= a·x + b,
+// sorted.
+type PlanarIndex = index.Planar
 
 // NewPlanarIndex builds the §3 structure over points.
 func NewPlanarIndex(points []Point2, cfg Config) *PlanarIndex {
-	return &PlanarIndex{idx: index.NewPlanar(cfg.device(), points, cfg.Seed)}
+	return index.NewPlanar(cfg.device(), points, cfg.Seed)
 }
-
-// Halfplane reports the indices of all points with y <= a·x + b, sorted.
-func (p *PlanarIndex) Halfplane(a, b float64) []int { return p.idx.Halfplane(a, b) }
-
-// Stats returns the device's I/O counters.
-func (p *PlanarIndex) Stats() Stats { return fromIndexStats(p.idx.Stats()) }
-
-// ResetStats zeroes the counters and drops the cache.
-func (p *PlanarIndex) ResetStats() { p.idx.ResetStats() }
-
-// Len returns the number of indexed points.
-func (p *PlanarIndex) Len() int { return p.idx.Len() }
 
 // --- 3D: the §4 structure ------------------------------------------------
 
@@ -140,37 +131,23 @@ func (p *PlanarIndex) Len() int { return p.idx.Len() }
 type Window = hull3d.Window
 
 // Index3D answers 3D halfspace reporting queries over points with
-// O(log_B n + t) expected I/Os (Theorem 4.4).
-type Index3D struct {
-	idx *index.Spatial3
-}
+// O(log_B n + t) expected I/Os (Theorem 4.4): Halfspace(a, b, c)
+// reports the indices of all points with z <= a·x + b·y + c, sorted.
+type Index3D = index.Spatial3
 
 // NewIndex3D builds the §4 structure over points. The window must cover
 // the (a, b) coefficient range of future queries; a zero Window selects
 // [-16, 16]².
 func NewIndex3D(points []Point3, win Window, cfg Config) *Index3D {
-	return &Index3D{idx: index.NewSpatial3(cfg.device(), points, win, cfg.Seed)}
+	return index.NewSpatial3(cfg.device(), points, win, cfg.Seed)
 }
-
-// Halfspace reports the indices of all points with z <= a·x + b·y + c.
-func (x *Index3D) Halfspace(a, b, c float64) []int { return x.idx.Halfspace(a, b, c) }
-
-// Stats returns the device's I/O counters.
-func (x *Index3D) Stats() Stats { return fromIndexStats(x.idx.Stats()) }
-
-// ResetStats zeroes the counters and drops the cache.
-func (x *Index3D) ResetStats() { x.idx.ResetStats() }
-
-// Len returns the number of indexed points.
-func (x *Index3D) Len() int { return x.idx.Len() }
 
 // --- k-nearest neighbors (Theorem 4.3) ------------------------------------
 
 // KNNIndex answers planar k-nearest-neighbor queries in O(log_B n + k/B)
-// expected I/Os via the lifting map.
-type KNNIndex struct {
-	idx *index.KNN
-}
+// expected I/Os via the lifting map: Nearest(k, q) returns the k nearest
+// indexed points to q, closest first.
+type KNNIndex = index.KNN
 
 // Neighbor is one k-NN result: the point's index and its squared
 // distance to the query.
@@ -179,20 +156,8 @@ type Neighbor = chan3d.Neighbor
 // NewKNNIndex builds the k-NN structure; queries must fall inside the
 // points' padded bounding box.
 func NewKNNIndex(points []Point2, cfg Config) *KNNIndex {
-	return &KNNIndex{idx: index.NewKNN(cfg.device(), points, cfg.Seed)}
+	return index.NewKNN(cfg.device(), points, cfg.Seed)
 }
-
-// Query returns the k nearest indexed points to q, closest first.
-func (s *KNNIndex) Query(k int, q Point2) []Neighbor { return s.idx.Nearest(k, q) }
-
-// Stats returns the device's I/O counters.
-func (s *KNNIndex) Stats() Stats { return fromIndexStats(s.idx.Stats()) }
-
-// ResetStats zeroes the counters and drops the cache.
-func (s *KNNIndex) ResetStats() { s.idx.ResetStats() }
-
-// Len returns the number of indexed points.
-func (s *KNNIndex) Len() int { return s.idx.Len() }
 
 // --- d-dimensional partition trees (§5, §6) --------------------------------
 
@@ -203,126 +168,45 @@ type Constraint = index.Constraint
 
 // PartitionTree answers halfspace and convex-polytope (conjunction of
 // constraints) reporting queries in any fixed dimension with linear
-// space (Theorem 5.2 and §5 Remark i).
-type PartitionTree struct {
-	idx *index.Partition
-}
+// space (Theorem 5.2 and §5 Remark i): Halfspace(coef) reports the
+// indices of points with x_d <= coef·(x,1) and Conjunction(cs) those
+// satisfying every constraint (a simplex or general convex polytope),
+// both sorted.
+type PartitionTree = index.Partition
 
 // NewPartitionTree builds the §5 structure over d-dimensional points.
 func NewPartitionTree(points []PointD, cfg Config) *PartitionTree {
-	return &PartitionTree{idx: index.NewPartition(cfg.device(), points)}
+	return index.NewPartition(cfg.device(), points)
 }
-
-// Halfspace reports the indices of points with x_d <= coef·(x,1), sorted.
-func (t *PartitionTree) Halfspace(coef []float64) []int { return t.idx.Halfspace(coef) }
-
-// Conjunction reports the points satisfying every constraint (a simplex
-// or general convex polytope query).
-func (t *PartitionTree) Conjunction(cs []Constraint) []int { return t.idx.Conjunction(cs) }
-
-// Stats returns the device's I/O counters.
-func (t *PartitionTree) Stats() Stats { return fromIndexStats(t.idx.Stats()) }
-
-// ResetStats zeroes the counters and drops the cache.
-func (t *PartitionTree) ResetStats() { t.idx.ResetStats() }
-
-// Len returns the number of indexed points.
-func (t *PartitionTree) Len() int { return t.idx.Len() }
 
 // --- Dynamic indexes (§5 Remark iii; §7 open problem 1) --------------------
 
 // DynamicPlanarIndex supports insertions and deletions of planar points
 // alongside halfplane reporting, via the logarithmic method over the §3
 // structure: queries cost an O(log N) multiple of the static bound,
-// updates amortized polylogarithmic rebuild work.
-type DynamicPlanarIndex struct {
-	idx *index.DynamicPlanar
-}
+// updates amortized polylogarithmic rebuild work. Insert(Rec2(p)) adds
+// a point; Delete(Rec2(p)) removes one copy of it and reports whether
+// one was present; both return an error for a NaN or infinite
+// coordinate or a record that is not a Rec2. Halfplane(a, b) returns the
+// live points with y <= a·x + b in canonical (X, Y) order.
+type DynamicPlanarIndex = index.DynamicPlanar
 
 // NewDynamicPlanarIndex returns an empty dynamic planar index.
 func NewDynamicPlanarIndex(cfg Config) *DynamicPlanarIndex {
-	return &DynamicPlanarIndex{idx: index.NewDynamicPlanar(cfg.device(), cfg.Seed)}
+	return index.NewDynamicPlanar(cfg.device(), cfg.Seed)
 }
-
-// Insert adds a point. It panics on a NaN or infinite coordinate.
-func (d *DynamicPlanarIndex) Insert(p Point2) {
-	if err := d.idx.Insert(Rec2(p)); err != nil {
-		panic(err) // Rec2 records fit the planar family: only a non-finite coordinate fails
-	}
-}
-
-// Delete removes one copy of p, reporting whether it was present. It
-// panics on a NaN or infinite coordinate.
-func (d *DynamicPlanarIndex) Delete(p Point2) bool {
-	ok, err := d.idx.Delete(Rec2(p))
-	if err != nil {
-		panic(err) // Rec2 records fit the planar family: only a non-finite coordinate fails
-	}
-	return ok
-}
-
-// Halfplane returns the live points with y <= a·x + b, in canonical
-// (X, Y) order.
-func (d *DynamicPlanarIndex) Halfplane(a, b float64) []Point2 { return d.idx.Halfplane(a, b) }
-
-// Len returns the number of live points.
-func (d *DynamicPlanarIndex) Len() int { return d.idx.Len() }
-
-// Stats returns the device's I/O counters, including rebuild work.
-func (d *DynamicPlanarIndex) Stats() Stats { return fromIndexStats(d.idx.Stats()) }
-
-// ResetStats zeroes the counters and drops the cache.
-func (d *DynamicPlanarIndex) ResetStats() { d.idx.ResetStats() }
 
 // DynamicPartitionTree is the dynamized d-dimensional partition tree.
-type DynamicPartitionTree struct {
-	idx *index.DynamicPartition
-}
+// Insert(RecD(p)) and Delete(RecD(p)) work as on DynamicPlanarIndex;
+// the first insert fixes the dimension, and Insert returns an error for
+// a point of another one (the tree cannot mix dimensions). Halfspace and
+// Conjunction return the live points in lexicographic order.
+type DynamicPartitionTree = index.DynamicPartition
 
 // NewDynamicPartitionTree returns an empty dynamic d-dimensional index.
 func NewDynamicPartitionTree(cfg Config) *DynamicPartitionTree {
-	return &DynamicPartitionTree{idx: index.NewDynamicPartition(cfg.device())}
+	return index.NewDynamicPartition(cfg.device())
 }
-
-// Insert adds a point. It panics on an empty point, a NaN or infinite
-// coordinate, or a dimension mismatch with earlier inserts (the tree
-// cannot mix dimensions).
-func (d *DynamicPartitionTree) Insert(p PointD) {
-	if err := d.idx.Insert(RecD(p)); err != nil {
-		panic(err)
-	}
-}
-
-// Delete removes one point equal to p, reporting whether it was present.
-// It panics on an empty point or a NaN or infinite coordinate.
-func (d *DynamicPartitionTree) Delete(p PointD) bool {
-	ok, err := d.idx.Delete(RecD(p))
-	if err != nil {
-		panic(err)
-	}
-	return ok
-}
-
-// Halfspace returns the live points with x_d <= coef·(x,1), in
-// lexicographic order.
-func (d *DynamicPartitionTree) Halfspace(coef []float64) []PointD {
-	return d.idx.Halfspace(coef)
-}
-
-// Conjunction returns the live points satisfying every constraint (a
-// simplex or general convex-polytope query), in lexicographic order.
-func (d *DynamicPartitionTree) Conjunction(cs []Constraint) []PointD {
-	return d.idx.Conjunction(cs)
-}
-
-// Len returns the number of live points.
-func (d *DynamicPartitionTree) Len() int { return d.idx.Len() }
-
-// Stats returns the device's I/O counters, including rebuild work.
-func (d *DynamicPartitionTree) Stats() Stats { return fromIndexStats(d.idx.Stats()) }
-
-// ResetStats zeroes the counters and drops the cache.
-func (d *DynamicPartitionTree) ResetStats() { d.idx.ResetStats() }
 
 // --- Sharded concurrent engine (DESIGN.md §5, §6) ---------------------------
 
@@ -570,23 +454,25 @@ type Explain = engine.Explain
 // building shards in parallel and serving queries from a fixed worker
 // pool. Engines are safe for concurrent use; call Close when done.
 //
+// Queries go through Batch or BatchInto, one QueryResult per Query: a
+// one-query batch is the single-query call. An op the engine's family
+// does not serve, an operand of another dimension or with a NaN or
+// infinite coordinate, and any query after Close are answered with
+// QueryResult.Err. The static reporting families answer with IDs
+// (global record indices), the k-NN family with Neighbors.
+//
 // Engines over the dynamic families (NewDynamicPlanarEngine,
 // NewDynamicPartitionEngine) also accept live updates: Insert routes
 // the record to a shard, Delete scatter-gathers by value across the
 // shards, and both are also available as OpInsert/OpDelete batch ops;
-// HalfplaneRecs, HalfspaceDRecs and ConjunctionRecs report their live
-// records (read .P2 or .PD). Static engines return ErrImmutable.
+// their queries answer with live records in QueryResult.Recs (read .P2
+// or .PD). Static engines return ErrImmutable.
 //
 // Hot shards can be replicated onto extra private devices (Replicate,
 // Drop, AutoReplicate): reads spread across the copies, updates fan
 // out to all of them, and always-on exact per-shard visit counts
 // (ShardTraffic, HotShards) measure which shards deserve the copies —
 // answers are byte-identical under any replica layout.
-//
-// The scalar query methods (Halfplane, Halfspace3, HalfspaceD,
-// Conjunction, KNN and the *Recs variants) panic when called on an
-// engine built over a family that does not serve them; Batch reports
-// the mismatch as QueryResult.Err instead.
 type Engine = engine.Engine
 
 // NewPlanarEngine shards the §3 planar structure.

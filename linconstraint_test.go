@@ -7,6 +7,17 @@ import (
 	"time"
 )
 
+// ask answers q with a one-query Batch on e, failing the test (with
+// Errorf, so goroutines may call it) on a Result.Err.
+func ask(t testing.TB, e *Engine, q Query) QueryResult {
+	t.Helper()
+	r := e.Batch([]Query{q})[0]
+	if r.Err != nil {
+		t.Errorf("%v query: %v", q.Op, r.Err)
+	}
+	return r
+}
+
 func TestPlanarIndexFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]Point2, 1000)
@@ -29,7 +40,7 @@ func TestPlanarIndexFacade(t *testing.T) {
 		t.Fatalf("got %d sorted=%v, want %d", len(got), sort.IntsAreSorted(got), len(want))
 	}
 	s := idx.Stats()
-	if s.IOs() == 0 || s.SpaceBlocks == 0 {
+	if s.IO.IOs() == 0 || s.SpaceBlocks == 0 {
 		t.Fatal("stats not populated")
 	}
 }
@@ -55,7 +66,7 @@ func TestIndex3DFacade(t *testing.T) {
 	if len(got) != cnt {
 		t.Fatalf("got %d, want %d", len(got), cnt)
 	}
-	if idx.Stats().IOs() == 0 {
+	if idx.Stats().IO.IOs() == 0 {
 		t.Fatal("stats")
 	}
 }
@@ -68,7 +79,7 @@ func TestKNNFacade(t *testing.T) {
 	}
 	idx := NewKNNIndex(pts, Config{BlockSize: 16})
 	idx.ResetStats()
-	got := idx.Query(5, Point2{X: 0.5, Y: 0.5})
+	got := idx.Nearest(5, Point2{X: 0.5, Y: 0.5})
 	if len(got) != 5 {
 		t.Fatalf("got %d neighbors", len(got))
 	}
@@ -77,7 +88,7 @@ func TestKNNFacade(t *testing.T) {
 			t.Fatal("not sorted by distance")
 		}
 	}
-	if idx.Stats().IOs() == 0 {
+	if idx.Stats().IO.IOs() == 0 {
 		t.Fatal("stats")
 	}
 }
@@ -117,7 +128,7 @@ func TestPartitionTreeFacade(t *testing.T) {
 	if len(res) != cnt {
 		t.Fatalf("conjunction: got %d, want %d", len(res), cnt)
 	}
-	if tr.Stats().IOs() == 0 {
+	if tr.Stats().IO.IOs() == 0 {
 		t.Fatal("stats")
 	}
 }
@@ -147,10 +158,10 @@ func TestCachedDevice(t *testing.T) {
 	cold.ResetStats()
 	cold.Halfplane(0.1, 0.2)
 	cold.Halfplane(0.1, 0.2)
-	if warm.Stats().CacheHits == 0 {
+	if warm.Stats().IO.Hits == 0 {
 		t.Fatal("expected cache hits with a large cache")
 	}
-	if warm.Stats().Reads >= cold.Stats().Reads {
+	if warm.Stats().IO.Reads >= cold.Stats().IO.Reads {
 		t.Fatal("cache did not reduce reads")
 	}
 }
@@ -161,12 +172,14 @@ func TestDynamicPlanarFacade(t *testing.T) {
 	var model []Point2
 	for i := 0; i < 300; i++ {
 		p := Point2{X: rng.Float64(), Y: rng.Float64()}
-		idx.Insert(p)
+		if err := idx.Insert(Rec2(p)); err != nil {
+			t.Fatal(err)
+		}
 		model = append(model, p)
 	}
 	for i := 0; i < 100; i++ {
-		if !idx.Delete(model[i]) {
-			t.Fatalf("delete %d failed", i)
+		if ok, err := idx.Delete(Rec2(model[i])); err != nil || !ok {
+			t.Fatalf("delete %d failed: %v", i, err)
 		}
 	}
 	model = model[100:]
@@ -180,7 +193,7 @@ func TestDynamicPlanarFacade(t *testing.T) {
 	if len(got) != want || idx.Len() != len(model) {
 		t.Fatalf("dynamic facade: got %d want %d (len %d)", len(got), want, idx.Len())
 	}
-	if idx.Stats().IOs() == 0 {
+	if idx.Stats().IO.IOs() == 0 {
 		t.Fatal("stats")
 	}
 	idx.ResetStats()
@@ -192,10 +205,14 @@ func TestDynamicPartitionFacade(t *testing.T) {
 	var model []PointD
 	for i := 0; i < 200; i++ {
 		p := PointD{rng.Float64(), rng.Float64(), rng.Float64()}
-		idx.Insert(p)
+		if err := idx.Insert(RecD(p)); err != nil {
+			t.Fatal(err)
+		}
 		model = append(model, p)
 	}
-	if !idx.Delete(model[0]) || idx.Delete(PointD{9, 9, 9}) {
+	hit, err1 := idx.Delete(RecD(model[0]))
+	miss, err2 := idx.Delete(RecD(PointD{9, 9, 9}))
+	if !hit || miss || err1 != nil || err2 != nil {
 		t.Fatal("delete behaviour")
 	}
 	model = model[1:]
@@ -227,9 +244,9 @@ func TestEngineFacade(t *testing.T) {
 		t.Fatalf("shape: len=%d shards=%d workers=%d", e.Len(), e.NumShards(), e.NumWorkers())
 	}
 
-	// Scalar path: identical result sets, shard for shard merged.
+	// One-query path: identical result sets, shard for shard merged.
 	for _, q := range []struct{ a, b float64 }{{0.5, 0.2}, {-1, 0.9}, {0, 0.01}} {
-		got, want := e.Halfplane(q.a, q.b), ref.Halfplane(q.a, q.b)
+		got, want := ask(t, e, Query{Op: OpHalfplane, A: q.a, B: q.b}).IDs, ref.Halfplane(q.a, q.b)
 		if len(got) != len(want) {
 			t.Fatalf("engine %d hits, unsharded %d", len(got), len(want))
 		}
@@ -254,7 +271,7 @@ func TestEngineFacade(t *testing.T) {
 
 	// Aggregated stats: totals populated, worst shard bounded by total.
 	e.ResetStats()
-	e.Halfplane(0.5, 0.2)
+	ask(t, e, Query{Op: OpHalfplane, A: 0.5, B: 0.2})
 	st := e.Stats()
 	if st.Total.IOs() == 0 || st.SpaceBlocks == 0 || len(st.PerShard) != 5 {
 		t.Fatalf("engine stats not aggregated: %+v", st)
@@ -265,8 +282,8 @@ func TestEngineFacade(t *testing.T) {
 }
 
 // TestMutableEngineFacade drives the public mutable-engine surface:
-// scalar Insert/Delete, OpInsert/OpDelete batch ops, HalfplaneRecs /
-// HalfspaceDRecs answers byte-identical to an unsharded dynamic index
+// scalar Insert/Delete, OpInsert/OpDelete batch ops, halfplane and
+// halfspace record answers byte-identical to an unsharded dynamic index
 // fed the same updates, and ErrImmutable on static engines.
 func TestMutableEngineFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -284,19 +301,22 @@ func TestMutableEngineFacade(t *testing.T) {
 		if err := e.Insert(Rec2(p)); err != nil {
 			t.Fatal(err)
 		}
-		ref.Insert(p)
+		if err := ref.Insert(Rec2(p)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 150; i++ {
 		ok, err := e.Delete(Rec2(pts[i]))
-		if err != nil || !ok || !ref.Delete(pts[i]) {
-			t.Fatalf("delete %d: %v %v", i, ok, err)
+		refOK, refErr := ref.Delete(Rec2(pts[i]))
+		if err != nil || !ok || refErr != nil || !refOK {
+			t.Fatalf("delete %d: %v %v (reference %v %v)", i, ok, err, refOK, refErr)
 		}
 	}
 	if e.Len() != 250 || ref.Len() != 250 {
 		t.Fatalf("Len %d/%d", e.Len(), ref.Len())
 	}
 	for _, q := range []struct{ a, b float64 }{{0.5, 0.2}, {-1, 0.9}, {0, 0.4}} {
-		got, want := e.HalfplaneRecs(q.a, q.b), ref.Halfplane(q.a, q.b)
+		got, want := ask(t, e, Query{Op: OpHalfplane, A: q.a, B: q.b}).Recs, ref.Halfplane(q.a, q.b)
 		if len(got) != len(want) {
 			t.Fatalf("engine %d hits, unsharded %d", len(got), len(want))
 		}
@@ -334,9 +354,11 @@ func TestMutableEngineFacade(t *testing.T) {
 		if err := ed.Insert(RecD(pd)); err != nil {
 			t.Fatal(err)
 		}
-		refD.Insert(pd)
+		if err := refD.Insert(RecD(pd)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, want := ed.HalfspaceDRecs([]float64{0.1, 0.1, 0.5}), refD.Halfspace([]float64{0.1, 0.1, 0.5})
+	got, want := ask(t, ed, Query{Op: OpHalfspaceD, Coef: []float64{0.1, 0.1, 0.5}}).Recs, refD.Halfspace([]float64{0.1, 0.1, 0.5})
 	if len(got) != len(want) {
 		t.Fatalf("partition engine %d hits, unsharded %d", len(got), len(want))
 	}
@@ -348,7 +370,7 @@ func TestMutableEngineFacade(t *testing.T) {
 		}
 	}
 	refD.ResetStats() // API symmetry: every root index exposes ResetStats
-	if refD.Stats().IOs() != 0 {
+	if refD.Stats().IO.IOs() != 0 {
 		t.Fatal("DynamicPartitionTree.ResetStats did not zero counters")
 	}
 
@@ -376,7 +398,7 @@ func TestEngineConjunctionAndKNNFacade(t *testing.T) {
 		{Coef: []float64{0.2, 0.1, 0.7}, Below: true},
 		{Coef: []float64{-0.3, 0.2, 0.1}, Below: false},
 	}
-	got, want := e.Conjunction(cs), ref.Conjunction(cs)
+	got, want := ask(t, e, Query{Op: OpConjunction, Constraints: cs}).IDs, ref.Conjunction(cs)
 	if len(got) != len(want) {
 		t.Fatalf("conjunction: engine %d hits, tree %d", len(got), len(want))
 	}
@@ -394,7 +416,7 @@ func TestEngineConjunctionAndKNNFacade(t *testing.T) {
 	ke := NewKNNEngine(pts2, EngineConfig{Shards: 3, BlockSize: 32, Seed: 1})
 	defer ke.Close()
 	q := Point2{X: 0.4, Y: 0.6}
-	gn, wn := ke.KNN(9, q), kref.Query(9, q)
+	gn, wn := ask(t, ke, Query{Op: OpKNN, K: 9, Pt: q}).Neighbors, kref.Nearest(9, q)
 	if len(gn) != len(wn) {
 		t.Fatalf("kNN: engine %d results, unsharded %d", len(gn), len(wn))
 	}
@@ -426,7 +448,9 @@ func TestRebalanceFacade(t *testing.T) {
 		if err := e.Insert(Rec2(p)); err != nil {
 			t.Fatal(err)
 		}
-		ref.Insert(p)
+		if err := ref.Insert(Rec2(p)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if st := e.Stats(); st.ShardsPruned == 0 {
 		// Every insert plans nothing; run one selective query.
@@ -443,8 +467,8 @@ func TestRebalanceFacade(t *testing.T) {
 			if ok, err := e.Delete(Rec2(p)); err != nil || !ok {
 				t.Fatalf("delete: %v %v", ok, err)
 			}
-			if !ref.Delete(p) {
-				t.Fatal("reference delete missed")
+			if ok, err := ref.Delete(Rec2(p)); err != nil || !ok {
+				t.Fatalf("reference delete missed: %v", err)
 			}
 		}
 	}
@@ -455,7 +479,7 @@ func TestRebalanceFacade(t *testing.T) {
 	if st.After.Skew > 1.5 || st.Moved == 0 {
 		t.Fatalf("facade rebalance stats: %+v", st)
 	}
-	got, want := e.HalfplaneRecs(0.3, 0.4), ref.Halfplane(0.3, 0.4)
+	got, want := ask(t, e, Query{Op: OpHalfplane, A: 0.3, B: 0.4}).Recs, ref.Halfplane(0.3, 0.4)
 	if len(got) != len(want) {
 		t.Fatalf("post-rebalance answer: %d recs, want %d", len(got), len(want))
 	}
@@ -471,12 +495,12 @@ func TestRebalanceFacade(t *testing.T) {
 	// Static engines rebalance by rebuilding onto the new layout.
 	se := NewPlanarEngine(pts, EngineConfig{Shards: 4, BlockSize: 32, Seed: 1})
 	defer se.Close()
-	before := se.Halfplane(0.2, 0.3)
+	before := ask(t, se, Query{Op: OpHalfplane, A: 0.2, B: 0.3}).IDs
 	sst, err := se.Rebalance(RebalanceOptions{Partitioner: KDCutLayout()})
 	if err != nil || !sst.Rebuilt || sst.Moved == 0 {
 		t.Fatalf("static facade rebalance: %+v, %v", sst, err)
 	}
-	after := se.Halfplane(0.2, 0.3)
+	after := ask(t, se, Query{Op: OpHalfplane, A: 0.2, B: 0.3}).IDs
 	if len(before) != len(after) {
 		t.Fatalf("static rebuild changed the answer: %d vs %d ids", len(before), len(after))
 	}
@@ -507,7 +531,7 @@ func TestRobustnessFacade(t *testing.T) {
 	if err := e.Replicate(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	base := e.Halfplane(0.5, 0.3)
+	base := ask(t, e, Query{Op: OpHalfplane, A: 0.5, B: 0.3}).IDs
 	if len(base) == 0 {
 		t.Fatal("baseline query empty")
 	}
@@ -522,7 +546,7 @@ func TestRobustnessFacade(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		got := e.Halfplane(0.5, 0.3)
+		got := ask(t, e, Query{Op: OpHalfplane, A: 0.5, B: 0.3}).IDs
 		if len(got) != len(base) {
 			t.Fatalf("faulted answer has %d ids, want %d", len(got), len(base))
 		}
@@ -560,7 +584,7 @@ func TestRobustnessFacade(t *testing.T) {
 			t.Fatalf("replica %d state %v after repair, want closed", ri, s)
 		}
 	}
-	got := e.Halfplane(0.5, 0.3)
+	got := ask(t, e, Query{Op: OpHalfplane, A: 0.5, B: 0.3}).IDs
 	for i := range got {
 		if got[i] != base[i] {
 			t.Fatalf("post-repair answer differs at %d", i)

@@ -28,7 +28,11 @@ func TestServeFacade(t *testing.T) {
 	})
 	hs := httptest.NewServer(srv)
 
-	want := eng.Halfplane(0, 2) // y <= 2
+	ans := eng.Batch([]linconstraint.Query{{Op: linconstraint.OpHalfplane, A: 0, B: 2}})[0] // y <= 2
+	if ans.Err != nil {
+		t.Fatal(ans.Err)
+	}
+	want := ans.IDs
 	hr, err := hs.Client().Get(hs.URL + "/query?op=halfplane&a=0&b=2")
 	if err != nil {
 		t.Fatal(err)
